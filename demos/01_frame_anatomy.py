@@ -16,7 +16,7 @@ print(f"payload bytes : {reading.hex()}")
 print(f"on the wire   : {wire.hex()}  ({len(wire)} bytes = 10 payload + 8 overhead)")
 print(f"header fields : type={frame.header.frame_type.name} to={frame.header.recipient_id}"
       f" from={frame.header.sender_id} seq={frame.header.sequence}")
-print(f"checksum      : 0x{frame.fcs:04x} (tail two bytes, big endian)")
+print(f"checksum      : 0x{int.from_bytes(wire[-2:], 'big'):04x} (tail two bytes, big endian)")
 
 print()
 print("=== the matching ack is always 9 bytes ===")

@@ -9,7 +9,7 @@ from .frames import (Frame, FrameHeader, FrameType, ack_frame, compute_crc16,
 from .mac import (Connection, Device, IdentityCipher, LinkHandle, Primitive,
                   PrimitiveFamily, PrimitiveKind, Role, TransmissionOutcome,
                   establish_connection, fragment_sdu, make_link, send_with_arq)
-from .channel import ChannelModel, ber_for_distance, corrupt, preset, transmit
+from .channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
 from .simulator import (ExperimentConfig, ExperimentResult, LinkCounters,
                         LinkResult, SweepRow, run_experiment, sweep)
 from .analytics import (ack_length_term, data_length, fer, fer_analytic,

@@ -20,6 +20,7 @@ from .analytics import invert_fer_analytic
 from .errors import RangeError
 
 CALIBRATION_PAYLOAD = 10   # reference payload (bytes) for preset inversion
+FLIP_COUNT_BLOCK = 4096    # binomial flip counts pre-drawn per frame length
 
 # Measured-FER targets per distance (m).  Flat-ish out to 4 m, growing
 # beyond, with the wired rig cleaner than the wireless one.
@@ -70,47 +71,21 @@ class ChannelModel:
         return rng
 
 
-def corrupt(data: bytes, ber: float, rng: np.random.Generator) -> bytes:
-    """Flip each bit of `data` independently with probability `ber`.
+class FrameCorruptor:
+    """Flip each bit of a frame independently with probability `ber`.
 
     Bit positions are MSB-first within each byte.  The flip count is drawn
     binomially and positions uniformly without replacement, which realizes
     exactly the i.i.d. per-bit law while keeping the clean-frame case cheap.
-    """
-    if ber == 0.0 or not data:
-        return data
-    if ber == 1.0:
-        return bytes(b ^ 0xFF for b in data)
-    nbits = len(data) * 8
-    nflips = int(rng.binomial(nbits, ber))
-    if nflips == 0:
-        return data
-    positions = rng.choice(nbits, size=nflips, replace=False)
-    out = bytearray(data)
-    for pos in positions:
-        out[pos >> 3] ^= 0x80 >> (pos & 7)
-    return bytes(out)
-
-
-def transmit(data: bytes, model: ChannelModel, stream_id) -> bytes:
-    """Send `data` through the channel on the given substream."""
-    return corrupt(data, model.ber, model.stream(stream_id))
-
-
-class FrameCorruptor:
-    """Per-substream corruptor that pre-draws flip counts in blocks.
-
-    Distributionally identical to `corrupt` (binomial count, then uniform
-    positions); batching only amortizes the generator call across frames
-    of the same length.  One instance per substream keeps results
-    reproducible and independent across links.
+    Flip counts are pre-drawn in blocks of FLIP_COUNT_BLOCK per frame length,
+    which amortizes the generator call across frames.  One instance per
+    substream keeps results reproducible and independent across links.
     """
 
-    __slots__ = ("rng", "_ber", "block", "_counts")
+    __slots__ = ("rng", "_ber", "_counts")
 
-    def __init__(self, rng: np.random.Generator, ber: float, block: int = 4096):
+    def __init__(self, rng: np.random.Generator, ber: float):
         self.rng = rng
-        self.block = block
         self._counts: dict = {}   # nbits -> [list of pending counts]
         self.ber = ber
 
@@ -134,7 +109,7 @@ class FrameCorruptor:
         nbits = len(data) * 8
         pending = self._counts.get(nbits)
         if not pending:
-            pending = self.rng.binomial(nbits, ber, size=self.block).tolist()
+            pending = self.rng.binomial(nbits, ber, size=FLIP_COUNT_BLOCK).tolist()
             pending.reverse()
             self._counts[nbits] = pending
         nflips = pending.pop()

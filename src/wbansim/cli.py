@@ -19,9 +19,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, analytics, optimizer, simulator
-from .errors import ConfigError, RangeError, WbanError
+from .errors import (ConfigError, CrcError, MalformedError, RangeError,
+                     TruncatedError, WbanError)
 from .frames import decode_frame
-from .errors import CrcError, MalformedError, TruncatedError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,26 +96,36 @@ def _parse_distance_map(text: str) -> tuple:
     return tuple(pairs)
 
 
+def _parse_field(key: str, value: str):
+    if key == "preset":
+        return value.strip()
+    if key == "distance_m":
+        parsed = parse_values(value)
+        return parsed[0] if len(parsed) == 1 else parsed
+    if key == "distance_map":
+        return _parse_distance_map(value)
+    if key == "ber":
+        return None if value.strip().lower() == "none" else float(value)
+    number = _parse_number(value)
+    if key not in ("node_count", "payload_len", "max_retries", "seed"):
+        return float(number)
+    if isinstance(number, float) and not number.is_integer():
+        raise ConfigError("expected an integer")
+    return int(number)
+
+
 def build_config(raw: dict) -> simulator.ExperimentConfig:
     config = simulator.ExperimentConfig()
-    for key, value in raw.items():
+    fields = [(key, key, value) for key, value in raw.items()]
+    if "WBAN_SEED" in os.environ:   # env wins over files and --set
+        fields.append(("WBAN_SEED", "seed", os.environ["WBAN_SEED"]))
+    for source, key, value in fields:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "preset":
-            config.preset = value.strip()
-        elif key == "distance_m":
-            parsed = parse_values(value)
-            config.distance_m = parsed[0] if len(parsed) == 1 else parsed
-        elif key == "distance_map":
-            config.distance_map = _parse_distance_map(value)
-        elif key == "ber":
-            config.ber = None if value.strip().lower() == "none" else float(value)
-        elif key in ("node_count", "payload_len", "max_retries", "seed"):
-            setattr(config, key, int(_parse_number(value)))
-        else:
-            setattr(config, key, float(_parse_number(value)))
-    if "WBAN_SEED" in os.environ:
-        config.seed = int(os.environ["WBAN_SEED"])
+        try:
+            setattr(config, key, _parse_field(key, value))
+        except ValueError as exc:
+            raise ConfigError(f"{source}={value!r}: {exc}") from None
     config.validate()
     return config
 
@@ -287,7 +297,7 @@ def cmd_codec_dump(args) -> int:
           f"seq={h.sequence} frag={h.fragment_index} last={h.last_fragment} "
           f"payload_len={h.payload_len}")
     print(f"body: {frame.body.hex() or '(empty)'}")
-    print(f"fcs: 0x{frame.fcs:04x}")
+    print(f"fcs: 0x{int.from_bytes(wire[-2:], 'big'):04x}")
     return EXIT_OK
 
 

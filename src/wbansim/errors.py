@@ -34,11 +34,6 @@ class EmptySduError(WbanError, ValueError):
     """Fragmentation was asked to split a zero-length service data unit."""
 
 
-class GapError(WbanError):
-    """A fragment set timed out with the last fragment seen but an index
-    missing; the partial packet is dropped and counted as lost."""
-
-
 class ConfigError(WbanError, ValueError):
     """An experiment configuration field is missing or out of range."""
 

@@ -80,11 +80,6 @@ class Frame:
     body: bytes = b""
 
     @property
-    def fcs(self) -> int:
-        """CRC-16 of everything that precedes the checksum on the wire."""
-        return compute_crc16(encode_frame(self)[:-2])
-
-    @property
     def acked_sequence(self) -> int:
         if self.header.frame_type is not FrameType.ACK:
             raise ValueError("not an Ack frame")

@@ -16,6 +16,14 @@ as wire bytes produced/consumed here.  Poll outputs are action tuples:
 ``("tx", frame, wire_bytes)`` for transmissions and ``("ind", primitive)``
 for upward notifications.
 
+Drivers use a small public surface: ``submit`` hands a list of frames down
+as one SDU and returns its id with the first poll outputs, ``poll_step``
+advances the device by one event, and ``next_deadline`` says when the
+device next needs polling with an empty inbox.  ``pump`` is the one loop
+that carries frames between a sender and its peer over a `LinkHandle`;
+``send_with_arq`` (one data frame through stop-and-wait ARQ) and
+``establish_connection`` (the join handshake) are thin calls over it.
+
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
 ack timeout is the on-air time of one maximum-size frame at the configured
@@ -29,16 +37,17 @@ from enum import Enum, auto
 from typing import Optional
 
 from .channel import ChannelModel, FrameCorruptor
-from .errors import EmptySduError, ProtocolError, RangeError
+from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
+                     RangeError, TruncatedError)
 from .frames import (Frame, FrameType, ack_frame, data_frame, decode_frame,
                      encode_frame, management_frame)
 from . import frames as _frames
-from .errors import CrcError, MalformedError, TruncatedError
 
 MAX_NODES = 64
 MAX_FRAME_BYTES = _frames.MAX_PAYLOAD + _frames.OVERHEAD_BYTES
 MAX_FRAGMENTS = _frames.MAX_FRAGMENT_INDEX + 1
 DEFAULT_DATA_RATE_BPS = 121_400
+JOIN_MAX_ROUNDS = 64
 
 
 class PrimitiveFamily(Enum):
@@ -69,7 +78,6 @@ class Connection(Enum):
     IDLE = auto()
     CONNECTING = auto()
     CONNECTED = auto()
-    DISCONNECTING = auto()
 
 
 class IdentityCipher:
@@ -193,6 +201,33 @@ class Device:
         self.deliver_primitive(Primitive(
             PrimitiveFamily.DATA_SERVICE, PrimitiveKind.REQUEST, {"sdu": sdu}))
 
+    def submit(self, frames: list[Frame]) -> tuple[int, list]:
+        """Hand `frames` down as one SDU; give back its id and the poll outputs.
+
+        Each frame takes the next sequence number.  The first one goes on air
+        at once when the device is idle and (for a node) connected; the rest
+        wait in the transmit queue for the ack of the one before.
+        """
+        sdu_id = self._next_sdu_id
+        self._next_sdu_id += 1
+        self.packets_sent += 1
+        for frame in frames:
+            frame.header.sequence = self._take_sequence()
+            frame.header.payload_len = len(frame.body)
+            self._tx_queue.append((sdu_id, frame))
+        outputs: list = []
+        self._transmit_next(outputs)
+        return sdu_id, outputs
+
+    @property
+    def next_deadline(self) -> Optional[float]:
+        """Earliest armed ack or management deadline; None when none is armed."""
+        ack = self._pending.deadline if self._pending is not None else None
+        mgmt = self._mgmt_deadline
+        if mgmt is None or (ack is not None and ack < mgmt):
+            return ack
+        return mgmt
+
     def poll_step(self) -> list:
         """Consume at most one inbox event; otherwise advance timers."""
         outputs: list = []
@@ -224,8 +259,7 @@ class Device:
         elif primitive.family is PrimitiveFamily.DATA_SERVICE:
             self._data_service_request(primitive, outputs)
         else:  # raw frame handed straight to the transmission module
-            frame = primitive.payload["frame"]
-            self._enqueue_frames([frame], outputs)
+            outputs.extend(self.submit([primitive.payload["frame"]])[1])
 
     def _on_wire(self, wire: bytes, outputs: list) -> None:
         frame = self._ack_rx_memo.get(wire) if len(wire) == 9 else None
@@ -333,14 +367,11 @@ class Device:
                     self._emit(outputs, Primitive(
                         PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
                         {"event": "rejected", "hub_id": sender}))
-                elif self.connection in (Connection.CONNECTED, Connection.DISCONNECTING):
-                    was_tearing_down = self.connection is Connection.DISCONNECTING
+                elif self.connection is Connection.CONNECTED:
                     self.connection = Connection.IDLE
                     self._mgmt_deadline = None
                     self._emit(outputs, Primitive(
-                        PrimitiveFamily.MANAGEMENT,
-                        PrimitiveKind.CONFIRM if was_tearing_down
-                        else PrimitiveKind.INDICATION,
+                        PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
                         {"event": "disconnected", "hub_id": sender}))
                 else:
                     self._protocol_drop("disconnect_while_idle")
@@ -356,7 +387,6 @@ class Device:
 
     def _start_disconnect(self, outputs: list) -> None:
         if self.role is Role.NODE and self.connection is Connection.CONNECTED:
-            self.connection = Connection.DISCONNECTING
             self._send_mgmt(FrameType.MGMT_DISCONNECT, self.hub_id, outputs)
             self.connection = Connection.IDLE
             self._emit(outputs, Primitive(
@@ -394,17 +424,7 @@ class Device:
         frames = [data_frame(self.hub_id, self.device_id, 0, self.cipher.encrypt(chunk),
                              fragment_index=i, last_fragment=(i == last))
                   for i, chunk in enumerate(chunks)]
-        self._enqueue_frames(frames, outputs)
-
-    def _enqueue_frames(self, frames: list[Frame], outputs: list) -> None:
-        sdu_id = self._next_sdu_id
-        self._next_sdu_id += 1
-        self.packets_sent += 1
-        for frame in frames:
-            frame.header.sequence = self._take_sequence()
-            frame.header.payload_len = len(frame.body)
-            self._tx_queue.append((sdu_id, frame))
-        self._transmit_next(outputs)
+        outputs.extend(self.submit(frames)[1])
 
     def _take_sequence(self) -> int:
         seq = self.next_sequence
@@ -520,14 +540,13 @@ class Device:
         self._transmit_next(outputs)
 
 
-# --------------------------------------------------------------- ARQ driver
+# -------------------------------------------------------------- link drivers
 
 @dataclass
 class LinkHandle:
     """Channel endpoints for one node<->hub pair, with its own substreams."""
 
     peer: Device
-    model: ChannelModel
     uplink: FrameCorruptor    # sender -> peer
     downlink: FrameCorruptor  # peer -> sender
 
@@ -551,86 +570,75 @@ def make_link(sender: Device, peer: Device, model: ChannelModel,
               ber: Optional[float] = None) -> LinkHandle:
     effective = model.ber if ber is None else ber
     return LinkHandle(
-        peer, model,
+        peer,
         FrameCorruptor(model.stream((sender.device_id, peer.device_id)), effective),
         FrameCorruptor(model.stream((peer.device_id, sender.device_id)), effective))
+
+
+def pump(sender: Device, link: LinkHandle, outputs: list, done,
+         max_rounds: int) -> Optional[Primitive]:
+    """Carry frames between `sender` and `link.peer` until `done` accepts one.
+
+    Each round ferries the sender's transmissions through the channel,
+    polls the peer once per frame, ferries the peer's replies back, then
+    polls the sender, first jumping the clock to its next deadline when its
+    inbox is empty.  Airtime of both directions is charged to the sender's
+    clock; the peer's clock is pulled forward to match.  Returns the first
+    sender indication `done` accepts, or None when the sender has nothing
+    left to wait for or `max_rounds` run out.
+    """
+    peer = link.peer
+    rate = sender.data_rate_bps
+    for _ in range(max_rounds):
+        for item in outputs:
+            if item[0] == "ind":
+                if done(item[1]):
+                    return item[1]
+                continue
+            wire = item[2]
+            sender.now += len(wire) * 8 / rate
+            if peer.now < sender.now:
+                peer.now = sender.now
+            peer.deliver(link.to_peer(wire))
+            for reply in peer.poll_step():
+                if reply[0] == "tx":
+                    sender.now += len(reply[2]) * 8 / rate
+                    sender.deliver(link.to_sender(reply[2]))
+        if not sender.inbox:
+            deadline = sender.next_deadline
+            if deadline is None:
+                return None
+            if deadline > sender.now:
+                sender.now = deadline
+        outputs = sender.poll_step()
+    return None
 
 
 def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> TransmissionOutcome:
     """Drive one data frame through the ARQ loop against a live peer.
 
-    Runs the sender's own poll machinery synchronously: transmit, ferry
-    the bytes through the channel, poll the peer, ferry any ack back, and
-    jump the clock to the ack deadline when nothing returns.  Success means
-    some attempt's data frame AND its ack both came through uncorrupted.
+    Success means some attempt's data frame AND its ack both came through
+    uncorrupted.
     """
     if sender.connection is not Connection.CONNECTED:
         raise ProtocolError("sender is not connected")
     if frame.header.frame_type is not FrameType.DATA:
         raise ProtocolError("ARQ applies to data frames")
     start = sender.now
-    sdu_id = sender._next_sdu_id
-    sender._next_sdu_id += 1
-    sender.packets_sent += 1
-    frame.header.sequence = sender._take_sequence()
-    sender._tx_queue.append((sdu_id, frame))
-    outputs: list = []
-    sender._transmit_next(outputs)
-    peer = link.peer
-    rate = sender.data_rate_bps
-
-    for _ in range(8 * (sender.max_retries + 2)):
-        for item in outputs:
-            if item[0] == "ind":
-                p = item[1]
-                if (p.family is PrimitiveFamily.DATA_TRANSFER
-                        and p.kind is PrimitiveKind.CONFIRM
-                        and p.payload.get("sdu_id") == sdu_id):
-                    return TransmissionOutcome(p.payload["success"],
-                                               p.payload["attempts_used"],
-                                               sender.now - start)
-            else:  # "tx"
-                wire = item[2]
-                sender.now += len(wire) * 8 / rate
-                if peer.now < sender.now:
-                    peer.now = sender.now
-                peer.deliver(link.to_peer(wire))
-                for pitem in peer.poll_step():
-                    if pitem[0] == "tx":
-                        pwire = pitem[2]
-                        sender.now += len(pwire) * 8 / rate
-                        sender.deliver(link.to_sender(pwire))
-        if sender.inbox:
-            outputs = sender.poll_step()
-        elif sender._pending is not None:
-            sender.now = sender._pending.deadline
-            outputs = sender.poll_step()
-        else:
-            outputs = []
-    raise ProtocolError("ARQ exchange did not resolve")
+    sdu_id, outputs = sender.submit([frame])
+    confirm = pump(sender, link, outputs,
+                   lambda p: (p.family is PrimitiveFamily.DATA_TRANSFER
+                              and p.payload.get("sdu_id") == sdu_id),
+                   8 * (sender.max_retries + 2))
+    if confirm is None:
+        raise ProtocolError("ARQ exchange did not resolve")
+    return TransmissionOutcome(confirm.payload["success"],
+                               confirm.payload["attempts_used"], sender.now - start)
 
 
-def establish_connection(node: Device, hub: Device, link: LinkHandle,
-                         max_rounds: int = 64) -> bool:
+def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:
     """Run the join handshake over the (possibly lossy) link."""
     node.request_connect(hub.device_id)
-    for _ in range(max_rounds):
-        if node.connection is Connection.CONNECTED:
-            return True
-        outputs = node.poll_step()
-        progressed = False
-        for _, _f, wire in [o for o in outputs if o[0] == "tx"]:
-            progressed = True
-            node.now += len(wire) * 8 / node.data_rate_bps
-            hub.now = max(hub.now, node.now)
-            hub.deliver(link.to_peer(wire))
-            hub_out = hub.poll_step()
-            for _, _hf, hwire in [o for o in hub_out if o[0] == "tx"]:
-                node.now += len(hwire) * 8 / node.data_rate_bps
-                node.deliver(link.to_sender(hwire))
-        if not progressed and not node.inbox:
-            if node._mgmt_deadline is not None:
-                node.now = max(node.now, node._mgmt_deadline)
-            else:
-                return node.connection is Connection.CONNECTED
+    pump(node, link, [], lambda p: p.family is PrimitiveFamily.MANAGEMENT,
+         JOIN_MAX_ROUNDS)
     return node.connection is Connection.CONNECTED

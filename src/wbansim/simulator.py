@@ -21,6 +21,7 @@ exactly as a real rig that logs send/receive tallies would see them.
 """
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -34,6 +35,7 @@ from .mac import (DEFAULT_DATA_RATE_BPS, Device, Role,
                   establish_connection, make_link, send_with_arq)
 
 PRESETS = ("wireless", "wired", "explicit")
+SENSOR_BLOCK = 1024   # readings drawn per generator call
 
 
 @dataclass
@@ -61,18 +63,24 @@ class ExperimentConfig:
             raise ConfigError(f"payload_len={self.payload_len} outside 0..255")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries={self.max_retries} must be >= 0")
-        if self.data_rate_bps <= 0:
-            raise ConfigError(f"data_rate_bps={self.data_rate_bps} must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration_s={self.duration_s} must be positive")
+        for key in ("data_rate_bps", "duration_s"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key}={value} must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.preset not in PRESETS:
             raise ConfigError(f"preset={self.preset!r} not one of {PRESETS}")
         distances = self.distances()
         if len(distances) != self.node_count:
             raise ConfigError(
                 f"{len(distances)} distances given for {self.node_count} nodes")
-        if any(d <= 0 for d in distances):
-            raise ConfigError("distances must be positive")
+        for d in distances:
+            if not (math.isfinite(d) and d > 0):
+                raise ConfigError(f"distance_m={d} must be positive and finite")
+        if self.distance_map is not None and not all(
+                math.isfinite(x) for pair in self.distance_map for x in pair):
+            raise ConfigError(f"distance_map={self.distance_map} must be finite")
         if self.ber is not None and not 0.0 <= self.ber <= 1.0:
             raise ConfigError(f"ber={self.ber} is not a probability")
         if self.preset == "explicit" and self.ber is None and self.distance_map is None:
@@ -153,10 +161,9 @@ class ExperimentResult:
 class _SensorSource:
     """Synthetic sensor readings: deterministic random bytes, drawn in blocks."""
 
-    def __init__(self, rng, payload_len: int, block: int = 1024):
+    def __init__(self, rng, payload_len: int):
         self.rng = rng
         self.n = payload_len
-        self.block = block
         self.buf = b""
         self.pos = 0
 
@@ -165,7 +172,7 @@ class _SensorSource:
         if n == 0:
             return b""
         if self.pos + n > len(self.buf):
-            self.buf = self.rng.bytes(n * self.block)
+            self.buf = self.rng.bytes(n * SENSOR_BLOCK)
             self.pos = 0
         chunk = self.buf[self.pos:self.pos + n]
         self.pos += n

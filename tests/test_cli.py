@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, config handling, manifests."""
 
 import json
+import signal
 
 import pytest
 
@@ -80,6 +81,35 @@ def test_simulate_unknown_key_exits_2(tmp_path):
     code = main(["simulate", "--set", "warp_factor=9",
                  "-o", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def _no_answer(signum, frame):
+    raise TimeoutError("simulate did not return within 10 s")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", "inf"), ("duration_s", "nan"),
+    ("data_rate_bps", "inf"), ("data_rate_bps", "nan"),
+    ("distance_m", "nan"), ("ber", "nan"), ("ber", "abc"),
+    ("distance_map", "1:x"), ("seed", "-1"), ("WBAN_SEED", "x"),
+    ("node_count", "2.5"), ("payload_len", "3.7"),
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
+    argv = ["simulate", *FAST, "--set", "preset=explicit", "--set", "ber=0",
+            "-o", str(tmp_path / "x.csv")]
+    if key == "WBAN_SEED":
+        monkeypatch.setenv(key, value)
+    else:
+        argv += ["--set", f"{key}={value}"]
+    previous = signal.signal(signal.SIGALRM, _no_answer)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 def test_simulate_reads_config_file(tmp_path):

@@ -66,12 +66,6 @@ def test_round_trip_identity_random_frames():
         assert decode_frame(encode_frame(f)) == f
 
 
-def test_fcs_matches_wire():
-    f = data_frame(2, 1, 9, b"abcdef")
-    wire = encode_frame(f)
-    assert f.fcs == int.from_bytes(wire[-2:], "big")
-
-
 # ------------------------------------------------------------- error paths
 
 def test_truncated_below_minimum():

@@ -9,7 +9,7 @@ from wbansim.channel import ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (FrameType, ack_frame, data_frame, encode_frame,
                             management_frame)
-from wbansim.mac import (MAX_NODES, Connection, Device,
+from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link,
                          send_with_arq)
@@ -114,6 +114,16 @@ def test_handshake_survives_lost_request():
                                  if next(loss_plan, False) else wire)
     assert establish_connection(node, hub, link)
     assert node.connection is Connection.CONNECTED
+
+
+def test_join_over_dead_link_gives_up_within_round_bound():
+    hub, node, link = lossless_pair()
+    link.ber = 1.0
+    assert not establish_connection(node, hub, link)
+    assert node.connection is Connection.CONNECTING
+    assert not hub.registry
+    # the retry timer re-sent the request, at most once per pump round
+    assert 1 < hub.drops["crc"] <= JOIN_MAX_ROUNDS
 
 
 # ------------------------------------------------------------ fragmentation
@@ -286,6 +296,25 @@ def test_arq_empirical_attempt_failure_matches_exchange_model():
     expected = 1 - (1 - p_ber) ** (144 + 72)
     sigma = math.sqrt(expected * (1 - expected) / attempts)
     assert abs(fail_rate - expected) < 3 * sigma
+
+
+def test_submit_numbers_sdus_consecutively():
+    hub, node, link = connect(*lossless_pair())
+    first, out_first = node.submit([data_frame(0, 1, 0, b"a")])
+    second, out_second = node.submit([data_frame(0, 1, 0, b"b")])
+    assert second == first + 1
+    assert len(txs(out_first)) == 1
+    assert out_second == []            # waits for the first one's ack
+    assert node.packets_sent == 2
+
+
+def test_next_deadline_tracks_the_pending_ack():
+    hub, node, link = connect(*lossless_pair())
+    assert node.next_deadline is None
+    _, outputs = node.submit([data_frame(0, 1, 0, bytes(10))])
+    wire = txs(outputs)[0][2]
+    assert node.next_deadline == (node.now + len(wire) * 8 / node.data_rate_bps
+                                  + node.ack_timeout)
 
 
 # ------------------------------------------------------------------ polling
