@@ -78,17 +78,25 @@ def test_stream_independence_chi_square():
     assert chi2 < 6.63
 
 
-def test_corruption_rate_matches_binomial_law():
+def binomial_law_holds(seed: int, stream_id: str) -> bool:
+    """Frame corruption rate on 144-bit frames lies within 3 sigma of the law."""
     ber = 2e-3
     nframes = 20_000
     frame = bytes(18)
+    model = ChannelModel(ber=ber, rng_seed=seed)
+    corruptor = FrameCorruptor(model.stream(stream_id), ber)
+    corrupted = sum(corruptor.corrupt(frame) != frame for _ in range(nframes))
     p = 1.0 - (1.0 - ber) ** 144
     sigma = math.sqrt(p * (1 - p) / nframes)
-    for seed, stream_id in ((9, "law"), (10, "batch")):
-        model = ChannelModel(ber=ber, rng_seed=seed)
-        corruptor = FrameCorruptor(model.stream(stream_id), ber)
-        corrupted = sum(corruptor.corrupt(frame) != frame for _ in range(nframes))
-        assert abs(corrupted / nframes - p) < 3 * sigma, (seed, stream_id)
+    return abs(corrupted / nframes - p) < 3 * sigma
+
+
+def test_corruption_rate_matches_binomial_law():
+    assert binomial_law_holds(9, "law")
+
+
+def test_batched_corruptor_same_law():
+    assert binomial_law_holds(10, "batch")
 
 
 # -------------------------------------------------------------- calibration
