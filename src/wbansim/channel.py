@@ -11,6 +11,7 @@ are frame error rates (what a test rig can actually measure), inverted
 through the analytic payload/FER model at the 10-byte reference payload.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -80,6 +81,12 @@ class FrameCorruptor:
     Flip counts are pre-drawn in blocks of FLIP_COUNT_BLOCK per frame length,
     which amortizes the generator call across frames.  One instance per
     substream keeps results reproducible and independent across links.
+
+    ``next_flips`` looks at the count the next frame of a given length will
+    draw, and ``skip`` consumes it without flipping anything; together they
+    let a caller account a frame that will arrive intact without building it.
+    Both refill a block exactly when ``corrupt`` would, so the draws on the
+    substream stay in the same order whichever of them a caller uses.
     """
 
     __slots__ = ("rng", "_ber", "_counts")
@@ -100,6 +107,29 @@ class FrameCorruptor:
         self._ber = value
         self._counts = {}   # pre-drawn counts belong to the old rate
 
+    def _pending(self, nbits: int) -> list:
+        """Pending counts for `nbits`-bit frames, next one last; refilled when empty."""
+        pending = self._counts.get(nbits)
+        if not pending:
+            pending = self.rng.binomial(nbits, self._ber, size=FLIP_COUNT_BLOCK).tolist()
+            pending.reverse()
+            self._counts[nbits] = pending
+        return pending
+
+    def next_flips(self, nbits: int) -> int:
+        """Flips the next `nbits`-bit frame will get, without consuming them."""
+        ber = self._ber
+        if ber == 0.0:
+            return 0
+        if ber == 1.0:
+            return nbits
+        return self._pending(nbits)[-1]
+
+    def skip(self, nbits: int) -> None:
+        """Consume the next `nbits`-bit frame's count, which must be zero."""
+        if 0.0 < self._ber < 1.0:
+            self._counts[nbits].pop()
+
     def corrupt(self, data: bytes) -> bytes:
         ber = self._ber
         if ber == 0.0 or not data:
@@ -107,12 +137,7 @@ class FrameCorruptor:
         if ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
-        pending = self._counts.get(nbits)
-        if not pending:
-            pending = self.rng.binomial(nbits, ber, size=FLIP_COUNT_BLOCK).tolist()
-            pending.reverse()
-            self._counts[nbits] = pending
-        nflips = pending.pop()
+        nflips = self._pending(nbits).pop()
         if nflips == 0:
             return data
         positions = self.rng.choice(nbits, size=nflips, replace=False)
@@ -134,16 +159,23 @@ def ber_for_distance(distance_m: float, model: ChannelModel) -> float:
     return float(np.interp(distance_m, distances, bers))
 
 
-def _invert_targets(targets) -> tuple[tuple[float, float], ...]:
+@functools.cache
+def _calibration_table(name: str) -> tuple[tuple[float, float], ...]:
+    """(distance, ber) pairs of a preset, inverted once per process.
+
+    Only the immutable table is cached; every `preset` call still builds a
+    fresh ChannelModel, whose substreams hold live generator state.
+    """
+    if name == "wireless":
+        targets = WIRELESS_FER_TARGETS
+    elif name == "wired":
+        targets = WIRED_FER_TARGETS
+    else:
+        raise RangeError(f"unknown channel preset {name!r}")
     return tuple((d, invert_fer_analytic(f, CALIBRATION_PAYLOAD)) for d, f in targets)
 
 
 def preset(name: str, rng_seed: int = 0) -> ChannelModel:
     """Calibrated channel preset: ``wireless`` or ``wired``."""
-    if name == "wireless":
-        table = _invert_targets(WIRELESS_FER_TARGETS)
-    elif name == "wired":
-        table = _invert_targets(WIRED_FER_TARGETS)
-    else:
-        raise RangeError(f"unknown channel preset {name!r}")
+    table = _calibration_table(name)
     return ChannelModel(ber=table[0][1], rng_seed=rng_seed, distance_map=table)

@@ -109,8 +109,13 @@ def _parse_field(key: str, value: str):
     number = _parse_number(value)
     if key not in ("node_count", "payload_len", "max_retries", "seed"):
         return float(number)
+    return _integral(number)
+
+
+def _integral(number) -> int:
+    """`number` as an int; a non-integral or non-finite float is an error."""
     if isinstance(number, float) and not number.is_integer():
-        raise ConfigError("expected an integer")
+        raise ConfigError(f"{number!r} is not an integer")
     return int(number)
 
 
@@ -201,7 +206,10 @@ def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     values = parse_values(args.values)
     if args.axis in ("max_retries", "payload_len"):
-        values = [int(v) for v in values]
+        try:
+            values = [_integral(v) for v in values]
+        except ConfigError as exc:
+            raise ConfigError(f"--values for axis {args.axis}: {exc}") from None
     rows = simulator.sweep(config, args.axis, values)
     out = Path(args.output)
     write_csv(out, ["axis", "value", "s_frm", "r_frm", "s_pkt", "r_pkt", "fer", "per"],

@@ -24,6 +24,16 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
 
+``send_clean`` is the arithmetic twin of ``send_with_arq`` for the common
+case.  Every flip count is drawn before its frame exists, so when the next
+data frame and its ack will both cross the link with zero flips, the two
+devices are idle, connected and untraced, and the hub would not take the
+frame for a sequence-wrap duplicate, the outcome is known: one attempt, one
+delivery.  ``send_clean`` then consumes those two counts and makes the
+counter, sequence and clock changes the frame path would make; otherwise it
+changes nothing and the caller takes the frame path.  Each link draws from
+its own substreams, so skipping one link's frames cannot move another's.
+
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
 ack timeout is the on-air time of one maximum-size frame at the configured
@@ -46,6 +56,7 @@ from . import frames as _frames
 MAX_NODES = 64
 MAX_FRAME_BYTES = _frames.MAX_PAYLOAD + _frames.OVERHEAD_BYTES
 MAX_FRAGMENTS = _frames.MAX_FRAGMENT_INDEX + 1
+ACK_BITS = _frames.ACK_FRAME_BYTES * 8
 DEFAULT_DATA_RATE_BPS = 121_400
 JOIN_MAX_ROUNDS = 64
 
@@ -565,6 +576,20 @@ class LinkHandle:
     def to_sender(self, wire: bytes) -> bytes:
         return self.downlink.corrupt(wire)
 
+    def take_clean(self, data_bits: int) -> bool:
+        """Consume the next data and ack flip counts if both are zero.
+
+        The ack count is looked at only once the data count is zero, because
+        only then would the frame path send an ack next.  When either count
+        is non-zero nothing is consumed.
+        """
+        up, down = self.uplink, self.downlink
+        if up.next_flips(data_bits) or down.next_flips(ACK_BITS):
+            return False
+        up.skip(data_bits)
+        down.skip(ACK_BITS)
+        return True
+
 
 def make_link(sender: Device, peer: Device, model: ChannelModel,
               ber: Optional[float] = None) -> LinkHandle:
@@ -634,6 +659,46 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
         raise ProtocolError("ARQ exchange did not resolve")
     return TransmissionOutcome(confirm.payload["success"],
                                confirm.payload["attempts_used"], sender.now - start)
+
+
+def send_clean(sender: Device, link: LinkHandle, payload_len: int) -> bool:
+    """Account one clean ARQ exchange of a `payload_len`-byte data frame.
+
+    Returns False, having changed nothing, unless the exchange would be one
+    attempt whose data frame and ack both arrive intact and new at idle,
+    untraced devices; then applies what ``send_with_arq`` would do with
+    that frame and returns True.  The two airtimes are added one at a time,
+    as the frame path adds them, so the clock rounds the same way.
+    """
+    hub = link.peer
+    node_id = sender.device_id
+    seq = sender.next_sequence
+    if (sender.trace is not None or hub.trace is not None
+            or sender.connection is not Connection.CONNECTED
+            or sender.hub_id != hub.device_id
+            or sender.inbox or sender._tx_queue or sender._pending is not None
+            or hub.inbox or node_id not in hub.registry
+            or hub._last_accepted.get(node_id) == seq):
+        return False
+    data_bits = (payload_len + _frames.OVERHEAD_BYTES) * 8
+    if not link.take_clean(data_bits):
+        return False
+    # sender: submit, one transmission, the ack
+    sender.next_sequence = (seq + 1) & 0xFF
+    sender._next_sdu_id += 1
+    sender.packets_sent += 1
+    sender.frames_sent += 1
+    sender.packets_delivered += 1
+    # hub: an intact, new, unfragmented data frame
+    hub.rx_frames[node_id] += 1
+    hub.rx_packets[node_id] += 1
+    hub._last_accepted[node_id] = seq
+    rate = sender.data_rate_bps
+    sender.now += data_bits / rate
+    if hub.now < sender.now:
+        hub.now = sender.now
+    sender.now += ACK_BITS / rate
+    return True
 
 
 def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:

@@ -18,6 +18,16 @@ Frame accounting per link (uplink data frames only):
 
 Missing and checksum-failed frames are indistinguishable in these counters,
 exactly as a real rig that logs send/receive tallies would see them.
+
+Each exchange first tries ``mac.send_clean``, which accounts a clean
+exchange (data frame and ack both drawn with zero flips, devices idle and
+connected, no sequence-wrap duplicate) in plain arithmetic, and falls back
+to ``mac.send_with_arq`` for everything else.  A run with a trace always
+takes the frame path, so every primitive is recorded.  Both paths leave the
+same counters and clocks, because each link draws only from its own
+substreams and ``send_clean`` consumes exactly the two zero counts the
+frame path would have drawn; the heap still orders exchanges in virtual
+time, which the trace order depends on.
 """
 
 import heapq
@@ -30,12 +40,13 @@ import numpy as np
 from . import analytics
 from .channel import ChannelModel, ber_for_distance, preset
 from .errors import ConfigError
-from .frames import data_frame
+from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES, data_frame
 from .mac import (DEFAULT_DATA_RATE_BPS, Device, Role,
-                  establish_connection, make_link, send_with_arq)
+                  establish_connection, make_link, send_clean, send_with_arq)
 
 PRESETS = ("wireless", "wired", "explicit")
 SENSOR_BLOCK = 1024   # readings drawn per generator call
+MAX_EXCHANGES_PER_NODE = 10**8   # clean exchanges one node could fit in duration_s
 
 
 @dataclass
@@ -67,6 +78,13 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key}={value} must be positive and finite")
+        exchange_bits = 8 * (self.payload_len + OVERHEAD_BYTES + ACK_FRAME_BYTES)
+        exchanges = self.duration_s * self.data_rate_bps / exchange_bits
+        if exchanges > MAX_EXCHANGES_PER_NODE:
+            raise ConfigError(
+                f"data_rate_bps={self.data_rate_bps} over duration_s={self.duration_s} "
+                f"implies {exchanges:.3g} exchanges per node, more than "
+                f"{MAX_EXCHANGES_PER_NODE:.0e}")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.preset not in PRESETS:
@@ -228,8 +246,10 @@ def run_experiment(config: ExperimentConfig,
         if t >= config.duration_s:
             continue
         node = nodes[i]
-        frame = data_frame(hub.device_id, node.device_id, 0, sensors[i].take())
-        send_with_arq(node, frame, links[i])
+        payload = sensors[i].take()
+        if not send_clean(node, links[i], config.payload_len):
+            send_with_arq(node, data_frame(hub.device_id, node.device_id, 0, payload),
+                          links[i])
         heapq.heappush(queue, (node.now, i))
 
     results = []

@@ -99,6 +99,44 @@ def test_batched_corruptor_same_law():
     assert binomial_law_holds(10, "batch")
 
 
+def test_next_flips_and_skip_keep_the_corrupt_sequence():
+    # skipping the clean frames of one corruptor leaves every corrupted frame
+    # of a twin on the same substream unchanged, across block refills and
+    # with two frame lengths interleaved
+    ber = 4e-3
+    frames = (bytes(18), bytes(range(9)))
+    probed = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
+    plain = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
+    skipped = 0
+    for k in range(10_000):
+        frame = frames[k % 3 == 0]
+        flips = probed.next_flips(len(frame) * 8)
+        assert probed.next_flips(len(frame) * 8) == flips   # looking consumes nothing
+        out = plain.corrupt(frame)
+        assert bit_count_diff(out, frame) == flips
+        if flips:
+            assert probed.corrupt(frame) == out
+        else:
+            probed.skip(len(frame) * 8)
+            skipped += 1
+    assert 5000 < skipped < 9000
+
+
+def test_next_flips_at_the_extreme_rates_draws_nothing():
+    for ber, flips in ((0.0, 0), (1.0, 144)):
+        corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
+        assert corruptor.next_flips(144) == flips
+        corruptor.skip(144)
+        assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
+
+
+def test_preset_caches_its_table_not_its_model():
+    first, second = preset("wired", rng_seed=3), preset("wired", rng_seed=3)
+    assert first.distance_map == second.distance_map
+    first.stream("s").random()
+    assert second._streams == {}
+
+
 # -------------------------------------------------------------- calibration
 
 def test_interpolation_hits_calibration_points():

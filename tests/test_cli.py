@@ -92,7 +92,7 @@ def _no_answer(signum, frame):
     ("data_rate_bps", "inf"), ("data_rate_bps", "nan"),
     ("distance_m", "nan"), ("ber", "nan"), ("ber", "abc"),
     ("distance_map", "1:x"), ("seed", "-1"), ("WBAN_SEED", "x"),
-    ("node_count", "2.5"), ("payload_len", "3.7"),
+    ("node_count", "2.5"), ("payload_len", "3.7"), ("data_rate_bps", "1e300"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
     argv = ["simulate", *FAST, "--set", "preset=explicit", "--set", "ber=0",
@@ -179,6 +179,16 @@ def test_sweep_empty_values_exits_2(tmp_path):
     code = main(["sweep", *FAST, "--axis", "max_retries",
                  "--values", "", "-o", str(tmp_path / "s.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("axis", ["max_retries", "payload_len"])
+@pytest.mark.parametrize("values", ["inf", "1.5,2.5"])
+def test_sweep_integer_axis_rejects_non_integers(tmp_path, capsys, axis, values):
+    code = main(["sweep", *FAST, "--axis", axis, "--values", values,
+                 "-o", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert axis in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_bad_axis_rejected(tmp_path):

@@ -29,6 +29,14 @@ CASES = {
         {"out.csv": "17d6039b2c75b1489cfb7c0b2d4fcb242e3aeec04a613a0f0cc878dc5b28d435",
          "out.manifest.json": "75aafe12debc13e861f4b367d8eba582a5f0003631afba378f89e338e97d0ed4"},
     ),
+    # untraced, so clean exchanges take the arithmetic path
+    "simulate-untraced-16": (
+        ["simulate", "--set", "node_count=16", "--set", "duration_s=0.5",
+         "--set", "seed=88"],
+        False,
+        {"out.csv": "d0fcbfb60ad3bc5c55be5577a7a52b15fe663c3359af1cdc1327b5f35ba2c34a",
+         "out.manifest.json": "949324948b8279747a79f79d45bf857597426aeb96a1725651fd2c814438404e"},
+    ),
     "simulate-explicit-lossy": (
         ["simulate", "--set", "preset=explicit", "--set", "ber=2e-3",
          "--set", "node_count=3", "--set", "duration_s=2", "--set", "seed=5"],

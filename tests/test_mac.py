@@ -12,7 +12,7 @@ from wbansim.frames import (FrameType, ack_frame, data_frame, encode_frame,
 from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link,
-                         send_with_arq)
+                         send_clean, send_with_arq)
 
 
 def lossless_pair(max_retries=3, seed=0):
@@ -315,6 +315,96 @@ def test_next_deadline_tracks_the_pending_ack():
     wire = txs(outputs)[0][2]
     assert node.next_deadline == (node.now + len(wire) * 8 / node.data_rate_bps
                                   + node.ack_timeout)
+
+
+# --------------------------------------------------------- clean exchanges
+
+STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "_next_sdu_id",
+                "_last_accepted", "frames_sent", "packets_sent",
+                "packets_delivered", "packets_lost", "rx_frames", "rx_packets",
+                "drops")
+
+
+def state(*devices):
+    return [{name: getattr(d, name) for name in STATE_FIELDS} for d in devices]
+
+
+def lossy_pair(seed, ber):
+    hub, node, link = connect(*lossless_pair(seed=seed))
+    link.ber = ber
+    return hub, node, link
+
+
+@pytest.mark.parametrize("ber, payload_len", [(2e-3, 10), (0.0, 10), (1e-3, 0),
+                                              (5e-3, 1), (1.0, 10)])
+def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
+    fast = lossy_pair(seed=11, ber=ber)
+    slow = lossy_pair(seed=11, ber=ber)
+    taken = 0
+    for _ in range(600):
+        for (hub, node, link), try_clean in ((fast, True), (slow, False)):
+            if try_clean and send_clean(node, link, payload_len):
+                taken += 1
+            else:
+                send_with_arq(node, data_frame(0, 1, 0, bytes(payload_len)), link)
+    assert state(fast[0], fast[1]) == state(slow[0], slow[1])
+    if ber == 1.0:
+        assert taken == 0
+    else:
+        assert taken > 200
+
+
+def _traced(hub, node):
+    node.trace = []
+
+
+def _wrapped_sequence(hub, node):
+    hub._last_accepted[node.device_id] = node.next_sequence
+
+
+def _not_registered(hub, node):
+    del hub.registry[node.device_id]
+
+
+def _hub_inbox_busy(hub, node):
+    hub.deliver(b"\x00")
+
+
+def _frame_queued(hub, node):
+    node.submit([data_frame(0, 1, 0, b"q")])
+
+
+@pytest.mark.parametrize("spoil", [_traced, _wrapped_sequence, _not_registered,
+                                   _hub_inbox_busy, _frame_queued])
+def test_send_clean_declines_outside_the_steady_state(spoil):
+    hub, node, link = connect(*lossless_pair())
+    spoil(hub, node)
+    before = state(hub, node)
+    assert not send_clean(node, link, 10)
+    assert state(hub, node) == before
+
+
+def test_take_clean_consumes_nothing_unless_both_counts_are_zero():
+    # a twin link walked by the frame path alone sees the same flips, also
+    # across a block refill: the ack count is looked at only after a clean
+    # data count, when the frame path would send an ack next
+    def twin():
+        return make_link(Device(Role.NODE, 1), Device(Role.HUB, 0),
+                         ChannelModel(ber=5e-3, rng_seed=3))
+
+    probed, plain = twin(), twin()
+    frame, ack = bytes(18), bytes(9)
+    taken = 0
+    for _ in range(5000):
+        if probed.take_clean(len(frame) * 8):
+            taken += 1
+            assert plain.to_peer(frame) == frame and plain.to_sender(ack) == ack
+            continue
+        arrived = probed.to_peer(frame)
+        assert arrived == plain.to_peer(frame)
+        if arrived == frame:
+            assert probed.to_sender(ack) == plain.to_sender(ack) != ack
+    assert 1000 < taken < 4000
 
 
 # ------------------------------------------------------------------ polling

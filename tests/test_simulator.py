@@ -27,6 +27,7 @@ def quick_config(**overrides):
     dict(payload_len=256), dict(max_retries=-1), dict(duration_s=0),
     dict(data_rate_bps=0), dict(preset="fancy"), dict(ber=1.5),
     dict(distance_m=-1.0), dict(distance_m=[1.0]),  # one distance, two nodes
+    dict(data_rate_bps=1e300),   # finite, but a run could never reach duration_s
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -172,3 +173,43 @@ def test_config_replacement_does_not_mutate_base():
     before = dataclasses.asdict(base)
     sweep(base, "payload_len", [5, 10])
     assert dataclasses.asdict(base) == before
+
+
+# ----------------------------------------------------- clean-exchange path
+
+# A traced run takes the frame path for every exchange, so it is the oracle
+# for the arithmetic path an untraced run takes on clean exchanges.
+FAST_VS_FRAME_PATH = {
+    "payload-0": quick_config(node_count=3, payload_len=0, duration_s=1.0, seed=3),
+    "ber-0": quick_config(preset="explicit", ber=0.0, seed=4),
+    "payload-30-at-10m": quick_config(node_count=4, payload_len=30,
+                                      distance_m=10.0, duration_s=1.0, seed=6),
+    "wired-64": quick_config(node_count=64, preset="wired",
+                             distance_m=[1.0 + 9.0 * i / 63 for i in range(64)],
+                             duration_s=0.2, seed=7),
+    "criterion-8": ExperimentConfig(node_count=3, duration_s=0.5, seed=88),
+    "distance-map": quick_config(node_count=3, preset="explicit",
+                                 distance_map=((1.0, 1e-4), (10.0, 3e-3)),
+                                 distance_m=[1.0, 4.0, 9.0], duration_s=1.0, seed=9),
+    "ack-sized-data": quick_config(payload_len=1, preset="explicit", ber=2e-3,
+                                   duration_s=1.0, seed=12),
+    # node 3 sends a clean frame exactly 256 sequence numbers after its last
+    # accepted one, which the hub counts as a duplicate
+    "sequence-wrap-clean": quick_config(node_count=3, preset="explicit", ber=0.00263,
+                                        payload_len=255, max_retries=0,
+                                        duration_s=120.0, seed=3),
+    **{f"lossy-no-retry-seed-{seed}": quick_config(
+        node_count=1, preset="explicit", ber=0.03, max_retries=0,
+        duration_s=60.0, seed=seed) for seed in (1, 2, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_VS_FRAME_PATH))
+def test_clean_exchange_path_matches_frame_path(name):
+    config = FAST_VS_FRAME_PATH[name]
+    assert run_experiment(config).links == run_experiment(config, trace=[]).links
+
+
+def test_sequence_wrap_config_reaches_a_clean_duplicate():
+    links = run_experiment(FAST_VS_FRAME_PATH["sequence-wrap-clean"]).links
+    assert [link.counters.r_frm - link.counters.r_pkt for link in links] == [0, 0, 1]
