@@ -72,6 +72,25 @@ class ChannelModel:
         return rng
 
 
+class _CountBlock:
+    """One pre-drawn block of flip counts, kept as its non-zero entries.
+
+    ``at`` holds the block positions of the non-zero counts, ending with the
+    block length as a sentinel, and ``flips`` their values; ``cursor`` is the
+    position of the next count and ``k`` the index of the next non-zero one.
+    """
+
+    __slots__ = ("at", "flips", "k", "cursor")
+
+    def __init__(self, counts: np.ndarray):
+        at = np.flatnonzero(counts)
+        self.flips = counts[at].tolist()
+        self.at = at.tolist()
+        self.at.append(len(counts))
+        self.k = 0
+        self.cursor = 0
+
+
 class FrameCorruptor:
     """Flip each bit of a frame independently with probability `ber`.
 
@@ -82,18 +101,22 @@ class FrameCorruptor:
     which amortizes the generator call across frames.  One instance per
     substream keeps results reproducible and independent across links.
 
-    ``next_flips`` looks at the count the next frame of a given length will
-    draw, and ``skip`` consumes it without flipping anything; together they
-    let a caller account a frame that will arrive intact without building it.
-    Both refill a block exactly when ``corrupt`` would, so the draws on the
-    substream stay in the same order whichever of them a caller uses.
+    ``clean_run`` says how many frames of a given length will cross with
+    zero flips before the next one that will not (or before its block ends),
+    and ``skip`` consumes some of them without flipping anything; together
+    they let a caller account frames that will arrive intact without
+    building them.  A block is drawn only when the next count is needed and
+    the current block is used up, whichever method needs it, so the draws on
+    the substream stay in the same order as with ``corrupt`` alone.  At
+    ``ber`` 0 every count is zero and at ``ber`` 1 every count is the frame
+    length; neither draws anything.
     """
 
-    __slots__ = ("rng", "_ber", "_counts")
+    __slots__ = ("rng", "_ber", "_blocks")
 
     def __init__(self, rng: np.random.Generator, ber: float):
         self.rng = rng
-        self._counts: dict = {}   # nbits -> [list of pending counts]
+        self._blocks: dict = {}   # nbits -> _CountBlock
         self.ber = ber
 
     @property
@@ -105,30 +128,35 @@ class FrameCorruptor:
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"ber={value} is not a probability")
         self._ber = value
-        self._counts = {}   # pre-drawn counts belong to the old rate
+        self._blocks = {}   # pre-drawn counts belong to the old rate
 
-    def _pending(self, nbits: int) -> list:
-        """Pending counts for `nbits`-bit frames, next one last; refilled when empty."""
-        pending = self._counts.get(nbits)
-        if not pending:
-            pending = self.rng.binomial(nbits, self._ber, size=FLIP_COUNT_BLOCK).tolist()
-            pending.reverse()
-            self._counts[nbits] = pending
-        return pending
+    def _block(self, nbits: int) -> _CountBlock:
+        """Counts for `nbits`-bit frames; a fresh block once the last is used up."""
+        block = self._blocks.get(nbits)
+        if block is None or block.cursor == FLIP_COUNT_BLOCK:
+            block = _CountBlock(self.rng.binomial(nbits, self._ber, size=FLIP_COUNT_BLOCK))
+            self._blocks[nbits] = block
+        return block
 
-    def next_flips(self, nbits: int) -> int:
-        """Flips the next `nbits`-bit frame will get, without consuming them."""
+    def clean_run(self, nbits: int) -> int:
+        """Zero counts ahead for `nbits`-bit frames, up to the next non-zero
+        count or the end of the block; consumes nothing.
+
+        At ``ber`` 0 a run is a whole block of zeros, though none is drawn.
+        """
         ber = self._ber
         if ber == 0.0:
-            return 0
+            return FLIP_COUNT_BLOCK
         if ber == 1.0:
-            return nbits
-        return self._pending(nbits)[-1]
+            return 0
+        block = self._block(nbits)
+        return block.at[block.k] - block.cursor
 
-    def skip(self, nbits: int) -> None:
-        """Consume the next `nbits`-bit frame's count, which must be zero."""
+    def skip(self, nbits: int, n: int) -> None:
+        """Consume the next `n` counts for `nbits`-bit frames, which must all
+        be zero: `n` is at most ``clean_run(nbits)``."""
         if 0.0 < self._ber < 1.0:
-            self._counts[nbits].pop()
+            self._blocks[nbits].cursor += n
 
     def corrupt(self, data: bytes) -> bytes:
         ber = self._ber
@@ -137,9 +165,14 @@ class FrameCorruptor:
         if ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
-        nflips = self._pending(nbits).pop()
-        if nflips == 0:
+        block = self._block(nbits)
+        cursor = block.cursor
+        block.cursor = cursor + 1
+        k = block.k
+        if block.at[k] != cursor:
             return data
+        block.k = k + 1
+        nflips = block.flips[k]
         positions = self.rng.choice(nbits, size=nflips, replace=False)
         out = bytearray(data)
         for pos in positions:

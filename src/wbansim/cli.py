@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 usage/config error, 3 optimizer non-convergence.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -54,6 +55,8 @@ def parse_values(spec: str) -> list:
         start = _parse_number(m.group(1))
         stop = _parse_number(m.group(2))
         step = _parse_number(m.group(3)) if m.group(3) else 1
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"range bounds and step must be finite in {spec!r}")
         if step <= 0:
             raise ConfigError(f"step must be positive in {spec!r}")
         values = []
@@ -117,6 +120,18 @@ def _integral(number) -> int:
     if isinstance(number, float) and not number.is_integer():
         raise ConfigError(f"{number!r} is not an integer")
     return int(number)
+
+
+def _flag_values(flag: str, spec: str, integral: bool = False) -> list:
+    """Values of `flag`; a non-finite one (or non-integral, if asked) names the flag."""
+    values = parse_values(spec)
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"{v!r} is not finite")
+        return [_integral(v) for v in values] if integral else values
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def build_config(raw: dict) -> simulator.ExperimentConfig:
@@ -204,12 +219,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    values = parse_values(args.values)
     if args.axis in ("max_retries", "payload_len"):
-        try:
-            values = [_integral(v) for v in values]
-        except ConfigError as exc:
-            raise ConfigError(f"--values for axis {args.axis}: {exc}") from None
+        values = _flag_values(f"--values for axis {args.axis}", args.values, integral=True)
+    else:
+        values = parse_values(args.values)
     rows = simulator.sweep(config, args.axis, values)
     out = Path(args.output)
     write_csv(out, ["axis", "value", "s_frm", "r_frm", "s_pkt", "r_pkt", "fer", "per"],
@@ -226,7 +239,7 @@ def cmd_sweep(args) -> int:
 def cmd_analyze(args) -> int:
     out = Path(args.output)
     if args.model == "retry":
-        m_values = [int(v) for v in parse_values(args.m)]
+        m_values = _flag_values("--m", args.m, integral=True)
         p_values = parse_values(args.p_fer)
         if not m_values or not p_values:
             raise ConfigError("empty parameter grid")
@@ -241,7 +254,7 @@ def cmd_analyze(args) -> int:
         write_manifest(out, "analyze",
                        {"model": "retry", "m": m_values, "p_fer": p_values}, None)
     else:
-        payloads = parse_values(args.payload)
+        payloads = _flag_values("--payload", args.payload)
         p_values = parse_values(args.p_ber)
         rows = []
         for p in p_values:
@@ -260,6 +273,11 @@ def cmd_analyze(args) -> int:
 def cmd_optimize(args) -> int:
     if not 0.0 < args.p_ber < 1.0:
         raise ConfigError(f"p_ber={args.p_ber} must lie strictly inside (0,1)")
+    for flag, value in (("--start", args.start), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag}={value} must be positive and finite")
+    if args.max_iterations < 1:
+        raise ConfigError(f"--max-iterations={args.max_iterations} must be >= 1")
     result = optimizer.optimize_payload(
         args.p_ber, payload_0=args.start, tolerance=args.tolerance,
         max_iterations=args.max_iterations,

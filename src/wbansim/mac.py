@@ -25,14 +25,17 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``establish_connection`` (the join handshake) are thin calls over it.
 
 ``send_clean`` is the arithmetic twin of ``send_with_arq`` for the common
-case.  Every flip count is drawn before its frame exists, so when the next
-data frame and its ack will both cross the link with zero flips, the two
+case.  Every flip count is drawn before its frame exists, so while the next
+data frames and their acks will all cross the link with zero flips, the two
 devices are idle, connected and untraced, and the hub would not take the
-frame for a sequence-wrap duplicate, the outcome is known: one attempt, one
-delivery.  ``send_clean`` then consumes those two counts and makes the
-counter, sequence and clock changes the frame path would make; otherwise it
-changes nothing and the caller takes the frame path.  Each link draws from
-its own substreams, so skipping one link's frames cannot move another's.
+first frame for a sequence-wrap duplicate, the outcome of each exchange is
+known: one attempt, one delivery.  ``send_clean`` accounts that whole run of
+clean exchanges (up to a time limit) in one call: it consumes their zero
+counts and makes the counter, sequence and clock changes the frame path
+would make.  At the first exchange that is not clean it stops, and when
+there is none it changes nothing and the caller takes the frame path.  Each
+link draws from its own substreams, so skipping one link's frames cannot
+move another's.
 
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
@@ -576,19 +579,17 @@ class LinkHandle:
     def to_sender(self, wire: bytes) -> bytes:
         return self.downlink.corrupt(wire)
 
-    def take_clean(self, data_bits: int) -> bool:
-        """Consume the next data and ack flip counts if both are zero.
+    def clean_run(self, data_bits: int) -> int:
+        """Exchanges ahead whose `data_bits`-bit data frame and ack will both
+        cross with zero flips, up to the first that will not or the end of a
+        count block; consumes nothing.
 
-        The ack count is looked at only once the data count is zero, because
-        only then would the frame path send an ack next.  When either count
-        is non-zero nothing is consumed.
+        The ack counts are looked at only when the data run is non-zero,
+        because only after a clean data frame would the frame path send an
+        ack next.
         """
-        up, down = self.uplink, self.downlink
-        if up.next_flips(data_bits) or down.next_flips(ACK_BITS):
-            return False
-        up.skip(data_bits)
-        down.skip(ACK_BITS)
-        return True
+        run = self.uplink.clean_run(data_bits)
+        return run and min(run, self.downlink.clean_run(ACK_BITS))
 
 
 def make_link(sender: Device, peer: Device, model: ChannelModel,
@@ -661,14 +662,20 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
                                confirm.payload["attempts_used"], sender.now - start)
 
 
-def send_clean(sender: Device, link: LinkHandle, payload_len: int) -> bool:
-    """Account one clean ARQ exchange of a `payload_len`-byte data frame.
+def send_clean(sender: Device, link: LinkHandle, payload_len: int,
+               until: float) -> int:
+    """Account the clean ARQ exchanges of `payload_len`-byte data frames that
+    start before `until`, up to the first exchange that is not clean.
 
-    Returns False, having changed nothing, unless the exchange would be one
-    attempt whose data frame and ack both arrive intact and new at idle,
-    untraced devices; then applies what ``send_with_arq`` would do with
-    that frame and returns True.  The two airtimes are added one at a time,
-    as the frame path adds them, so the clock rounds the same way.
+    An exchange is clean when it would be one attempt whose data frame and
+    ack both arrive intact, and new to the hub, between idle, untraced
+    devices.  Returns how many exchanges were taken; 0 means nothing changed
+    and the caller sends the next frame with ``send_with_arq``.  For each
+    exchange taken it applies what ``send_with_arq`` would do with that
+    frame.  The two airtimes are still added one at a time per exchange, as
+    the frame path adds them, so the clock rounds the same way; the hub
+    clock is pulled forward to the last data arrival.  At ``ber`` 0 every
+    exchange is clean and only `until` ends the run.
     """
     hub = link.peer
     node_id = sender.device_id
@@ -679,26 +686,43 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int) -> bool:
             or sender.inbox or sender._tx_queue or sender._pending is not None
             or hub.inbox or node_id not in hub.registry
             or hub._last_accepted.get(node_id) == seq):
-        return False
+        return 0
+    # After one clean exchange the hub's last accepted sequence is the one
+    # before the next, so only the first exchange can be a wrapped duplicate.
     data_bits = (payload_len + _frames.OVERHEAD_BYTES) * 8
-    if not link.take_clean(data_bits):
-        return False
-    # sender: submit, one transmission, the ack
-    sender.next_sequence = (seq + 1) & 0xFF
-    sender._next_sdu_id += 1
-    sender.packets_sent += 1
-    sender.frames_sent += 1
-    sender.packets_delivered += 1
-    # hub: an intact, new, unfragmented data frame
-    hub.rx_frames[node_id] += 1
-    hub.rx_packets[node_id] += 1
-    hub._last_accepted[node_id] = seq
     rate = sender.data_rate_bps
-    sender.now += data_bits / rate
-    if hub.now < sender.now:
-        hub.now = sender.now
-    sender.now += ACK_BITS / rate
-    return True
+    t_data, t_ack = data_bits / rate, ACK_BITS / rate
+    now = arrival = sender.now
+    taken = 0
+    while now < until:
+        run = link.clean_run(data_bits)
+        n = 0
+        while n < run and now < until:
+            now += t_data
+            arrival = now
+            now += t_ack
+            n += 1
+        if not n:
+            break
+        link.uplink.skip(data_bits, n)
+        link.downlink.skip(ACK_BITS, n)
+        taken += n
+    if not taken:
+        return 0
+    # sender: per exchange, submit, one transmission, the ack
+    sender.next_sequence = (seq + taken) & 0xFF
+    sender._next_sdu_id += taken
+    sender.packets_sent += taken
+    sender.frames_sent += taken
+    sender.packets_delivered += taken
+    sender.now = now
+    # hub: intact, new, unfragmented data frames
+    hub.rx_frames[node_id] += taken
+    hub.rx_packets[node_id] += taken
+    hub._last_accepted[node_id] = (seq + taken - 1) & 0xFF
+    if hub.now < arrival:
+        hub.now = arrival
+    return taken
 
 
 def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:

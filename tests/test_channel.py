@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wbansim.analytics import fer_analytic
-from wbansim.channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
+from wbansim.channel import (FLIP_COUNT_BLOCK, ChannelModel, FrameCorruptor,
+                             ber_for_distance, preset)
 from wbansim.errors import RangeError
 
 
@@ -99,7 +100,7 @@ def test_batched_corruptor_same_law():
     assert binomial_law_holds(10, "batch")
 
 
-def test_next_flips_and_skip_keep_the_corrupt_sequence():
+def test_clean_run_and_skip_keep_the_corrupt_sequence():
     # skipping the clean frames of one corruptor leaves every corrupted frame
     # of a twin on the same substream unchanged, across block refills and
     # with two frame lengths interleaved
@@ -108,25 +109,30 @@ def test_next_flips_and_skip_keep_the_corrupt_sequence():
     probed = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
     plain = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
     skipped = 0
+    runs = {}
     for k in range(10_000):
         frame = frames[k % 3 == 0]
-        flips = probed.next_flips(len(frame) * 8)
-        assert probed.next_flips(len(frame) * 8) == flips   # looking consumes nothing
+        nbits = len(frame) * 8
+        run = probed.clean_run(nbits)
+        assert probed.clean_run(nbits) == run   # looking consumes nothing
+        if runs.get(nbits, 0) > 1:
+            assert run == runs[nbits] - 1        # a run shrinks by one per skip
+        runs[nbits] = run
         out = plain.corrupt(frame)
-        assert bit_count_diff(out, frame) == flips
-        if flips:
-            assert probed.corrupt(frame) == out
-        else:
-            probed.skip(len(frame) * 8)
+        assert (bit_count_diff(out, frame) == 0) == (run > 0)
+        if run:
+            probed.skip(nbits, 1)
             skipped += 1
+        else:
+            assert probed.corrupt(frame) == out
     assert 5000 < skipped < 9000
 
 
-def test_next_flips_at_the_extreme_rates_draws_nothing():
-    for ber, flips in ((0.0, 0), (1.0, 144)):
+def test_clean_run_at_the_extreme_rates_draws_nothing():
+    for ber, run in ((0.0, FLIP_COUNT_BLOCK), (1.0, 0)):
         corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
-        assert corruptor.next_flips(144) == flips
-        corruptor.skip(144)
+        assert corruptor.clean_run(144) == run
+        corruptor.skip(144, run)
         assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
 
 

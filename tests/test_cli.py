@@ -256,6 +256,39 @@ def test_optimize_out_of_range_exits_2(tmp_path):
                  "-o", str(tmp_path / "o.csv")]) == 2
 
 
+BAD_FLAG_VALUES = {
+    "retry-m-inf": (["analyze", "retry", "--m", "inf"], "--m"),
+    "retry-m-nan": (["analyze", "retry", "--m", "nan"], "--m"),
+    "retry-m-1.5": (["analyze", "retry", "--m", "1.5"], "--m"),
+    "payload-nan": (["analyze", "payload", "--payload", "nan"], "--payload"),
+    "payload-inf": (["analyze", "payload", "--payload", "inf"], "--payload"),
+    "start-inf": (["optimize", "--p-ber", "1e-3", "--start", "inf"], "--start"),
+    "start-nan": (["optimize", "--p-ber", "1e-3", "--start", "nan"], "--start"),
+    "tolerance-nan": (["optimize", "--p-ber", "1e-3", "--tolerance", "nan"], "--tolerance"),
+    "tolerance-0": (["optimize", "--p-ber", "1e-3", "--tolerance", "0"], "--tolerance"),
+    "max-iterations--5": (["optimize", "--p-ber", "1e-3", "--max-iterations", "-5"],
+                          "--max-iterations"),
+    "max-iterations-0": (["optimize", "--p-ber", "1e-3", "--max-iterations", "0"],
+                         "--max-iterations"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAG_VALUES))
+def test_bad_flag_value_exits_2_naming_its_flag(tmp_path, capsys, name):
+    argv, flag = BAD_FLAG_VALUES[name]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_rejects_a_non_finite_range_bound():
+    # an unbounded range would otherwise grow its value list without end
+    for spec in ("1..inf", "nan..3", "1..3 step nan"):
+        with pytest.raises(ConfigError):
+            parse_values(spec)
+
+
 def test_optimize_non_convergence_exit_3_trace_still_written(tmp_path):
     out = tmp_path / "opt.csv"
     code = main(["optimize", "--p-ber", "1e-3", "--max-iterations", "1",

@@ -37,6 +37,14 @@ CASES = {
         {"out.csv": "d0fcbfb60ad3bc5c55be5577a7a52b15fe663c3359af1cdc1327b5f35ba2c34a",
          "out.manifest.json": "949324948b8279747a79f79d45bf857597426aeb96a1725651fd2c814438404e"},
     ),
+    # untraced; clean runs cross count blocks and sequence wraps
+    "simulate-wired-untraced-20s": (
+        ["simulate", "--set", "preset=wired", "--set", "node_count=2",
+         "--set", "duration_s=20"],
+        False,
+        {"out.csv": "ac04d364c6a7a3d6c6caad781e9ea5a76260b8de5385451dd0ebca5b97b016e4",
+         "out.manifest.json": "a45c85f3256036bd87706e55132f2423e32d05d49336d76b813527eadd5c03af"},
+    ),
     "simulate-explicit-lossy": (
         ["simulate", "--set", "preset=explicit", "--set", "ber=2e-3",
          "--set", "node_count=3", "--set", "duration_s=2", "--set", "seed=5"],

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from wbansim.channel import ChannelModel
+from wbansim.channel import FLIP_COUNT_BLOCK, ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (FrameType, ack_frame, data_frame, encode_frame,
                             management_frame)
-from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
+from wbansim.mac import (ACK_BITS, JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link,
                          send_clean, send_with_arq)
@@ -343,7 +343,8 @@ def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
     taken = 0
     for _ in range(600):
         for (hub, node, link), try_clean in ((fast, True), (slow, False)):
-            if try_clean and send_clean(node, link, payload_len):
+            if try_clean and send_clean(node, link, payload_len,
+                                        math.nextafter(node.now, math.inf)):
                 taken += 1
             else:
                 send_with_arq(node, data_frame(0, 1, 0, bytes(payload_len)), link)
@@ -380,11 +381,19 @@ def test_send_clean_declines_outside_the_steady_state(spoil):
     hub, node, link = connect(*lossless_pair())
     spoil(hub, node)
     before = state(hub, node)
-    assert not send_clean(node, link, 10)
+    assert not send_clean(node, link, 10, math.nextafter(node.now, math.inf))
     assert state(hub, node) == before
 
 
-def test_take_clean_consumes_nothing_unless_both_counts_are_zero():
+def test_send_clean_takes_no_exchange_starting_at_or_after_until():
+    hub, node, link = connect(*lossless_pair())
+    before = state(hub, node)
+    assert send_clean(node, link, 10, node.now) == 0
+    assert state(hub, node) == before
+    assert send_clean(node, link, 10, node.now + 1e-6) == 1   # starts before, ends after
+
+
+def test_link_clean_run_consumes_nothing_unless_both_counts_are_zero():
     # a twin link walked by the frame path alone sees the same flips, also
     # across a block refill: the ack count is looked at only after a clean
     # data count, when the frame path would send an ack next
@@ -396,7 +405,9 @@ def test_take_clean_consumes_nothing_unless_both_counts_are_zero():
     frame, ack = bytes(18), bytes(9)
     taken = 0
     for _ in range(5000):
-        if probed.take_clean(len(frame) * 8):
+        if probed.clean_run(len(frame) * 8):
+            probed.uplink.skip(len(frame) * 8, 1)
+            probed.downlink.skip(len(ack) * 8, 1)
             taken += 1
             assert plain.to_peer(frame) == frame and plain.to_sender(ack) == ack
             continue
@@ -405,6 +416,35 @@ def test_take_clean_consumes_nothing_unless_both_counts_are_zero():
         if arrived == frame:
             assert probed.to_sender(ack) == plain.to_sender(ack) != ack
     assert 1000 < taken < 4000
+
+
+def _run_until(pair, until, step_until):
+    """Send 10-byte frames until `until`, clean runs first; give the longest run."""
+    hub, node, link = pair
+    longest = 0
+    while node.now < until:
+        taken = send_clean(node, link, 10, step_until(node, until))
+        longest = max(longest, taken)
+        if not taken:
+            send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+    return longest
+
+
+def test_one_long_send_clean_equals_one_exchange_calls():
+    # one call takes a run longer than a count block (so across a refill)
+    # and a sequence cycle; one exchange per call leaves the same devices
+    # and the same channel state
+    whole, stepped = lossy_pair(seed=7, ber=1e-6), lossy_pair(seed=7, ber=1e-6)
+    longest = _run_until(whole, 20.0, lambda node, until: until)
+    assert _run_until(stepped, 20.0,
+                      lambda node, until: math.nextafter(node.now, math.inf)) == 1
+    assert longest > FLIP_COUNT_BLOCK   # so also more than a 256-sequence cycle
+    assert state(*whole[:2]) == state(*stepped[:2])
+    a, b = whole[2], stepped[2]
+    for ca, cb, nbits in ((a.uplink, b.uplink, 18 * 8),
+                          (a.downlink, b.downlink, ACK_BITS)):
+        assert ca.clean_run(nbits) == cb.clean_run(nbits)
+        assert ca.rng.random() == cb.rng.random()
 
 
 # ------------------------------------------------------------------ polling

@@ -1,0 +1,39 @@
+"""Property tests: random small experiments, clean-run path against frame path."""
+
+from hypothesis import given, settings, strategies as st
+
+from wbansim.errors import ConfigError
+from wbansim.simulator import ExperimentConfig, run_experiment
+
+
+@st.composite
+def small_configs(draw):
+    node_count = draw(st.integers(1, 4))
+    preset = draw(st.sampled_from(["explicit", "wireless", "wired"]))
+    return ExperimentConfig(
+        node_count=node_count,
+        distance_m=draw(st.lists(st.floats(0.5, 12.0), min_size=node_count,
+                                 max_size=node_count)),
+        payload_len=draw(st.integers(0, 40)),
+        max_retries=draw(st.integers(0, 3)),
+        data_rate_bps=draw(st.floats(2e4, 2.5e5)),
+        duration_s=draw(st.floats(0.01, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        preset=preset,
+        ber=draw(st.floats(0.0, 0.05)) if preset == "explicit" else None)
+
+
+def links_or_error(config, trace=None):
+    """Per-link results, or the message when a node fails to join."""
+    try:
+        return run_experiment(config, trace=trace).links
+    except ConfigError as exc:
+        return str(exc)
+
+
+# A traced run takes the frame path for every exchange, so it is the oracle
+# for the clean runs an untraced run accounts in one step.
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_configs())
+def test_untraced_links_equal_traced_links(config):
+    assert links_or_error(config) == links_or_error(config, trace=[])

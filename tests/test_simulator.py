@@ -182,6 +182,11 @@ def test_config_replacement_does_not_mutate_base():
 FAST_VS_FRAME_PATH = {
     "payload-0": quick_config(node_count=3, payload_len=0, duration_s=1.0, seed=3),
     "ber-0": quick_config(preset="explicit", ber=0.0, seed=4),
+    # runs longer than a count block and a sequence cycle, with and without
+    # any draw at all
+    "ber-0-long": quick_config(node_count=1, preset="explicit", ber=0.0,
+                               duration_s=25.0, seed=4),
+    "low-ber-long": quick_config(preset="explicit", ber=1e-6, duration_s=25.0, seed=7),
     "payload-30-at-10m": quick_config(node_count=4, payload_len=30,
                                       distance_m=10.0, duration_s=1.0, seed=6),
     "wired-64": quick_config(node_count=64, preset="wired",
