@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .frames import (Frame, FrameHeader, FrameType, ack_frame, compute_crc16,
                      data_frame, decode_frame, encode_frame, management_frame)
-from .mac import (Connection, Device, IdentityCipher, LinkHandle, Primitive,
-                  PrimitiveFamily, PrimitiveKind, Role, TransmissionOutcome,
-                  establish_connection, fragment_sdu, make_link, send_with_arq)
+from .mac import (Connection, Device, LinkHandle, Primitive, PrimitiveFamily,
+                  PrimitiveKind, Role, TransmissionOutcome, establish_connection,
+                  fragment_sdu, make_link, send_with_arq)
 from .channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
 from .simulator import (ExperimentConfig, ExperimentResult, LinkCounters,
                         LinkResult, SweepRow, run_experiment, sweep)

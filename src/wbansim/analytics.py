@@ -19,7 +19,6 @@ import math
 from .errors import RangeError
 
 ACK_BITS = 72            # 9-byte ack frame
-HEADER_BITS = 64         # 8 bytes of data-frame overhead
 DEFAULT_J_MAX = 5        # truncation of the ack retransmission series
 
 

@@ -13,6 +13,7 @@ through the analytic payload/FER model at the 10-byte reference payload.
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,25 @@ def _stream_spawn_key(stream_id) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
 
 
+def check_distance_map(table) -> tuple[tuple[float, float], ...]:
+    """`table` as (distance, ber) float pairs; RangeError unless every entry
+    is finite, distances strictly increase and BERs are probabilities
+    non-decreasing with them."""
+    table = tuple((float(d), float(b)) for d, b in table)
+    if not all(math.isfinite(x) for pair in table for x in pair):
+        raise RangeError("calibration entries must be finite")
+    distances = [d for d, _ in table]
+    bers = [b for _, b in table]
+    if any(b < a for a, b in zip(distances, distances[1:])) or \
+       len(set(distances)) != len(distances):
+        raise RangeError("calibration distances must be strictly increasing")
+    if any(b < a for a, b in zip(bers, bers[1:])):
+        raise RangeError("calibration BERs must be non-decreasing with distance")
+    if any(not 0.0 <= b <= 1.0 for b in bers):
+        raise RangeError("calibration BERs must be probabilities")
+    return table
+
+
 @dataclass
 class ChannelModel:
     """Bit-flip channel: error rate, RNG seed, optional distance calibration."""
@@ -50,16 +70,7 @@ class ChannelModel:
         if not 0.0 <= self.ber <= 1.0:
             raise RangeError(f"ber={self.ber} is not a probability")
         if self.distance_map is not None:
-            self.distance_map = tuple((float(d), float(b)) for d, b in self.distance_map)
-            distances = [d for d, _ in self.distance_map]
-            bers = [b for _, b in self.distance_map]
-            if any(b < a for a, b in zip(distances, distances[1:])) or \
-               len(set(distances)) != len(distances):
-                raise RangeError("calibration distances must be strictly increasing")
-            if any(b < a for a, b in zip(bers, bers[1:])):
-                raise RangeError("calibration BERs must be non-decreasing with distance")
-            if any(not 0.0 <= b <= 1.0 for b in bers):
-                raise RangeError("calibration BERs must be probabilities")
+            self.distance_map = check_distance_map(self.distance_map)
 
     def stream(self, stream_id) -> np.random.Generator:
         """Philox substream for (rng_seed, stream_id); cached per id."""

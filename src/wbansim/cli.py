@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, analytics, optimizer, simulator
@@ -28,9 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-_CONFIG_KEYS = ("node_count", "distance_m", "payload_len", "max_retries",
-                "data_rate_bps", "duration_s", "seed", "preset", "ber",
-                "distance_map")
+_FIELD_TYPES = {f.name: f.type for f in fields(simulator.ExperimentConfig)}
 
 
 # ------------------------------------------------------------ config files
@@ -110,9 +108,7 @@ def _parse_field(key: str, value: str):
     if key == "ber":
         return None if value.strip().lower() == "none" else float(value)
     number = _parse_number(value)
-    if key not in ("node_count", "payload_len", "max_retries", "seed"):
-        return float(number)
-    return _integral(number)
+    return _integral(number) if _FIELD_TYPES[key] is int else float(number)
 
 
 def _integral(number) -> int:
@@ -136,11 +132,11 @@ def _flag_values(flag: str, spec: str, integral: bool = False) -> list:
 
 def build_config(raw: dict) -> simulator.ExperimentConfig:
     config = simulator.ExperimentConfig()
-    fields = [(key, key, value) for key, value in raw.items()]
+    settings = [(key, key, value) for key, value in raw.items()]
     if "WBAN_SEED" in os.environ:   # env wins over files and --set
-        fields.append(("WBAN_SEED", "seed", os.environ["WBAN_SEED"]))
-    for source, key, value in fields:
-        if key not in _CONFIG_KEYS:
+        settings.append(("WBAN_SEED", "seed", os.environ["WBAN_SEED"]))
+    for source, key, value in settings:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             setattr(config, key, _parse_field(key, value))
@@ -186,13 +182,6 @@ def write_manifest(csv_path: Path, command: str, config: dict, seed) -> None:
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _config_dict(config: simulator.ExperimentConfig) -> dict:
-    data = asdict(config)
-    if isinstance(data["distance_m"], tuple):
-        data["distance_m"] = list(data["distance_m"])
-    return data
-
-
 # -------------------------------------------------------------- subcommands
 
 def cmd_simulate(args) -> int:
@@ -207,7 +196,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.output)
     write_csv(out, ["node", "distance_m", "ber", "s_frm", "r_frm",
                     "s_pkt", "r_pkt", "fer", "per"], rows)
-    write_manifest(out, "simulate", _config_dict(config), config.seed)
+    write_manifest(out, "simulate", asdict(config), config.seed)
     if args.trace:
         Path(args.trace).write_text(
             "".join(f"{t:.9f} {dev} {family} {kind}\n"
@@ -219,7 +208,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    if args.axis in ("max_retries", "payload_len"):
+    if _FIELD_TYPES[simulator.SWEEP_AXES[args.axis]] is int:
         values = _flag_values(f"--values for axis {args.axis}", args.values, integral=True)
     else:
         values = parse_values(args.values)
@@ -230,7 +219,7 @@ def cmd_sweep(args) -> int:
                 row.counters.s_pkt, row.counters.r_pkt, row.fer, row.per]
                for row in rows])
     write_manifest(out, "sweep",
-                   {"base": _config_dict(config), "axis": args.axis,
+                   {"base": asdict(config), "axis": args.axis,
                     "values": values}, config.seed)
     print(f"sweep: {len(rows)} runs over {args.axis}")
     return EXIT_OK

@@ -8,8 +8,8 @@ the protocol's service split:
   connected-node table (capacity 64)
 - data service: fragmentation of service data units into frame payloads
   and reassembly of arriving fragments, with a gap timeout
-- data transmission: framing, CRC verification, address judgment, payload
-  ciphering, acks, and stop-and-wait ARQ with a retry limit
+- data transmission: framing, CRC verification, address judgment, acks,
+  and stop-and-wait ARQ with a retry limit
 
 Cross-layer commands and notifications travel as Primitives; frames travel
 as wire bytes produced/consumed here.  Poll outputs are action tuples:
@@ -94,21 +94,10 @@ class Connection(Enum):
     CONNECTED = auto()
 
 
-class IdentityCipher:
-    """Stand-in for the (unspecified) link cipher: passes bytes through."""
-
-    def encrypt(self, data: bytes) -> bytes:
-        return data
-
-    def decrypt(self, data: bytes) -> bytes:
-        return data
-
-
 @dataclass
 class TransmissionOutcome:
     success: bool
     attempts_used: int
-    elapsed_s: float = 0.0
 
 
 @dataclass
@@ -148,23 +137,17 @@ class Device:
     """One hub or node: state, counters, and the three-way poll dispatch."""
 
     def __init__(self, role: Role, device_id: int, *, max_retries: int = 3,
-                 max_payload: int = _frames.MAX_PAYLOAD,
                  data_rate_bps: float = DEFAULT_DATA_RATE_BPS,
-                 ack_timeout: Optional[float] = None,
-                 reassembly_timeout: Optional[float] = None,
-                 cipher=None, trace: Optional[list] = None):
+                 trace: Optional[list] = None):
         if not 0 <= device_id <= 255:
             raise RangeError(f"device_id={device_id} does not fit in one byte")
         self.role = role
         self.device_id = device_id
         self.max_retries = max_retries
-        self.max_payload = max_payload
+        self.max_payload = _frames.MAX_PAYLOAD
         self.data_rate_bps = data_rate_bps
-        self.ack_timeout = (ack_timeout if ack_timeout is not None
-                            else ack_timeout_for_rate(data_rate_bps))
-        self.reassembly_timeout = (reassembly_timeout if reassembly_timeout is not None
-                                   else 10.0 * self.ack_timeout)
-        self.cipher = cipher if cipher is not None else IdentityCipher()
+        self.ack_timeout = ack_timeout_for_rate(data_rate_bps)
+        self.reassembly_timeout = 10.0 * self.ack_timeout
         self.trace = trace
 
         self.now = 0.0
@@ -410,11 +393,10 @@ class Device:
             self._protocol_drop("disconnect_bad_state")
 
     def _mgmt_retry(self, outputs: list) -> None:
-        if self.connection is Connection.CONNECTING:
-            self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
-            self._mgmt_deadline = self.now + self.ack_timeout
-        else:
-            self._mgmt_deadline = None
+        # the deadline is armed only while CONNECTING: every way out of that
+        # state (assignment, rejection) disarms it
+        self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
+        self._mgmt_deadline = self.now + self.ack_timeout
 
     def _send_mgmt(self, ftype: FrameType, recipient: int, outputs: list) -> None:
         frame = management_frame(ftype, recipient, self.device_id, self._take_sequence())
@@ -435,7 +417,7 @@ class Device:
             raise RangeError(
                 f"SDU needs {len(chunks)} fragments; the header carries at most {MAX_FRAGMENTS}")
         last = len(chunks) - 1
-        frames = [data_frame(self.hub_id, self.device_id, 0, self.cipher.encrypt(chunk),
+        frames = [data_frame(self.hub_id, self.device_id, 0, chunk,
                              fragment_index=i, last_fragment=(i == last))
                   for i, chunk in enumerate(chunks)]
         outputs.extend(self.submit(frames)[1])
@@ -454,14 +436,14 @@ class Device:
         """
         header = frame.header
         if header.fragment_index == 0 and header.last_fragment:
-            return self.cipher.decrypt(frame.body)   # unfragmented SDU
+            return frame.body   # unfragmented SDU
         base_seq = (header.sequence - header.fragment_index) & 0xFF
         key = (header.sender_id, base_seq)
         entry = self._reassembly.get(key)
         if entry is None:
             entry = _ReassemblyEntry({}, None, self.now + self.reassembly_timeout)
             self._reassembly[key] = entry
-        entry.chunks[header.fragment_index] = self.cipher.decrypt(frame.body)
+        entry.chunks[header.fragment_index] = frame.body
         if header.last_fragment:
             entry.last_index = header.fragment_index
         if entry.last_index is None or len(entry.chunks) != entry.last_index + 1:
@@ -650,7 +632,6 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
         raise ProtocolError("sender is not connected")
     if frame.header.frame_type is not FrameType.DATA:
         raise ProtocolError("ARQ applies to data frames")
-    start = sender.now
     sdu_id, outputs = sender.submit([frame])
     confirm = pump(sender, link, outputs,
                    lambda p: (p.family is PrimitiveFamily.DATA_TRANSFER
@@ -659,7 +640,7 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
     if confirm is None:
         raise ProtocolError("ARQ exchange did not resolve")
     return TransmissionOutcome(confirm.payload["success"],
-                               confirm.payload["attempts_used"], sender.now - start)
+                               confirm.payload["attempts_used"])
 
 
 def send_clean(sender: Device, link: LinkHandle, payload_len: int,
@@ -680,10 +661,12 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     hub = link.peer
     node_id = sender.device_id
     seq = sender.next_sequence
+    # a connected sender with no armed deadline has no ack pending, and so
+    # an empty transmit queue
     if (sender.trace is not None or hub.trace is not None
             or sender.connection is not Connection.CONNECTED
             or sender.hub_id != hub.device_id
-            or sender.inbox or sender._tx_queue or sender._pending is not None
+            or sender.inbox or sender.next_deadline is not None
             or hub.inbox or node_id not in hub.registry
             or hub._last_accepted.get(node_id) == seq):
         return 0

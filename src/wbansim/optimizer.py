@@ -32,7 +32,8 @@ from .errors import DomainError, RangeError
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
-DEFAULT_SHRINK = 0.5
+SHRINK = 0.5            # barrier weight factor per outer iteration
+INNER_CAP = 200         # descent steps per inner solve
 
 
 def _check_domain(payload: float, p_ber: float, allow_zero: bool = False) -> None:
@@ -130,12 +131,11 @@ class OptimizeResult:
 def optimize_payload(p_ber: float, payload_0: float = 15.0,
                      tolerance: float = DEFAULT_TOLERANCE,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                     shrink: float = DEFAULT_SHRINK,
                      verbatim_gradient: bool = False) -> OptimizeResult:
     """Minimize the analytic FER over payload >= 0 by barrier descent.
 
     The weight starts at the scheduled value for the starting point and is
-    multiplied by `shrink` before each inner solve; iteration stops when
+    multiplied by `SHRINK` before each inner solve; iteration stops when
     successive outer iterates move less than `tolerance`.  Exceeding
     `max_iterations` total descent steps returns the best iterate with a
     diagnostic instead of raising.
@@ -161,7 +161,7 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
 
     while steps < max_iterations:
         outer += 1
-        eps *= shrink
+        eps *= SHRINK
         x_new, steps = _descend(objective, gradient, x, p_ber, eps,
                                 steps, max_iterations)
         trace.append(TracePoint(outer, x_new, eps, objective(x_new, p_ber, eps)))
@@ -185,10 +185,9 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
 
 
 def _descend(objective, gradient, x: float, p_ber: float, eps: float,
-             steps: int, max_iterations: int,
-             inner_cap: int = 200) -> tuple[float, int]:
+             steps: int, max_iterations: int) -> tuple[float, int]:
     """Backtracking gradient descent to the inner minimum for fixed eps."""
-    for _ in range(inner_cap):
+    for _ in range(INNER_CAP):
         if steps >= max_iterations:
             break
         g = gradient(x, p_ber, eps)

@@ -42,10 +42,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .channel import ChannelModel, ber_for_distance, preset
-from .errors import ConfigError
+from .channel import ChannelModel, ber_for_distance, check_distance_map, preset
+from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES, data_frame
-from .mac import (DEFAULT_DATA_RATE_BPS, Device, Role,
+from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
                   establish_connection, make_link, send_clean, send_with_arq)
 
 PRESETS = ("wireless", "wired", "explicit")
@@ -63,7 +63,7 @@ class ExperimentConfig:
     seed: int = 1234
     preset: str = "wireless"
     ber: Optional[float] = None                 # explicit flat BER override
-    distance_map: Optional[tuple] = None        # explicit calibration table
+    distance_map: Optional[tuple] = None        # explicit preset's calibration table
 
     def distances(self) -> list[float]:
         if isinstance(self.distance_m, (int, float)):
@@ -99,9 +99,17 @@ class ExperimentConfig:
         for d in distances:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"distance_m={d} must be positive and finite")
-        if self.distance_map is not None and not all(
-                math.isfinite(x) for pair in self.distance_map for x in pair):
-            raise ConfigError(f"distance_map={self.distance_map} must be finite")
+        table = self.distance_map
+        if table is not None:
+            if self.preset != "explicit":
+                raise ConfigError(f"distance_map needs preset='explicit'; "
+                                  f"preset={self.preset!r} brings its own table")
+            if not table:
+                raise ConfigError(f"distance_map={table} is empty")
+            try:   # the table checks ChannelModel applies
+                check_distance_map(table)
+            except RangeError as exc:
+                raise ConfigError(f"distance_map={table}: {exc}") from None
         if self.ber is not None and not 0.0 <= self.ber <= 1.0:
             raise ConfigError(f"ber={self.ber} is not a probability")
         if self.preset == "explicit" and self.ber is None and self.distance_map is None:
@@ -190,9 +198,8 @@ def build_channel(config: ExperimentConfig) -> ChannelModel:
 def _link_ber(config: ExperimentConfig, model: ChannelModel, distance: float) -> float:
     if config.ber is not None:
         return config.ber
-    if model.distance_map:
-        return ber_for_distance(distance, model)
-    return model.ber
+    # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
+    return ber_for_distance(distance, model)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -212,7 +219,11 @@ def run_experiment(config: ExperimentConfig,
         ber = _link_ber(config, model, distances[i])
         link = make_link(node, hub, model, ber=ber)
         if not establish_connection(node, hub, link):
-            raise ConfigError(f"node {node.device_id} failed to join the hub")
+            source = (f"ber={config.ber}" if config.ber is not None
+                      else f"distance_m={distances[i]}")
+            raise ConfigError(
+                f"node {node.device_id} failed to join the hub within "
+                f"{JOIN_MAX_ROUNDS} handshake rounds at link ber={ber:.3g} (from {source})")
         nodes.append(node)
         links.append(link)
         bers.append(ber)

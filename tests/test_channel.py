@@ -179,6 +179,14 @@ def test_monotone_distance_map_required():
         ChannelModel(distance_map=((1.0, 2e-5), (2.0, 1e-5)))
 
 
+@pytest.mark.parametrize("table", [((math.nan, 1e-5), (2.0, 2e-5)),
+                                   ((1.0, 1e-5), (math.inf, 2e-5))])
+def test_distance_map_entries_must_be_finite(table):
+    # a NaN distance passes every ordering comparison and interpolates to NaN
+    with pytest.raises(RangeError):
+        ChannelModel(distance_map=table)
+
+
 def test_presets_are_monotone_in_distance():
     for name in ("wireless", "wired"):
         model = preset(name)

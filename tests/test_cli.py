@@ -93,6 +93,8 @@ def _no_answer(signum, frame):
     ("distance_m", "nan"), ("ber", "nan"), ("ber", "abc"),
     ("distance_map", "1:x"), ("seed", "-1"), ("WBAN_SEED", "x"),
     ("node_count", "2.5"), ("payload_len", "3.7"), ("data_rate_bps", "1e300"),
+    ("ber", "0.2"),   # no join handshake gets through
+    ("distance_map", "2:1e-3,1:2e-3"), ("distance_map", "1:2,2:3"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
     argv = ["simulate", *FAST, "--set", "preset=explicit", "--set", "ber=0",
@@ -110,6 +112,24 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, va
         signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_distance_map_needs_the_explicit_preset(tmp_path, capsys):
+    code = main(["simulate", "--set", "distance_map=1:1e-2,10:2e-2",
+                 "--set", "node_count=1", "-o", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "distance_map" in err and "preset" in err
+
+
+def test_simulate_explicit_distance_map_sets_link_bers(tmp_path):
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--set", "duration_s=0.2", "--set", "node_count=2",
+                 "--set", "preset=explicit", "--set", "distance_map=1:1e-4,10:1e-3",
+                 "--set", "distance_m=1,10", "-o", str(out)])
+    assert code == 0
+    header, rows = read_rows(out)
+    assert [float(row[header.index("ber")]) for row in rows] == [1e-4, 1e-3]
 
 
 def test_simulate_reads_config_file(tmp_path):
@@ -173,6 +193,17 @@ def test_sweep_payload_rows(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert [row[1] for row in rows] == ["5", "10", "15", "20", "25", "30"]
+
+
+def test_sweep_distance_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", *FAST, "--axis", "distance", "--values", "1,5",
+                 "-o", str(out)])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [row[:2] for row in rows] == [["distance", "1"], ["distance", "5"]]
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["config"]["values"] == [1, 5]
 
 
 def test_sweep_empty_values_exits_2(tmp_path):

@@ -28,6 +28,8 @@ def quick_config(**overrides):
     dict(data_rate_bps=0), dict(preset="fancy"), dict(ber=1.5),
     dict(distance_m=-1.0), dict(distance_m=[1.0]),  # one distance, two nodes
     dict(data_rate_bps=1e300),   # finite, but a run could never reach duration_s
+    dict(preset="explicit", distance_map=()),
+    dict(distance_map=((1.0, 1e-5), (10.0, 1e-4))),   # the preset has its own table
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
