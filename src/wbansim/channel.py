@@ -4,6 +4,9 @@ Randomness comes from counter-based Philox generators, one substream per
 (seed, stream id).  Distinct stream ids are statistically independent and
 reproducible regardless of how transmissions interleave across links, so
 adding a node to a simulation never perturbs the noise seen by the others.
+Each substream is one Bernoulli(`ber`) bit sequence across every frame it
+carries, drawn as geometric gaps between flips: one uniform draw per
+flipped bit, none for a frame that crosses clean.
 
 The distance calibration maps test distance to bit error rate.  The bundled
 ``wireless`` and ``wired`` presets are calibration artifacts: the targets
@@ -14,6 +17,7 @@ through the analytic payload/FER model at the 10-byte reference payload.
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,6 @@ from .analytics import invert_fer_analytic
 from .errors import RangeError
 
 CALIBRATION_PAYLOAD = 10   # reference payload (bytes) for preset inversion
-FLIP_COUNT_BLOCK = 4096    # binomial flip counts pre-drawn per frame length
 
 # Measured-FER targets per distance (m).  Flat-ish out to 4 m, growing
 # beyond, with the wired rig cleaner than the wireless one.
@@ -83,51 +86,34 @@ class ChannelModel:
         return rng
 
 
-class _CountBlock:
-    """One pre-drawn block of flip counts, kept as its non-zero entries.
-
-    ``at`` holds the block positions of the non-zero counts, ending with the
-    block length as a sentinel, and ``flips`` their values; ``cursor`` is the
-    position of the next count and ``k`` the index of the next non-zero one.
-    """
-
-    __slots__ = ("at", "flips", "k", "cursor")
-
-    def __init__(self, counts: np.ndarray):
-        at = np.flatnonzero(counts)
-        self.flips = counts[at].tolist()
-        self.at = at.tolist()
-        self.at.append(len(counts))
-        self.k = 0
-        self.cursor = 0
-
-
 class FrameCorruptor:
     """Flip each bit of a frame independently with probability `ber`.
 
-    Bit positions are MSB-first within each byte.  The flip count is drawn
-    binomially and positions uniformly without replacement, which realizes
-    exactly the i.i.d. per-bit law while keeping the clean-frame case cheap.
-    Flip counts are pre-drawn in blocks of FLIP_COUNT_BLOCK per frame length,
-    which amortizes the generator call across frames.  One instance per
-    substream keeps results reproducible and independent across links.
+    Bit positions are MSB-first within each byte.  One instance per
+    substream treats everything it carries as one Bernoulli(`ber`) bit
+    sequence, frame after frame, and keeps a single integer: the number of
+    clean bits before the next flip.  Gaps between the successes of
+    Bernoulli trials are geometric, so drawing each gap by inversion,
+    ``floor(log1p(-u) / log1p(-ber))`` from one uniform ``u`` (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986), realizes exactly the
+    i.i.d. per-bit law at one draw per flipped bit.  A frame the gap covers
+    costs a subtraction; a gap that ends inside a frame flips that bit, and
+    further gaps are drawn until one reaches past the frame end, whose
+    remainder carries into the next frame.
 
     ``clean_run`` says how many frames of a given length will cross with
-    zero flips before the next one that will not (or before its block ends),
-    and ``skip`` consumes some of them without flipping anything; together
-    they let a caller account frames that will arrive intact without
-    building them.  A block is drawn only when the next count is needed and
-    the current block is used up, whichever method needs it, so the draws on
-    the substream stay in the same order as with ``corrupt`` alone.  At
-    ``ber`` 0 every count is zero and at ``ber`` 1 every count is the frame
-    length; neither draws anything.
+    zero flips before the next one that will not, and ``skip`` consumes
+    some of them without flipping anything; together they let a caller
+    account frames that will arrive intact without building them, and
+    neither draws.  At ``ber`` 0 nothing flips and at ``ber`` 1 every bit
+    does; neither draws anything.  Setting ``ber`` discards the gap and
+    draws a fresh one, which is exact because the law is memoryless.
     """
 
-    __slots__ = ("rng", "_ber", "_blocks")
+    __slots__ = ("rng", "_ber", "_log_q", "_gap")
 
     def __init__(self, rng: np.random.Generator, ber: float):
         self.rng = rng
-        self._blocks: dict = {}   # nbits -> _CountBlock
         self.ber = ber
 
     @property
@@ -139,55 +125,52 @@ class FrameCorruptor:
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"ber={value} is not a probability")
         self._ber = value
-        self._blocks = {}   # pre-drawn counts belong to the old rate
+        if 0.0 < value < 1.0:
+            self._log_q = math.log1p(-value)
+            self._gap = self._draw()
 
-    def _block(self, nbits: int) -> _CountBlock:
-        """Counts for `nbits`-bit frames; a fresh block once the last is used up."""
-        block = self._blocks.get(nbits)
-        if block is None or block.cursor == FLIP_COUNT_BLOCK:
-            block = _CountBlock(self.rng.binomial(nbits, self._ber, size=FLIP_COUNT_BLOCK))
-            self._blocks[nbits] = block
-        return block
+    def _draw(self) -> int:
+        """Clean bits before the next flip."""
+        try:
+            return int(math.log1p(-self.rng.random()) / self._log_q)
+        except OverflowError:   # a gap past any float, at a sub-1e-307 ber
+            return sys.maxsize
 
     def clean_run(self, nbits: int) -> int:
-        """Zero counts ahead for `nbits`-bit frames, up to the next non-zero
-        count or the end of the block; consumes nothing.
+        """Frames of `nbits` bits ahead that will cross with zero flips, up
+        to the next one that will not; consumes nothing.
 
-        At ``ber`` 0 a run is a whole block of zeros, though none is drawn.
+        At ``ber`` 0 the run has no end; it is given as ``sys.maxsize``.
         """
         ber = self._ber
         if ber == 0.0:
-            return FLIP_COUNT_BLOCK
+            return sys.maxsize
         if ber == 1.0:
             return 0
-        block = self._block(nbits)
-        return block.at[block.k] - block.cursor
+        return self._gap // nbits
 
     def skip(self, nbits: int, n: int) -> None:
-        """Consume the next `n` counts for `nbits`-bit frames, which must all
-        be zero: `n` is at most ``clean_run(nbits)``."""
+        """Consume `n` clean frames of `nbits` bits: `n` is at most
+        ``clean_run(nbits)``."""
         if 0.0 < self._ber < 1.0:
-            self._blocks[nbits].cursor += n
+            self._gap -= n * nbits
 
     def corrupt(self, data: bytes) -> bytes:
         ber = self._ber
-        if ber == 0.0 or not data:
+        if ber == 0.0:
             return data
         if ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
-        block = self._block(nbits)
-        cursor = block.cursor
-        block.cursor = cursor + 1
-        k = block.k
-        if block.at[k] != cursor:
+        pos = self._gap
+        if pos >= nbits:
+            self._gap = pos - nbits
             return data
-        block.k = k + 1
-        nflips = block.flips[k]
-        positions = self.rng.choice(nbits, size=nflips, replace=False)
         out = bytearray(data)
-        for pos in positions:
+        while pos < nbits:
             out[pos >> 3] ^= 0x80 >> (pos & 7)
+            pos += 1 + self._draw()
+        self._gap = pos - nbits
         return bytes(out)
 
 

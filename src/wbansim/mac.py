@@ -25,17 +25,17 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``establish_connection`` (the join handshake) are thin calls over it.
 
 ``send_clean`` is the arithmetic twin of ``send_with_arq`` for the common
-case.  Every flip count is drawn before its frame exists, so while the next
-data frames and their acks will all cross the link with zero flips, the two
-devices are idle, connected and untraced, and the hub would not take the
-first frame for a sequence-wrap duplicate, the outcome of each exchange is
-known: one attempt, one delivery.  ``send_clean`` accounts that whole run of
-clean exchanges (up to a time limit) in one call: it consumes their zero
-counts and makes the counter, sequence and clock changes the frame path
-would make.  At the first exchange that is not clean it stops, and when
-there is none it changes nothing and the caller takes the frame path.  Each
-link draws from its own substreams, so skipping one link's frames cannot
-move another's.
+case.  The channel knows how many clean bits lie before each link's next
+flip, so while the next data frames and their acks will all cross the link
+with zero flips, the two devices are idle, connected and untraced, and the
+hub would not take the first frame for a sequence-wrap duplicate, the
+outcome of each exchange is known: one attempt, one delivery.
+``send_clean`` accounts that whole run of clean exchanges (up to a time
+limit) in one call: it consumes their clean bits and makes the counter,
+sequence and clock changes the frame path would make.  At the first
+exchange that is not clean it stops, and when there is none it changes
+nothing and the caller takes the frame path.  Each link draws from its own
+substreams, so skipping one link's frames cannot move another's.
 
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
@@ -563,15 +563,9 @@ class LinkHandle:
 
     def clean_run(self, data_bits: int) -> int:
         """Exchanges ahead whose `data_bits`-bit data frame and ack will both
-        cross with zero flips, up to the first that will not or the end of a
-        count block; consumes nothing.
-
-        The ack counts are looked at only when the data run is non-zero,
-        because only after a clean data frame would the frame path send an
-        ack next.
-        """
-        run = self.uplink.clean_run(data_bits)
-        return run and min(run, self.downlink.clean_run(ACK_BITS))
+        cross with zero flips, up to the first that will not; consumes
+        nothing."""
+        return min(self.uplink.clean_run(data_bits), self.downlink.clean_run(ACK_BITS))
 
 
 def make_link(sender: Device, peer: Device, model: ChannelModel,
@@ -676,22 +670,17 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     rate = sender.data_rate_bps
     t_data, t_ack = data_bits / rate, ACK_BITS / rate
     now = arrival = sender.now
+    run = link.clean_run(data_bits)
     taken = 0
-    while now < until:
-        run = link.clean_run(data_bits)
-        n = 0
-        while n < run and now < until:
-            now += t_data
-            arrival = now
-            now += t_ack
-            n += 1
-        if not n:
-            break
-        link.uplink.skip(data_bits, n)
-        link.downlink.skip(ACK_BITS, n)
-        taken += n
+    while taken < run and now < until:
+        now += t_data
+        arrival = now
+        now += t_ack
+        taken += 1
     if not taken:
         return 0
+    link.uplink.skip(data_bits, taken)
+    link.downlink.skip(ACK_BITS, taken)
     # sender: per exchange, submit, one transmission, the ack
     sender.next_sequence = (seq + taken) & 0xFF
     sender._next_sdu_id += taken

@@ -28,8 +28,8 @@ link therefore comes off the heap about twice per frame-path exchange, not
 once per exchange.  A run with a trace always takes the frame path, so
 every primitive is recorded in virtual-time order, which the heap keeps.
 Both paths leave the same counters and link clocks, because each link draws
-only from its own substreams and ``send_clean`` consumes exactly the zero
-counts the frame path would have drawn.  Only the hub clock, which no
+only from its own substreams and ``send_clean`` consumes exactly the clean
+bits the frame path would have carried.  Only the hub clock, which no
 untraced outcome reads, may run ahead of the other links while one link
 takes a long run.
 """
@@ -104,6 +104,9 @@ class ExperimentConfig:
             if self.preset != "explicit":
                 raise ConfigError(f"distance_map needs preset='explicit'; "
                                   f"preset={self.preset!r} brings its own table")
+            if self.ber is not None:
+                raise ConfigError(f"ber={self.ber} and distance_map are mutually "
+                                  f"exclusive: give one of them")
             if not table:
                 raise ConfigError(f"distance_map={table} is empty")
             try:   # the table checks ChannelModel applies

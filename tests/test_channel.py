@@ -1,13 +1,13 @@
 """Channel model tests: flip statistics, determinism, calibration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from wbansim.analytics import fer_analytic
-from wbansim.channel import (FLIP_COUNT_BLOCK, ChannelModel, FrameCorruptor,
-                             ber_for_distance, preset)
+from wbansim.channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
 from wbansim.errors import RangeError
 
 
@@ -102,26 +102,26 @@ def test_batched_corruptor_same_law():
 
 def test_clean_run_and_skip_keep_the_corrupt_sequence():
     # skipping the clean frames of one corruptor leaves every corrupted frame
-    # of a twin on the same substream unchanged, across block refills and
-    # with two frame lengths interleaved
+    # of a twin on the same substream unchanged, with two frame lengths
+    # interleaved on one bit sequence
     ber = 4e-3
     frames = (bytes(18), bytes(range(9)))
     probed = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
     plain = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
     skipped = 0
-    runs = {}
     for k in range(10_000):
         frame = frames[k % 3 == 0]
         nbits = len(frame) * 8
         run = probed.clean_run(nbits)
         assert probed.clean_run(nbits) == run   # looking consumes nothing
-        if runs.get(nbits, 0) > 1:
-            assert run == runs[nbits] - 1        # a run shrinks by one per skip
-        runs[nbits] = run
         out = plain.corrupt(frame)
         assert (bit_count_diff(out, frame) == 0) == (run > 0)
         if run:
+            gap = probed._gap
             probed.skip(nbits, 1)
+            assert probed._gap == gap - nbits    # a skip lowers the gap by its bits
+            for bits in (144, 72):               # which both lengths then see
+                assert probed.clean_run(bits) == probed._gap // bits
             skipped += 1
         else:
             assert probed.corrupt(frame) == out
@@ -129,11 +129,48 @@ def test_clean_run_and_skip_keep_the_corrupt_sequence():
 
 
 def test_clean_run_at_the_extreme_rates_draws_nothing():
-    for ber, run in ((0.0, FLIP_COUNT_BLOCK), (1.0, 0)):
+    for ber, run in ((0.0, sys.maxsize), (1.0, 0)):
         corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
         assert corruptor.clean_run(144) == run
         corruptor.skip(144, run)
+        assert corruptor.corrupt(bytes(18)) == bytes([0xFF if ber else 0] * 18)
         assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
+
+
+def test_a_gap_past_every_float_does_not_overflow():
+    # at a ber this small log1p(-u) / log1p(-ber) overflows a float
+    corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), 1e-310)
+    assert corruptor.corrupt(bytes(18)) == bytes(18)
+    assert corruptor.clean_run(144) > 10**15
+
+
+def test_flip_frequency_is_flat_across_frame_boundaries():
+    # consecutive frames of two lengths share one bit sequence, so every
+    # position flips at `ber`, the first and last bit of each frame included
+    ber, per_length = 0.2, 4000
+    corruptor = FrameCorruptor(ChannelModel(rng_seed=13).stream("positions"), ber)
+    flips = {3: np.zeros(24), 5: np.zeros(40)}
+    for _ in range(per_length):
+        for nbytes, counts in flips.items():
+            out = corruptor.corrupt(bytes(nbytes))
+            counts += np.unpackbits(np.frombuffer(out, dtype=np.uint8))
+    sigma = math.sqrt(ber * (1 - ber) / per_length)
+    for counts in flips.values():   # 64 positions: 4.5 sigma each
+        assert np.all(np.abs(counts / per_length - ber) < 4.5 * sigma)
+
+
+def test_flips_per_frame_follow_the_binomial_law():
+    # chi-square of flips per 16-bit frame against Binomial(16, ber), counts
+    # of 8 or more pooled: 8 degrees of freedom, critical 26.12 at 0.1%
+    ber, nbits, nframes, top = 0.2, 16, 20_000, 8
+    corruptor = FrameCorruptor(ChannelModel(rng_seed=14).stream("counts"), ber)
+    observed = [0] * (top + 1)
+    for _ in range(nframes):
+        observed[min(bit_count_diff(corruptor.corrupt(bytes(2)), bytes(2)), top)] += 1
+    pmf = [math.comb(nbits, k) * ber ** k * (1 - ber) ** (nbits - k) for k in range(top)]
+    pmf.append(1.0 - sum(pmf))
+    chi2 = sum((o - nframes * p) ** 2 / (nframes * p) for o, p in zip(observed, pmf))
+    assert chi2 < 26.12
 
 
 def test_preset_caches_its_table_not_its_model():

@@ -95,6 +95,7 @@ def _no_answer(signum, frame):
     ("node_count", "2.5"), ("payload_len", "3.7"), ("data_rate_bps", "1e300"),
     ("ber", "0.2"),   # no join handshake gets through
     ("distance_map", "2:1e-3,1:2e-3"), ("distance_map", "1:2,2:3"),
+    ("distance_map", "1:1e-4,10:1e-3"),   # a valid map, but ber is set too
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, value):
     argv = ["simulate", *FAST, "--set", "preset=explicit", "--set", "ber=0",

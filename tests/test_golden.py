@@ -18,15 +18,15 @@ CASES = {
         ["simulate", "--set", "duration_s=0.5", "--set", "node_count=3",
          "--set", "seed=88"],
         True,
-        {"out.csv": "1435242b8936c86b3a9c4cea56d9bef22a6038e009c8688a77f4a926ed902013",
+        {"out.csv": "c26df8136106891da85b5f290cc9b8460549ba69e8a0e02700b51dd444c54764",
          "out.manifest.json": "c43b259028b41fc7d322ece17df1a869d961543f98e98e42f90fe60263c264f9",
-         "trace.txt": "6b94b86535ebe59fd514e3a35248f21cbf70ae173d11b69c5d1d6b17729b4101"},
+         "trace.txt": "c05c0491cd4c1bccee431515c1b82e13654b263bbaf58b65af793fefb2e6b604"},
     ),
     "sweep-retries": (
         ["sweep", "--set", "duration_s=0.3", "--set", "node_count=2",
          "--set", "seed=88", "--axis", "max_retries", "--values", "0..2"],
         False,
-        {"out.csv": "17d6039b2c75b1489cfb7c0b2d4fcb242e3aeec04a613a0f0cc878dc5b28d435",
+        {"out.csv": "087baebe3180469fc940b39e58860cdd4f8879997d288ead3bd4a4c83f48baf4",
          "out.manifest.json": "75aafe12debc13e861f4b367d8eba582a5f0003631afba378f89e338e97d0ed4"},
     ),
     # untraced, so clean exchanges take the arithmetic path
@@ -34,24 +34,24 @@ CASES = {
         ["simulate", "--set", "node_count=16", "--set", "duration_s=0.5",
          "--set", "seed=88"],
         False,
-        {"out.csv": "d0fcbfb60ad3bc5c55be5577a7a52b15fe663c3359af1cdc1327b5f35ba2c34a",
+        {"out.csv": "c3cd3fd98abbcaf160a194281c4f230fc5c9d826160dcd09754aa15297f9e697",
          "out.manifest.json": "949324948b8279747a79f79d45bf857597426aeb96a1725651fd2c814438404e"},
     ),
-    # untraced; clean runs cross count blocks and sequence wraps
+    # untraced; clean runs cross sequence wraps
     "simulate-wired-untraced-20s": (
         ["simulate", "--set", "preset=wired", "--set", "node_count=2",
          "--set", "duration_s=20"],
         False,
-        {"out.csv": "ac04d364c6a7a3d6c6caad781e9ea5a76260b8de5385451dd0ebca5b97b016e4",
+        {"out.csv": "cbf5d11caa3eb261e79ff0d337187b671ece8810176b4f9d6635814ed3e6bc45",
          "out.manifest.json": "a45c85f3256036bd87706e55132f2423e32d05d49336d76b813527eadd5c03af"},
     ),
     "simulate-explicit-lossy": (
         ["simulate", "--set", "preset=explicit", "--set", "ber=2e-3",
          "--set", "node_count=3", "--set", "duration_s=2", "--set", "seed=5"],
         True,
-        {"out.csv": "4c17269b092392649eadcfc0c49e5059c77827ee30085847bfe3657a070bbb68",
+        {"out.csv": "dc55deaa2dee1f12b9356660060acb381b25d5e50bc562acdf5c8462dc181bbf",
          "out.manifest.json": "6f097fb9e390ba23eeb33d23b9985666098966330a97c23481db1f55ed07280e",
-         "trace.txt": "2ce6d76effefda9a67bde38e2123a58d6a81c07846af8e83b834e492ec92233b"},
+         "trace.txt": "61d05963b59b24f0740e5d3d152a01a51db8233d3666bcb9a1f6204daa82373d"},
     ),
 }
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wbansim.channel import FLIP_COUNT_BLOCK, ChannelModel
+from wbansim.channel import ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (FrameType, ack_frame, data_frame, encode_frame,
                             management_frame)
@@ -394,9 +394,9 @@ def test_send_clean_takes_no_exchange_starting_at_or_after_until():
 
 
 def test_link_clean_run_consumes_nothing_unless_both_counts_are_zero():
-    # a twin link walked by the frame path alone sees the same flips, also
-    # across a block refill: the ack count is looked at only after a clean
-    # data count, when the frame path would send an ack next
+    # a twin link walked by the frame path alone sees the same flips: a run
+    # is cut by whichever of the data frame and its ack flips first, and an
+    # ack crosses only after a clean data frame
     def twin():
         return make_link(Device(Role.NODE, 1), Device(Role.HUB, 0),
                          ChannelModel(ber=5e-3, rng_seed=3))
@@ -431,14 +431,13 @@ def _run_until(pair, until, step_until):
 
 
 def test_one_long_send_clean_equals_one_exchange_calls():
-    # one call takes a run longer than a count block (so across a refill)
-    # and a sequence cycle; one exchange per call leaves the same devices
-    # and the same channel state
+    # one call takes a run longer than a 256-sequence cycle; one exchange
+    # per call leaves the same devices and the same channel state
     whole, stepped = lossy_pair(seed=7, ber=1e-6), lossy_pair(seed=7, ber=1e-6)
     longest = _run_until(whole, 20.0, lambda node, until: until)
     assert _run_until(stepped, 20.0,
                       lambda node, until: math.nextafter(node.now, math.inf)) == 1
-    assert longest > FLIP_COUNT_BLOCK   # so also more than a 256-sequence cycle
+    assert longest > 256
     assert state(*whole[:2]) == state(*stepped[:2])
     a, b = whole[2], stepped[2]
     for ca, cb, nbits in ((a.uplink, b.uplink, 18 * 8),

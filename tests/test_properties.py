@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from wbansim.errors import ConfigError
-from wbansim.simulator import ExperimentConfig, run_experiment
+from wbansim.simulator import ExperimentConfig
+
+from test_simulator import links_or_error
 
 
 @st.composite
@@ -21,14 +22,6 @@ def small_configs(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         preset=preset,
         ber=draw(st.floats(0.0, 0.05)) if preset == "explicit" else None)
-
-
-def links_or_error(config, trace=None):
-    """Per-link results, or the message when a node fails to join."""
-    try:
-        return run_experiment(config, trace=trace).links
-    except ConfigError as exc:
-        return str(exc)
 
 
 # A traced run takes the frame path for every exchange, so it is the oracle
