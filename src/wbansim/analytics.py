@@ -20,6 +20,7 @@ from .errors import RangeError
 
 ACK_BITS = 72            # 9-byte ack frame
 DEFAULT_J_MAX = 5        # truncation of the ack retransmission series
+PAPER_MAX_M = 1030       # largest m whose binomials C(m-1, i) all fit a float
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -55,10 +56,10 @@ def retry_success_paper(m: int, p_fer: float) -> float:
     """Combinatorial retry model, evaluated term by term as printed.
 
     Exact integer binomials keep the sum well-conditioned for m up to
-    a few hundred.
+    a few hundred; past `PAPER_MAX_M` one no longer converts to a float.
     """
-    if m < 1:
-        raise RangeError(f"attempt count m={m} must be >= 1")
+    if not 1 <= m <= PAPER_MAX_M:
+        raise RangeError(f"attempt count m={m} outside 1..{PAPER_MAX_M}")
     _check_probability("p_fer", p_fer)
     p = p_fer
     total = 0.0

@@ -229,6 +229,9 @@ def cmd_analyze(args) -> int:
     out = Path(args.output)
     if args.model == "retry":
         m_values = _flag_values("--m", args.m, integral=True)
+        for m in m_values:
+            if not 1 <= m <= analytics.PAPER_MAX_M:
+                raise ConfigError(f"--m={m} outside 1..{analytics.PAPER_MAX_M}")
         p_values = parse_values(args.p_fer)
         if not m_values or not p_values:
             raise ConfigError("empty parameter grid")
@@ -262,9 +265,11 @@ def cmd_analyze(args) -> int:
 def cmd_optimize(args) -> int:
     if not 0.0 < args.p_ber < 1.0:
         raise ConfigError(f"p_ber={args.p_ber} must lie strictly inside (0,1)")
-    for flag, value in (("--start", args.start), ("--tolerance", args.tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag}={value} must be positive and finite")
+    if not optimizer.MIN_START <= args.start <= optimizer.MAX_START:
+        raise ConfigError(f"--start={args.start} outside "
+                          f"[{optimizer.MIN_START:.3g}, {optimizer.MAX_START:g}]")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance={args.tolerance} must be positive and finite")
     if args.max_iterations < 1:
         raise ConfigError(f"--max-iterations={args.max_iterations} must be >= 1")
     result = optimizer.optimize_payload(

@@ -1,8 +1,7 @@
 """Polling MAC engine: management, data service, and data transmission.
 
-Each device runs one logical poll loop.  `poll_step` consumes at most one
-inbox event per call and dispatches it to one of three handlers mirroring
-the protocol's service split:
+Each device splits its work three ways, mirroring the protocol's service
+split:
 
 - management: connection build-up/tear-down handshake and the hub's
   connected-node table (capacity 64)
@@ -11,15 +10,18 @@ the protocol's service split:
 - data transmission: framing, CRC verification, address judgment, acks,
   and stop-and-wait ARQ with a retry limit
 
-Cross-layer commands and notifications travel as Primitives; frames travel
-as wire bytes produced/consumed here.  Poll outputs are action tuples:
-``("tx", frame, wire_bytes)`` for transmissions and ``("ind", primitive)``
-for upward notifications.
+Requests from above are calls: ``request_connect``, ``request_disconnect``
+and ``request_send`` each record their request in the trace, do the work at
+once and return the poll outputs.  The inbox holds only received wire
+bytes.  Indications and confirms travel upward as Primitives.  Poll outputs
+are action tuples: ``("tx", frame, wire_bytes)`` for transmissions and
+``("ind", primitive)`` for upward notifications.
 
-Drivers use a small public surface: ``submit`` hands a list of frames down
-as one SDU and returns its id with the first poll outputs, ``poll_step``
-advances the device by one event, and ``next_deadline`` says when the
-device next needs polling with an empty inbox.  ``pump`` is the one loop
+Drivers use a small public surface: the three requests, ``submit``, which
+hands a list of frames down as one SDU and returns its id with the first
+poll outputs, ``poll_step``, which handles one received frame or else
+checks the timers, and ``next_deadline``, which says when the device next
+needs polling with an empty inbox.  ``pump`` is the one loop
 that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
@@ -61,7 +63,7 @@ MAX_FRAME_BYTES = _frames.MAX_PAYLOAD + _frames.OVERHEAD_BYTES
 MAX_FRAGMENTS = _frames.MAX_FRAGMENT_INDEX + 1
 ACK_BITS = _frames.ACK_FRAME_BYTES * 8
 DEFAULT_DATA_RATE_BPS = 121_400
-JOIN_MAX_ROUNDS = 64
+JOIN_MAX_ROUNDS = 63
 
 
 class PrimitiveFamily(Enum):
@@ -159,7 +161,6 @@ class Device:
 
         self._tx_queue: deque = deque()            # (sdu_id, Frame)
         self._pending: Optional[_PendingAck] = None
-        self._next_sdu_id = 0
         self._mgmt_deadline: Optional[float] = None
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
         self._last_accepted: dict[int, int] = {}   # sender -> last data sequence
@@ -168,7 +169,7 @@ class Device:
 
         # raw tallies; the simulator folds them into per-link counters
         self.frames_sent = 0        # data-frame transmission attempts
-        self.packets_sent = 0       # distinct SDUs handed down
+        self.packets_sent = 0       # distinct SDUs handed down; the next SDU id
         self.packets_delivered = 0  # SDUs confirmed by ack
         self.packets_lost = 0       # SDUs exhausted after all retries
         self.rx_frames: Counter = Counter()   # per sender, intact data frames
@@ -179,24 +180,49 @@ class Device:
 
     def deliver(self, wire: bytes) -> None:
         """Queue received wire bytes for the next poll."""
-        self.inbox.append(("frame", wire))
+        self.inbox.append(wire)
 
-    def deliver_primitive(self, primitive: Primitive) -> None:
-        self.inbox.append(("primitive", primitive))
+    def request_connect(self, hub_id: int) -> list:
+        """Send a join request to `hub_id`, arm its retry timer; give back the outputs."""
+        self._record(PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST)
+        outputs: list = []
+        if self.role is not Role.NODE or self.connection is not Connection.IDLE:
+            self._protocol_drop("connect_request_bad_state")
+            return outputs
+        self.hub_id = hub_id
+        self.connection = Connection.CONNECTING
+        self._send_mgmt(FrameType.MGMT_REQUEST, hub_id, outputs)
+        self._mgmt_deadline = self.now + self.ack_timeout
+        return outputs
 
-    def request_connect(self, hub_id: int) -> None:
-        self.deliver_primitive(Primitive(
-            PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST,
-            {"action": "connect", "hub_id": hub_id}))
+    def request_disconnect(self) -> list:
+        """Tell the hub this node leaves and leave at once; give back the outputs."""
+        self._record(PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST)
+        outputs: list = []
+        if self.role is not Role.NODE or self.connection is not Connection.CONNECTED:
+            self._protocol_drop("disconnect_bad_state")
+            return outputs
+        self._send_mgmt(FrameType.MGMT_DISCONNECT, self.hub_id, outputs)
+        self.connection = Connection.IDLE
+        self._emit(outputs, Primitive(
+            PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
+            {"event": "disconnected", "hub_id": self.hub_id}))
+        return outputs
 
-    def request_disconnect(self) -> None:
-        self.deliver_primitive(Primitive(
-            PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST,
-            {"action": "disconnect"}))
-
-    def request_send(self, sdu: bytes) -> None:
-        self.deliver_primitive(Primitive(
-            PrimitiveFamily.DATA_SERVICE, PrimitiveKind.REQUEST, {"sdu": sdu}))
+    def request_send(self, sdu: bytes) -> list:
+        """Fragment `sdu` into data frames for the hub; give back `submit`'s outputs."""
+        self._record(PrimitiveFamily.DATA_SERVICE, PrimitiveKind.REQUEST)
+        if self.hub_id is None:
+            raise ProtocolError("no hub association; connect before sending data")
+        chunks = fragment_sdu(sdu, self.max_payload)
+        if len(chunks) > MAX_FRAGMENTS:
+            raise RangeError(
+                f"SDU needs {len(chunks)} fragments; the header carries at most {MAX_FRAGMENTS}")
+        last = len(chunks) - 1
+        frames = [data_frame(self.hub_id, self.device_id, 0, chunk,
+                             fragment_index=i, last_fragment=(i == last))
+                  for i, chunk in enumerate(chunks)]
+        return self.submit(frames)[1]
 
     def submit(self, frames: list[Frame]) -> tuple[int, list]:
         """Hand `frames` down as one SDU; give back its id and the poll outputs.
@@ -205,8 +231,7 @@ class Device:
         at once when the device is idle and (for a node) connected; the rest
         wait in the transmit queue for the ack of the one before.
         """
-        sdu_id = self._next_sdu_id
-        self._next_sdu_id += 1
+        sdu_id = self.packets_sent
         self.packets_sent += 1
         for frame in frames:
             frame.header.sequence = self._take_sequence()
@@ -226,37 +251,23 @@ class Device:
         return mgmt
 
     def poll_step(self) -> list:
-        """Consume at most one inbox event; otherwise advance timers."""
+        """Handle one received frame; with an empty inbox, check the timers."""
         outputs: list = []
         if self.inbox:
-            kind, item = self.inbox.popleft()
-            if kind == "frame":
-                self._on_wire(item, outputs)
-            else:
-                self._on_primitive(item, outputs)
+            self._on_wire(self.inbox.popleft(), outputs)
         else:
             self._check_timers(outputs)
         return outputs
 
     # ------------------------------------------------------- event dispatch
 
-    def _record(self, primitive: Primitive) -> None:
+    def _record(self, family: PrimitiveFamily, kind: PrimitiveKind) -> None:
         if self.trace is not None:
-            self.trace.append((self.now, self.device_id,
-                               primitive.family.name, primitive.kind.name))
+            self.trace.append((self.now, self.device_id, family.name, kind.name))
 
     def _emit(self, outputs: list, primitive: Primitive) -> None:
-        self._record(primitive)
+        self._record(primitive.family, primitive.kind)
         outputs.append(("ind", primitive))
-
-    def _on_primitive(self, primitive: Primitive, outputs: list) -> None:
-        self._record(primitive)
-        if primitive.family is PrimitiveFamily.MANAGEMENT:
-            self.handle_management(primitive, outputs)
-        elif primitive.family is PrimitiveFamily.DATA_SERVICE:
-            self._data_service_request(primitive, outputs)
-        else:  # raw frame handed straight to the transmission module
-            outputs.extend(self.submit([primitive.payload["frame"]])[1])
 
     def _on_wire(self, wire: bytes, outputs: list) -> None:
         frame = self._ack_rx_memo.get(wire) if len(wire) == 9 else None
@@ -285,7 +296,7 @@ class Device:
         elif ftype is FrameType.ACK:
             self._ack_rx(frame, outputs)
         else:
-            self.handle_management(frame, outputs)
+            self._on_management(frame, outputs)
 
     def _check_timers(self, outputs: list) -> None:
         if self._pending is not None and self.now >= self._pending.deadline:
@@ -305,19 +316,8 @@ class Device:
 
     # ----------------------------------------------------------- management
 
-    def handle_management(self, event, outputs: list) -> None:
+    def _on_management(self, frame: Frame, outputs: list) -> None:
         """Connection handshake: build-up, assignment, tear-down."""
-        if isinstance(event, Primitive):
-            action = event.payload.get("action")
-            if action == "connect":
-                self._start_connect(event.payload["hub_id"], outputs)
-            elif action == "disconnect":
-                self._start_disconnect(outputs)
-            else:
-                raise ProtocolError(f"unknown management action {action!r}")
-            return
-
-        frame: Frame = event
         ftype = frame.header.frame_type
         sender = frame.header.sender_id
         if ftype is FrameType.MGMT_REQUEST:
@@ -373,25 +373,6 @@ class Device:
                 else:
                     self._protocol_drop("disconnect_while_idle")
 
-    def _start_connect(self, hub_id: int, outputs: list) -> None:
-        if self.role is not Role.NODE or self.connection is not Connection.IDLE:
-            self._protocol_drop("connect_request_bad_state")
-            return
-        self.hub_id = hub_id
-        self.connection = Connection.CONNECTING
-        self._send_mgmt(FrameType.MGMT_REQUEST, hub_id, outputs)
-        self._mgmt_deadline = self.now + self.ack_timeout
-
-    def _start_disconnect(self, outputs: list) -> None:
-        if self.role is Role.NODE and self.connection is Connection.CONNECTED:
-            self._send_mgmt(FrameType.MGMT_DISCONNECT, self.hub_id, outputs)
-            self.connection = Connection.IDLE
-            self._emit(outputs, Primitive(
-                PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
-                {"event": "disconnected", "hub_id": self.hub_id}))
-        else:
-            self._protocol_drop("disconnect_bad_state")
-
     def _mgmt_retry(self, outputs: list) -> None:
         # the deadline is armed only while CONNECTING: every way out of that
         # state (assignment, rejection) disarms it
@@ -407,20 +388,6 @@ class Device:
         self.drops[f"protocol_{reason}"] += 1
 
     # --------------------------------------------------------- data service
-
-    def _data_service_request(self, primitive: Primitive, outputs: list) -> None:
-        sdu = primitive.payload["sdu"]
-        if self.hub_id is None:
-            raise ProtocolError("no hub association; connect before sending data")
-        chunks = fragment_sdu(sdu, self.max_payload)
-        if len(chunks) > MAX_FRAGMENTS:
-            raise RangeError(
-                f"SDU needs {len(chunks)} fragments; the header carries at most {MAX_FRAGMENTS}")
-        last = len(chunks) - 1
-        frames = [data_frame(self.hub_id, self.device_id, 0, chunk,
-                             fragment_index=i, last_fragment=(i == last))
-                  for i, chunk in enumerate(chunks)]
-        outputs.extend(self.submit(frames)[1])
 
     def _take_sequence(self) -> int:
         seq = self.next_sequence
@@ -683,7 +650,6 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     link.downlink.skip(ACK_BITS, taken)
     # sender: per exchange, submit, one transmission, the ack
     sender.next_sequence = (seq + taken) & 0xFF
-    sender._next_sdu_id += taken
     sender.packets_sent += taken
     sender.frames_sent += taken
     sender.packets_delivered += taken
@@ -699,7 +665,6 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
 
 def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:
     """Run the join handshake over the (possibly lossy) link."""
-    node.request_connect(hub.device_id)
-    pump(node, link, [], lambda p: p.family is PrimitiveFamily.MANAGEMENT,
-         JOIN_MAX_ROUNDS)
+    pump(node, link, node.request_connect(hub.device_id),
+         lambda p: p.family is PrimitiveFamily.MANAGEMENT, JOIN_MAX_ROUNDS)
     return node.connection is Connection.CONNECTED

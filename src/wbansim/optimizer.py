@@ -24,16 +24,23 @@ whose interior minimum exists.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .analytics import ack_length_term, data_length, fer_analytic
 from .errors import DomainError, RangeError
+from .frames import MAX_PAYLOAD
 
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
 SHRINK = 0.5            # barrier weight factor per outer iteration
 INNER_CAP = 200         # descent steps per inner solve
+# Starting payloads: no frame carries more than MAX_PAYLOAD bytes, and below
+# MIN_START the square in the barrier term epsilon/payload^2 is subnormal,
+# where it loses its digits and soon divides by zero.
+MIN_START = math.sqrt(sys.float_info.min)
+MAX_START = float(MAX_PAYLOAD)
 
 
 def _check_domain(payload: float, p_ber: float, allow_zero: bool = False) -> None:
@@ -142,8 +149,8 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     """
     if not 0.0 < p_ber < 1.0:
         raise RangeError(f"p_ber={p_ber} must lie strictly inside (0,1)")
-    if payload_0 <= 0:
-        raise DomainError(f"payload_0={payload_0} must be positive")
+    if not MIN_START <= payload_0 <= MAX_START:
+        raise DomainError(f"payload_0={payload_0} outside [{MIN_START:.3g}, {MAX_START:g}]")
 
     if verbatim_gradient:
         objective, gradient, schedule = (_verbatim_potential, barrier_gradient,

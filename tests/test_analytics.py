@@ -12,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from wbansim.analytics import (ack_length_term, data_length, fer, fer_analytic,
-                               frame_corruption_probability,
+from wbansim.analytics import (PAPER_MAX_M, ack_length_term, data_length, fer,
+                               fer_analytic, frame_corruption_probability,
                                invert_fer_analytic, per,
                                retry_success_geometric, retry_success_paper)
 from wbansim.errors import RangeError
@@ -86,6 +86,16 @@ def test_paper_model_collapses_to_closed_form():
         for p in (0.01, 0.1, 0.3, 0.7):
             closed = (1 - p) ** 2 * (p * (2 - p)) ** (m - 1)
             assert retry_success_paper(m, p) == pytest.approx(closed, rel=1e-9)
+
+
+def test_paper_model_evaluates_up_to_its_largest_m():
+    # the last m whose binomials all convert to a float still gives a value;
+    # the next one is refused instead of overflowing
+    assert math.isfinite(retry_success_paper(PAPER_MAX_M, 0.1))
+    with pytest.raises(OverflowError):
+        float(math.comb(PAPER_MAX_M, PAPER_MAX_M // 2))
+    with pytest.raises(RangeError):
+        retry_success_paper(PAPER_MAX_M + 1, 0.1)
 
 
 def test_geometric_strictly_increasing_in_m():

@@ -292,10 +292,14 @@ BAD_FLAG_VALUES = {
     "retry-m-inf": (["analyze", "retry", "--m", "inf"], "--m"),
     "retry-m-nan": (["analyze", "retry", "--m", "nan"], "--m"),
     "retry-m-1.5": (["analyze", "retry", "--m", "1.5"], "--m"),
+    "retry-m-1100": (["analyze", "retry", "--m", "1100", "--p-fer", "0.1"], "--m"),
     "payload-nan": (["analyze", "payload", "--payload", "nan"], "--payload"),
     "payload-inf": (["analyze", "payload", "--payload", "inf"], "--payload"),
     "start-inf": (["optimize", "--p-ber", "1e-3", "--start", "inf"], "--start"),
     "start-nan": (["optimize", "--p-ber", "1e-3", "--start", "nan"], "--start"),
+    "start-1e300": (["optimize", "--p-ber", "0.5", "--start", "1e300"], "--start"),
+    "start-1e-200": (["optimize", "--p-ber", "1e-3", "--start", "1e-200"], "--start"),
+    "start-1e6": (["optimize", "--p-ber", "1e-3", "--start", "1e6"], "--start"),
     "tolerance-nan": (["optimize", "--p-ber", "1e-3", "--tolerance", "nan"], "--tolerance"),
     "tolerance-0": (["optimize", "--p-ber", "1e-3", "--tolerance", "0"], "--tolerance"),
     "max-iterations--5": (["optimize", "--p-ber", "1e-3", "--max-iterations", "-5"],

@@ -1,13 +1,16 @@
-"""Golden outputs: byte identity of CLI files at fixed seeds.
+"""Golden outputs: byte identity of CLI files and demo stdout at fixed seeds.
 
 Each case runs ``wbansim`` in-process and compares the sha256 of every file
-it writes (CSV, manifest, trace) against a pinned digest.  Any change to the
+it writes (CSV, manifest, trace) against a pinned digest; each script in
+``demos/`` runs in-process too, and the sha256 of its stdout is pinned.  Any change to the
 codec, the channel draws, the MAC exchange order or the output formatting
 moves at least one digest, so a refactor that claims to keep behaviour must
 keep these passing unchanged.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +74,27 @@ def test_cli_outputs_are_byte_identical(tmp_path, name, monkeypatch):
     monkeypatch.delenv("WBAN_SEED", raising=False)
     argv, traced, expected = CASES[name]
     assert run_case(tmp_path, argv, traced) == expected
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+DEMO_STDOUT = {
+    "01_frame_anatomy.py": "f5b54a8a2d37f2848aa7f4a87b9325e507636f008670f25f66b4a5459cf35685",
+    "02_two_device_exchange.py": "478e4ece290282fcc233ac36e8e3901d76d21c7c1594e4395f026e3f7a18419a",
+    "03_retry_tradeoff.py": "15814f59e2db51818d8ab7c6fb8f4ef081540f4dc71822e5d0f52c374851b4d4",
+    "04_payload_vs_fer.py": "84d11e81af11676b8771d4808d9dee60d96772306b9ad71d1bd7fba1a3db4109",
+    "05_distance_experiment.py": "482744f4aa1d4182240643f62485fcb82643ed211ca37b7e8090734796a0edec",
+    "06_payload_optimizer.py": "a2e13966613938fc1da96704eabebbeeb3de0cc09a77629936018ed0ab837cd9",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO_STDOUT)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STDOUT))
+def test_demo_stdout_is_byte_identical(name, capsys, monkeypatch):
+    monkeypatch.delenv("WBAN_SEED", raising=False)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DEMO_STDOUT[name]

@@ -39,8 +39,7 @@ def inds(outputs):
 
 def test_connect_request_moves_to_connecting():
     node = Device(Role.NODE, 1)
-    node.request_connect(0)
-    outputs = node.poll_step()
+    outputs = node.request_connect(0)
     assert node.connection is Connection.CONNECTING
     sent = txs(outputs)
     assert len(sent) == 1
@@ -51,8 +50,7 @@ def test_connect_request_moves_to_connecting():
 def test_hub_registers_and_assigns():
     hub = Device(Role.HUB, 0)
     node = Device(Role.NODE, 5)
-    node.request_connect(0)
-    request_wire = txs(node.poll_step())[0][2]
+    request_wire = txs(node.request_connect(0))[0][2]
     hub.deliver(request_wire)
     outputs = hub.poll_step()
     assert 5 in hub.registry
@@ -93,8 +91,7 @@ def test_assignment_while_idle_is_protocol_error():
 
 def test_disconnect_tears_down_both_sides():
     hub, node, link = connect(*lossless_pair())
-    node.request_disconnect()
-    outputs = node.poll_step()
+    outputs = node.request_disconnect()
     assert node.connection is Connection.IDLE
     wire = txs(outputs)[0][2]
     hub.deliver(link.to_peer(wire))
@@ -124,6 +121,9 @@ def test_join_over_dead_link_gives_up_within_round_bound():
     assert not hub.registry
     # the retry timer re-sent the request, at most once per pump round
     assert 1 < hub.drops["crc"] <= JOIN_MAX_ROUNDS
+    # exactly one request per round: a join that moves by one round fails
+    assert hub.drops["crc"] == 63
+    assert node.now == 3.275584843492586
 
 
 # ------------------------------------------------------------ fragmentation
@@ -160,8 +160,7 @@ def test_reassemble_in_order():
     hub, node, link = connect(*lossless_pair())
     sdu = bytes(range(25))
     node.max_payload = 10
-    node.request_send(sdu)
-    outputs = node.poll_step()
+    outputs = node.request_send(sdu)
     delivered = []
     for _ in range(10):
         for _, frame, wire in txs(outputs):
@@ -319,10 +318,9 @@ def test_next_deadline_tracks_the_pending_ack():
 
 # --------------------------------------------------------- clean exchanges
 
-STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "_next_sdu_id",
-                "_last_accepted", "frames_sent", "packets_sent",
-                "packets_delivered", "packets_lost", "rx_frames", "rx_packets",
-                "drops")
+STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "_last_accepted",
+                "frames_sent", "packets_sent", "packets_delivered", "packets_lost",
+                "rx_frames", "rx_packets", "drops")
 
 
 def state(*devices):
@@ -500,12 +498,10 @@ def test_node_emits_data_only_when_connected():
     hub = Device(Role.HUB, 0)
     node = Device(Role.NODE, 1)
     node.hub_id = 0
-    node.request_send(b"early")
-    assert txs(node.poll_step()) == []
+    assert txs(node.request_send(b"early")) == []
 
     link = make_link(node, hub, ChannelModel(ber=0.0, rng_seed=3))
-    node.request_connect(0)
-    request_wire = txs(node.poll_step())[0][2]
+    request_wire = txs(node.request_connect(0))[0][2]
     hub.deliver(request_wire)
     assignment_wire = txs(hub.poll_step())[0][2]
     node.deliver(assignment_wire)

@@ -7,10 +7,11 @@ import pytest
 
 from wbansim.analytics import ack_length_term, data_length, fer_analytic
 from wbansim.errors import DomainError, RangeError
-from wbansim.optimizer import (barrier_gradient, barrier_objective,
-                               epsilon_schedule, epsilon_schedule_exact,
-                               grid_search_fer, optimize_payload,
-                               penalized_fer, penalized_fer_gradient)
+from wbansim.optimizer import (MAX_START, MIN_START, barrier_gradient,
+                               barrier_objective, epsilon_schedule,
+                               epsilon_schedule_exact, grid_search_fer,
+                               optimize_payload, penalized_fer,
+                               penalized_fer_gradient)
 
 
 # ------------------------------------------------------- formula evaluators
@@ -181,8 +182,22 @@ def test_input_validation():
         optimize_payload(0.0)
     with pytest.raises(RangeError):
         optimize_payload(1.0)
-    with pytest.raises(DomainError):
-        optimize_payload(1e-3, payload_0=0.0)
+    # below MIN_START the barrier term divides by zero; above MAX_START no
+    # frame carries the payload, yet the descent reported it "converged"
+    for payload_0 in (0.0, 1e-200, math.nextafter(MIN_START, 0),
+                      math.nextafter(MAX_START, math.inf), 1e6, 1e300):
+        with pytest.raises(DomainError):
+            optimize_payload(0.5, payload_0=payload_0)
+
+
+def test_every_start_in_range_gives_a_result():
+    for payload_0 in (MIN_START, 1e-100, 1e-30, 1e-6, 1.0, MAX_START):
+        for p_ber in (1e-5, 1e-3, 0.1, 0.5, 0.9):
+            for verbatim in (False, True):
+                result = optimize_payload(p_ber, payload_0=payload_0,
+                                          verbatim_gradient=verbatim)
+                assert 0 < result.payload_opt <= MAX_START
+                assert math.isfinite(result.fer_opt)
 
 
 def test_trace_epsilon_shrinks():
