@@ -17,9 +17,12 @@ replacing one with the other.
 import math
 
 from .errors import RangeError
+from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES
 
-ACK_BITS = 72            # 9-byte ack frame
-DEFAULT_J_MAX = 5        # truncation of the ack retransmission series
+ACK_BITS = 8 * ACK_FRAME_BYTES
+# a float, so an integer payload past 2**53 is rounded once, before the sum
+_OVERHEAD = float(OVERHEAD_BYTES)
+J_MAX = 5                # truncation of the ack retransmission series
 PAPER_MAX_M = 1030       # largest m whose binomials C(m-1, i) all fit a float
 
 
@@ -86,26 +89,24 @@ def retry_success_geometric(m: int, p_fer: float) -> float:
     return total
 
 
-def ack_length_term(p_ber: float, j_max: int = DEFAULT_J_MAX) -> float:
-    """Expected ack bits: sum_{j=1}^{j_max} 8*9*j * p^(j-1) (1-p)."""
+def ack_length_term(p_ber: float) -> float:
+    """Expected ack bits: sum_{j=1}^{J_MAX} 8*9*j * p^(j-1) (1-p)."""
     _check_probability("p_ber", p_ber)
-    if j_max < 1:
-        raise RangeError(f"j_max={j_max} must be >= 1")
     return sum(ACK_BITS * j * p_ber ** (j - 1) * (1.0 - p_ber)
-               for j in range(1, j_max + 1))
+               for j in range(1, J_MAX + 1))
 
 
 def data_length(payload: float) -> float:
     """Data frame length in bits: 8 * (payload + 8)."""
     if payload < 0:
         raise RangeError(f"payload={payload} must be >= 0")
-    return 8.0 * (payload + 8.0)
+    return 8.0 * (payload + _OVERHEAD)
 
 
-def fer_analytic(payload: float, p_ber: float, j_max: int = DEFAULT_J_MAX) -> float:
+def fer_analytic(payload: float, p_ber: float) -> float:
     """Exchange failure probability 1 - (1-p)^(L_data + L_ack)."""
     _check_probability("p_ber", p_ber)
-    l_total = data_length(payload) + ack_length_term(p_ber, j_max)
+    l_total = data_length(payload) + ack_length_term(p_ber)
     if p_ber == 1.0:
         return 1.0
     # exp/log1p form keeps precision at small p where (1-p)^L loses bits
@@ -120,8 +121,7 @@ def frame_corruption_probability(frame_bits: float, p_ber: float) -> float:
     return -math.expm1(frame_bits * math.log1p(-p_ber))
 
 
-def invert_fer_analytic(target_fer: float, payload: float,
-                        j_max: int = DEFAULT_J_MAX) -> float:
+def invert_fer_analytic(target_fer: float, payload: float) -> float:
     """Bit error rate whose analytic exchange FER equals `target_fer`.
 
     Bisection on p; the analytic FER is strictly increasing in p so the
@@ -132,7 +132,7 @@ def invert_fer_analytic(target_fer: float, payload: float,
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fer_analytic(payload, mid, j_max) < target_fer:
+        if fer_analytic(payload, mid) < target_fer:
             lo = mid
         else:
             hi = mid

@@ -29,6 +29,7 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 _FIELD_TYPES = {f.name: f.type for f in fields(simulator.ExperimentConfig)}
+MAX_RANGE_VALUES = 100_000   # values in one a..b range: 100x the longest an example uses
 
 
 # ------------------------------------------------------------ config files
@@ -60,6 +61,9 @@ def parse_values(spec: str) -> list:
         values = []
         v = start
         while v <= stop + 1e-12 * max(1.0, abs(stop)):
+            # counted as it grows: a step lost to rounding never moves `v`
+            if len(values) == MAX_RANGE_VALUES:
+                raise ConfigError(f"range {spec!r} holds more than {MAX_RANGE_VALUES} values")
             values.append(v)
             v = v + step
         if not values:
@@ -119,9 +123,9 @@ def _integral(number) -> int:
 
 
 def _flag_values(flag: str, spec: str, integral: bool = False) -> list:
-    """Values of `flag`; a non-finite one (or non-integral, if asked) names the flag."""
-    values = parse_values(spec)
+    """Values of `flag`, finite and (if asked) integral; any error names the flag."""
     try:
+        values = parse_values(spec)
         for v in values:
             if not math.isfinite(v):
                 raise ConfigError(f"{v!r} is not finite")
@@ -208,10 +212,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    if _FIELD_TYPES[simulator.SWEEP_AXES[args.axis]] is int:
-        values = _flag_values(f"--values for axis {args.axis}", args.values, integral=True)
-    else:
-        values = parse_values(args.values)
+    integral = _FIELD_TYPES[simulator.SWEEP_AXES[args.axis]] is int
+    values = _flag_values(f"--values for axis {args.axis}", args.values, integral)
     rows = simulator.sweep(config, args.axis, values)
     out = Path(args.output)
     write_csv(out, ["axis", "value", "s_frm", "r_frm", "s_pkt", "r_pkt", "fer", "per"],
@@ -232,9 +234,7 @@ def cmd_analyze(args) -> int:
         for m in m_values:
             if not 1 <= m <= analytics.PAPER_MAX_M:
                 raise ConfigError(f"--m={m} outside 1..{analytics.PAPER_MAX_M}")
-        p_values = parse_values(args.p_fer)
-        if not m_values or not p_values:
-            raise ConfigError("empty parameter grid")
+        p_values = _flag_values("--p-fer", args.p_fer)
         rows = []
         for p in p_values:
             for m in m_values:
@@ -247,7 +247,7 @@ def cmd_analyze(args) -> int:
                        {"model": "retry", "m": m_values, "p_fer": p_values}, None)
     else:
         payloads = _flag_values("--payload", args.payload)
-        p_values = parse_values(args.p_ber)
+        p_values = _flag_values("--p-ber", args.p_ber)
         rows = []
         for p in p_values:
             for payload in payloads:
@@ -263,8 +263,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if not 0.0 < args.p_ber < 1.0:
-        raise ConfigError(f"p_ber={args.p_ber} must lie strictly inside (0,1)")
     if not optimizer.MIN_START <= args.start <= optimizer.MAX_START:
         raise ConfigError(f"--start={args.start} outside "
                           f"[{optimizer.MIN_START:.3g}, {optimizer.MAX_START:g}]")

@@ -227,7 +227,7 @@ def _integer_candidates(x: float, p_ber: float) -> list[IntegerCandidate]:
     return [IntegerCandidate(p, fer_analytic(p, p_ber)) for p in payloads]
 
 
-def grid_search_fer(p_ber: float, payloads=range(1, 31)) -> IntegerCandidate:
-    """Exhaustive oracle: the integer payload with the lowest analytic FER."""
-    best = min(payloads, key=lambda p: fer_analytic(p, p_ber))
+def grid_search_fer(p_ber: float) -> IntegerCandidate:
+    """Exhaustive oracle: the payload in 1..30 with the lowest analytic FER."""
+    best = min(range(1, 31), key=lambda p: fer_analytic(p, p_ber))
     return IntegerCandidate(best, fer_analytic(best, p_ber))

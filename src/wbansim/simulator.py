@@ -190,26 +190,14 @@ class ExperimentResult:
         return (total.s_frm - delivered) / total.s_frm
 
 
-def build_channel(config: ExperimentConfig) -> ChannelModel:
-    if config.preset == "explicit":
-        return ChannelModel(ber=config.ber if config.ber is not None else 0.0,
-                            rng_seed=config.seed,
-                            distance_map=config.distance_map)
-    return preset(config.preset, rng_seed=config.seed)
-
-
-def _link_ber(config: ExperimentConfig, model: ChannelModel, distance: float) -> float:
-    if config.ber is not None:
-        return config.ber
-    # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
-    return ber_for_distance(distance, model)
-
-
 def run_experiment(config: ExperimentConfig,
                    trace: Optional[list] = None) -> ExperimentResult:
     """Execute one timed experiment; fully reproducible from config.seed."""
     config.validate()
-    model = build_channel(config)
+    if config.preset == "explicit":
+        model = ChannelModel(rng_seed=config.seed, distance_map=config.distance_map)
+    else:
+        model = preset(config.preset, rng_seed=config.seed)
     distances = config.distances()
 
     hub = Device(Role.HUB, 0, data_rate_bps=config.data_rate_bps, trace=trace)
@@ -219,7 +207,8 @@ def run_experiment(config: ExperimentConfig,
     for i in range(config.node_count):
         node = Device(Role.NODE, i + 1, max_retries=config.max_retries,
                       data_rate_bps=config.data_rate_bps, trace=trace)
-        ber = _link_ber(config, model, distances[i])
+        # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
+        ber = config.ber if config.ber is not None else ber_for_distance(distances[i], model)
         link = make_link(node, hub, model, ber=ber)
         if not establish_connection(node, hub, link):
             source = (f"ber={config.ber}" if config.ber is not None

@@ -12,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from wbansim.analytics import (PAPER_MAX_M, ack_length_term, data_length, fer,
-                               fer_analytic, frame_corruption_probability,
+from wbansim.analytics import (J_MAX, PAPER_MAX_M, ack_length_term, data_length,
+                               fer, fer_analytic, frame_corruption_probability,
                                invert_fer_analytic, per,
                                retry_success_geometric, retry_success_paper)
 from wbansim.errors import RangeError
@@ -141,7 +141,7 @@ def test_ack_length_at_zero_ber():
 
 def test_ack_length_half_ber_exact_terms():
     # 36 + 36 + 27 + 18 + 11.25
-    assert ack_length_term(0.5, 5) == pytest.approx(128.25, rel=1e-12)
+    assert ack_length_term(0.5) == pytest.approx(128.25, rel=1e-12)
 
 
 def test_ack_length_total_loss():
@@ -152,11 +152,10 @@ def test_ack_length_independent_summation():
     rng = random.Random(3)
     for _ in range(100):
         p = rng.random()
-        jmax = rng.randrange(1, 9)
         expected = 0.0
-        for j in range(1, jmax + 1):
+        for j in range(1, J_MAX + 1):
             expected += 8 * 9 * j * p ** (j - 1) * (1 - p)
-        assert ack_length_term(p, jmax) == pytest.approx(expected, rel=1e-12)
+        assert ack_length_term(p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_data_length_values():

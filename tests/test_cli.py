@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from wbansim.cli import main, parse_values
+from wbansim.cli import MAX_RANGE_VALUES, main, parse_values
 from wbansim.errors import ConfigError
 
 FAST = ["--set", "duration_s=0.2", "--set", "node_count=2"]
@@ -84,7 +84,17 @@ def test_simulate_unknown_key_exits_2(tmp_path):
 
 
 def _no_answer(signum, frame):
-    raise TimeoutError("simulate did not return within 10 s")
+    raise TimeoutError("wbansim did not return within 10 s")
+
+
+def main_within_10s(argv) -> int:
+    previous = signal.signal(signal.SIGALRM, _no_answer)
+    signal.alarm(10)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -104,14 +114,7 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, va
         monkeypatch.setenv(key, value)
     else:
         argv += ["--set", f"{key}={value}"]
-    previous = signal.signal(signal.SIGALRM, _no_answer)
-    signal.alarm(10)
-    try:
-        code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == 2
+    assert main_within_10s(argv) == 2
     assert key in capsys.readouterr().err
 
 
@@ -295,6 +298,22 @@ BAD_FLAG_VALUES = {
     "retry-m-1100": (["analyze", "retry", "--m", "1100", "--p-fer", "0.1"], "--m"),
     "payload-nan": (["analyze", "payload", "--payload", "nan"], "--payload"),
     "payload-inf": (["analyze", "payload", "--payload", "inf"], "--payload"),
+    "retry-m-words": (["analyze", "retry", "--m", "five..ten"], "--m"),
+    "retry-p-fer-nan": (["analyze", "retry", "--p-fer", "nan"], "--p-fer"),
+    "payload-p-ber-word": (["analyze", "payload", "--p-ber", "1e-3..x"], "--p-ber"),
+    "sweep-retries-words": (["sweep", "--axis", "max_retries", "--values", "a..b"],
+                            "--values"),
+    "sweep-distance-nan": (["sweep", "--axis", "distance", "--values", "1..nan"],
+                           "--values"),
+    # ranges longer than MAX_RANGE_VALUES
+    "payload-range-2e5": (["analyze", "payload", "--payload", "0..2e5", "--p-ber", "1e-3"],
+                          "--payload"),
+    "retry-m-range-1e9": (["analyze", "retry", "--m", "1..1e9"], "--m"),
+    "sweep-retries-range-1e9": (["sweep", "--axis", "max_retries", "--values", "0..1e9"],
+                                "--values"),
+    # a step below the float spacing at 1e20 never moves the range on
+    "sweep-distance-lost-step": (["sweep", "--axis", "distance", "--values", "1e20..1e20"],
+                                 "--values"),
     "start-inf": (["optimize", "--p-ber", "1e-3", "--start", "inf"], "--start"),
     "start-nan": (["optimize", "--p-ber", "1e-3", "--start", "nan"], "--start"),
     "start-1e300": (["optimize", "--p-ber", "0.5", "--start", "1e300"], "--start"),
@@ -313,7 +332,7 @@ BAD_FLAG_VALUES = {
 def test_bad_flag_value_exits_2_naming_its_flag(tmp_path, capsys, name):
     argv, flag = BAD_FLAG_VALUES[name]
     out = tmp_path / "x.csv"
-    assert main([*argv, "-o", str(out)]) == 2
+    assert main_within_10s([*argv, "-o", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -323,6 +342,12 @@ def test_parse_rejects_a_non_finite_range_bound():
     for spec in ("1..inf", "nan..3", "1..3 step nan"):
         with pytest.raises(ConfigError):
             parse_values(spec)
+
+
+def test_parse_caps_a_range_at_max_range_values():
+    assert parse_values(f"1..{MAX_RANGE_VALUES}") == list(range(1, MAX_RANGE_VALUES + 1))
+    with pytest.raises(ConfigError, match="more than"):
+        parse_values(f"0..{MAX_RANGE_VALUES}")
 
 
 def test_optimize_non_convergence_exit_3_trace_still_written(tmp_path):

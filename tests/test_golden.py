@@ -48,6 +48,14 @@ CASES = {
         {"out.csv": "cbf5d11caa3eb261e79ff0d337187b671ece8810176b4f9d6635814ed3e6bc45",
          "out.manifest.json": "a45c85f3256036bd87706e55132f2423e32d05d49336d76b813527eadd5c03af"},
     ),
+    # a calibrated preset whose table a flat `ber` overrides
+    "simulate-wired-ber-override": (
+        ["simulate", "--set", "preset=wired", "--set", "ber=1e-3",
+         "--set", "node_count=2", "--set", "duration_s=1", "--set", "seed=88"],
+        False,
+        {"out.csv": "da033157faccbb84dcca28e489ba5eb409cb0bb12b5e7a958867ecb8566001d2",
+         "out.manifest.json": "6991710ddd16f1d17b244ac07eb1a88b09c41232d3b3d0364c06d851950c95d9"},
+    ),
     "simulate-explicit-lossy": (
         ["simulate", "--set", "preset=explicit", "--set", "ber=2e-3",
          "--set", "node_count=3", "--set", "duration_s=2", "--set", "seed=5"],

@@ -7,8 +7,8 @@ import pytest
 
 from wbansim.channel import ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (FrameType, ack_frame, data_frame, encode_frame,
-                            management_frame)
+from wbansim.frames import (FrameType, ack_frame, compute_crc16, data_frame,
+                            encode_frame, management_frame)
 from wbansim.mac import (ACK_BITS, JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link,
@@ -491,6 +491,40 @@ def test_poll_rejects_data_from_unregistered_sender():
     outputs = hub.poll_step()
     assert txs(outputs) == []
     assert hub.drops["access"] == 1
+
+
+def _crafted(frame_control, body):
+    """Hub-to-node bytes the encoder would refuse to build, with a valid CRC."""
+    head = bytes([frame_control, 1, 0, 0, 0x80, len(body)]) + body
+    return head + compute_crc16(head).to_bytes(2, "big")
+
+
+# wire bytes -> (drops, connection afterwards, indication events)
+RECEIVED_AT_NODE = {
+    "truncated": (b"\x00\x01\x00", {"truncated": 1}, Connection.CONNECTED, []),
+    "unknown-type": (_crafted(7, b""), {"malformed": 1}, Connection.CONNECTED, []),
+    "ten-byte-ack": (_crafted(FrameType.ACK, b"\x00\x00"), {"malformed": 1},
+                     Connection.CONNECTED, []),
+    "stale-ack": (encode_frame(ack_frame(1, 0, 42)), {"stale_ack": 1},
+                  Connection.CONNECTED, []),
+    "data-not-from-hub": (encode_frame(data_frame(1, 7, 0, b"x")), {"access": 1},
+                          Connection.CONNECTED, []),
+    "hub-disconnects": (encode_frame(management_frame(FrameType.MGMT_DISCONNECT, 1, 0, 0)),
+                        {}, Connection.IDLE, ["disconnected"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECEIVED_AT_NODE))
+def test_connected_node_receives_crafted_bytes(name):
+    wire, drops, connection, events = RECEIVED_AT_NODE[name]
+    hub, node, link = connect(*lossless_pair())
+    node.deliver(wire)
+    outputs = node.poll_step()
+    assert txs(outputs) == []
+    assert [(p.kind, p.payload["event"]) for p in inds(outputs)] == \
+        [(PrimitiveKind.INDICATION, event) for event in events]
+    assert node.drops == drops
+    assert node.connection is connection
 
 
 def test_node_emits_data_only_when_connected():

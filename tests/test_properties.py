@@ -11,6 +11,15 @@ from test_simulator import links_or_error
 def small_configs(draw):
     node_count = draw(st.integers(1, 4))
     preset = draw(st.sampled_from(["explicit", "wireless", "wired"]))
+    # every BER source: a flat `ber` on any preset, a calibrated table, a `distance_map`
+    ber = draw(st.none() | st.floats(0.0, 0.05))
+    distance_map = None
+    if preset == "explicit" and ber is None:
+        points = draw(st.integers(1, 4))
+        distances = draw(st.lists(st.floats(0.5, 12.0), min_size=points,
+                                  max_size=points, unique=True))
+        bers = draw(st.lists(st.floats(0.0, 0.05), min_size=points, max_size=points))
+        distance_map = tuple(zip(sorted(distances), sorted(bers)))
     return ExperimentConfig(
         node_count=node_count,
         distance_m=draw(st.lists(st.floats(0.5, 12.0), min_size=node_count,
@@ -21,7 +30,8 @@ def small_configs(draw):
         duration_s=draw(st.floats(0.01, 0.5)),
         seed=draw(st.integers(0, 2**32 - 1)),
         preset=preset,
-        ber=draw(st.floats(0.0, 0.05)) if preset == "explicit" else None)
+        ber=ber,
+        distance_map=distance_map)
 
 
 # A traced run takes the frame path for every exchange, so it is the oracle
