@@ -17,9 +17,8 @@ replacing one with the other.
 import math
 
 from .errors import RangeError
-from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES
+from .frames import ACK_BITS, OVERHEAD_BYTES
 
-ACK_BITS = 8 * ACK_FRAME_BYTES
 # a float, so an integer payload past 2**53 is rounded once, before the sum
 _OVERHEAD = float(OVERHEAD_BYTES)
 J_MAX = 5                # truncation of the ack retransmission series
@@ -66,8 +65,10 @@ def retry_success_paper(m: int, p_fer: float) -> float:
     _check_probability("p_fer", p_fer)
     p = p_fer
     total = 0.0
+    c = 1   # C(m-1, i), stepped exactly in integers
     for i in range(m):
-        total += math.comb(m - 1, i) * (p * (1.0 - p)) ** (m - i - 1) * p ** i
+        total += c * (p * (1.0 - p)) ** (m - i - 1) * p ** i
+        c = c * (m - 1 - i) // (i + 1)
     return exchange_success(p) * total
 
 

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,12 @@ from .errors import RangeError
 
 CALIBRATION_PAYLOAD = 10   # reference payload (bytes) for preset inversion
 
-# Measured-FER targets per distance (m).  Flat-ish out to 4 m, growing
-# beyond, with the wired rig cleaner than the wireless one.
-WIRELESS_FER_TARGETS = ((1.0, 0.00475), (2.0, 0.005), (4.0, 0.0056),
-                        (5.0, 0.012), (10.0, 0.025))
-WIRED_FER_TARGETS = ((1.0, 0.0026), (2.0, 0.0030), (4.0, 0.0034),
-                     (5.0, 0.0040), (10.0, 0.0050))
+# Measured-FER targets per distance (m) for each preset.  Flat-ish out to
+# 4 m, growing beyond, with the wired rig cleaner than the wireless one.
+PRESET_FER_TARGETS = {
+    "wireless": ((1.0, 0.00475), (2.0, 0.005), (4.0, 0.0056), (5.0, 0.012), (10.0, 0.025)),
+    "wired": ((1.0, 0.0026), (2.0, 0.0030), (4.0, 0.0034), (5.0, 0.0040), (10.0, 0.0050)),
+}
 
 
 def _stream_spawn_key(stream_id) -> tuple[int, ...]:
@@ -67,7 +67,6 @@ class ChannelModel:
     ber: float = 0.0
     rng_seed: int = 0
     distance_map: tuple[tuple[float, float], ...] | None = None
-    _streams: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.ber <= 1.0:
@@ -76,14 +75,12 @@ class ChannelModel:
             self.distance_map = check_distance_map(self.distance_map)
 
     def stream(self, stream_id) -> np.random.Generator:
-        """Philox substream for (rng_seed, stream_id); cached per id."""
-        rng = self._streams.get(stream_id)
-        if rng is None:
-            seq = np.random.SeedSequence(entropy=self.rng_seed,
-                                         spawn_key=_stream_spawn_key(stream_id))
-            rng = np.random.Generator(np.random.Philox(seq))
-            self._streams[stream_id] = rng
-        return rng
+        """Fresh Philox generator at the start of the (rng_seed, stream_id)
+        substream; asking twice for one id gives two generators that draw the
+        same numbers."""
+        seq = np.random.SeedSequence(entropy=self.rng_seed,
+                                     spawn_key=_stream_spawn_key(stream_id))
+        return np.random.Generator(np.random.Philox(seq))
 
 
 class FrameCorruptor:
@@ -191,15 +188,12 @@ def _calibration_table(name: str) -> tuple[tuple[float, float], ...]:
     """(distance, ber) pairs of a preset, inverted once per process.
 
     Only the immutable table is cached; every `preset` call still builds a
-    fresh ChannelModel, whose substreams hold live generator state.
+    fresh ChannelModel.
     """
-    if name == "wireless":
-        targets = WIRELESS_FER_TARGETS
-    elif name == "wired":
-        targets = WIRED_FER_TARGETS
-    else:
+    if name not in PRESET_FER_TARGETS:
         raise RangeError(f"unknown channel preset {name!r}")
-    return tuple((d, invert_fer_analytic(f, CALIBRATION_PAYLOAD)) for d, f in targets)
+    return tuple((d, invert_fer_analytic(f, CALIBRATION_PAYLOAD))
+                 for d, f in PRESET_FER_TARGETS[name])
 
 
 def preset(name: str, rng_seed: int = 0) -> ChannelModel:

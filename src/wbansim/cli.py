@@ -7,7 +7,8 @@ environment variable (env wins).  Every CSV is written next to a
 ``<name>.manifest.json`` that captures the fully resolved inputs, so a run
 can be repeated bit for bit.
 
-Exit codes: 0 ok, 2 usage/config error, 3 optimizer non-convergence.
+Exit codes: 0 ok, 1 ``codec dump`` bytes that do not decode, 2 usage/config
+error, 3 optimizer non-convergence.
 """
 
 import argparse
@@ -29,7 +30,8 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 _FIELD_TYPES = {f.name: f.type for f in fields(simulator.ExperimentConfig)}
-MAX_RANGE_VALUES = 100_000   # values in one a..b range: 100x the longest an example uses
+MAX_RANGE_VALUES = 100_000   # values in one a..b range, and cells in one analyze grid:
+                             # 100x the longest an example uses
 
 
 # ------------------------------------------------------------ config files
@@ -64,7 +66,8 @@ def parse_values(spec: str) -> list:
             # counted as it grows: a step lost to rounding never moves `v`
             if len(values) == MAX_RANGE_VALUES:
                 raise ConfigError(f"range {spec!r} holds more than {MAX_RANGE_VALUES} values")
-            values.append(v)
+            # rounding may carry the last value just past `stop`: it is `stop`
+            values.append(v if v <= stop else float(stop))
             v = v + step
         if not values:
             raise ConfigError(f"range {spec!r} is empty")
@@ -132,6 +135,13 @@ def _flag_values(flag: str, spec: str, integral: bool = False) -> list:
         return [_integral(v) for v in values] if integral else values
     except ConfigError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _check_grid(flags: str, first: list, second: list) -> None:
+    """Refuse a grid of more than MAX_RANGE_VALUES cells; the error names both flags."""
+    if len(first) * len(second) > MAX_RANGE_VALUES:
+        raise ConfigError(f"{flags}: {len(first)} x {len(second)} values make more than "
+                          f"{MAX_RANGE_VALUES} cells")
 
 
 def build_config(raw: dict) -> simulator.ExperimentConfig:
@@ -235,6 +245,7 @@ def cmd_analyze(args) -> int:
             if not 1 <= m <= analytics.PAPER_MAX_M:
                 raise ConfigError(f"--m={m} outside 1..{analytics.PAPER_MAX_M}")
         p_values = _flag_values("--p-fer", args.p_fer)
+        _check_grid("--m x --p-fer", m_values, p_values)
         rows = []
         for p in p_values:
             for m in m_values:
@@ -248,6 +259,7 @@ def cmd_analyze(args) -> int:
     else:
         payloads = _flag_values("--payload", args.payload)
         p_values = _flag_values("--p-ber", args.p_ber)
+        _check_grid("--payload x --p-ber", payloads, p_values)
         rows = []
         for p in p_values:
             for payload in payloads:
@@ -313,7 +325,7 @@ def cmd_codec_dump(args) -> int:
     h = frame.header
     print(f"type={h.frame_type.name} to={h.recipient_id} from={h.sender_id} "
           f"seq={h.sequence} frag={h.fragment_index} last={h.last_fragment} "
-          f"payload_len={h.payload_len}")
+          f"payload_len={len(frame.body)}")
     print(f"body: {frame.body.hex() or '(empty)'}")
     print(f"fcs: 0x{int.from_bytes(wire[-2:], 'big'):04x}")
     return EXIT_OK

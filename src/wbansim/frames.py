@@ -27,6 +27,7 @@ from .errors import CrcError, MalformedError, RangeError, TruncatedError
 
 OVERHEAD_BYTES = 8        # header (6) + CRC (2)
 ACK_FRAME_BYTES = 9       # overhead + 1-byte acked sequence
+ACK_BITS = 8 * ACK_FRAME_BYTES
 MAX_PAYLOAD = 255
 MAX_FRAGMENT_INDEX = 127
 
@@ -57,17 +58,16 @@ class FrameHeader:
     sequence: int
     fragment_index: int = 0
     last_fragment: bool = True
-    payload_len: int = 0
 
     def validate(self) -> None:
         if (0 <= self.recipient_id <= 255 and 0 <= self.sender_id <= 255
-                and 0 <= self.sequence <= 255 and 0 <= self.payload_len <= 255
+                and 0 <= self.sequence <= 255
                 and 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX
                 and self.frame_type in _TYPE_BY_VALUE):
             return
         if self.frame_type not in _TYPE_BY_VALUE:
             raise RangeError(f"unknown frame type {self.frame_type!r}")
-        for name in ("recipient_id", "sender_id", "sequence", "payload_len"):
+        for name in ("recipient_id", "sender_id", "sequence"):
             value = getattr(self, name)
             if not 0 <= value <= 255:
                 raise RangeError(f"{name}={value} does not fit in one byte")
@@ -89,20 +89,18 @@ class Frame:
 def data_frame(recipient: int, sender: int, sequence: int, payload: bytes,
                fragment_index: int = 0, last_fragment: bool = True) -> Frame:
     header = FrameHeader(FrameType.DATA, recipient, sender, sequence,
-                         fragment_index, last_fragment, len(payload))
+                         fragment_index, last_fragment)
     return Frame(header, bytes(payload))
 
 
 def ack_frame(recipient: int, sender: int, acked_sequence: int) -> Frame:
-    header = FrameHeader(FrameType.ACK, recipient, sender, acked_sequence,
-                         payload_len=1)
+    header = FrameHeader(FrameType.ACK, recipient, sender, acked_sequence)
     return Frame(header, bytes([acked_sequence]))
 
 
 def management_frame(frame_type: FrameType, recipient: int, sender: int,
                      sequence: int, params: bytes = b"") -> Frame:
-    header = FrameHeader(frame_type, recipient, sender, sequence,
-                         payload_len=len(params))
+    header = FrameHeader(frame_type, recipient, sender, sequence)
     return Frame(header, bytes(params))
 
 
@@ -110,9 +108,8 @@ def encode_frame(frame: Frame) -> bytes:
     """Serialize `frame`; raises RangeError on out-of-range fields."""
     header = frame.header
     header.validate()
-    if header.payload_len != len(frame.body):
-        raise RangeError(
-            f"payload_len={header.payload_len} but body is {len(frame.body)} bytes")
+    if len(frame.body) > MAX_PAYLOAD:
+        raise RangeError(f"body of {len(frame.body)} bytes exceeds {MAX_PAYLOAD}")
     if header.frame_type is FrameType.ACK and len(frame.body) != 1:
         raise RangeError("Ack frames carry exactly one body byte")
     fragment_control = header.fragment_index | (
@@ -123,7 +120,7 @@ def encode_frame(frame: Frame) -> bytes:
         header.sender_id,
         header.sequence,
         fragment_control,
-        header.payload_len,
+        len(frame.body),
     )) + frame.body
     return wire + compute_crc16(wire).to_bytes(2, "big")
 
@@ -141,7 +138,6 @@ def _parse_header(data: bytes) -> FrameHeader:
         sequence=data[3],
         fragment_index=data[4] & MAX_FRAGMENT_INDEX,
         last_fragment=bool(data[4] & _LAST_FRAGMENT_BIT),
-        payload_len=data[5],
     )
 
 
@@ -165,9 +161,9 @@ def decode_frame(data: bytes) -> Frame:
             f"checksum mismatch (got 0x{received:04x}, computed 0x{computed:04x})",
             header=header)
     header = _parse_header(data)
-    if header.payload_len != len(data) - OVERHEAD_BYTES:
+    if data[5] != len(data) - OVERHEAD_BYTES:
         raise MalformedError(
-            f"payload_len={header.payload_len} inconsistent with frame of {len(data)} bytes")
+            f"payload_len={data[5]} inconsistent with frame of {len(data)} bytes")
     if header.frame_type is FrameType.ACK and len(data) != ACK_FRAME_BYTES:
         raise MalformedError(f"Ack frame must be {ACK_FRAME_BYTES} bytes, got {len(data)}")
     return Frame(header, bytes(data[6:-2]))

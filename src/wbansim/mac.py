@@ -54,14 +54,13 @@ from typing import Optional
 from .channel import ChannelModel, FrameCorruptor
 from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
                      RangeError, TruncatedError)
-from .frames import (Frame, FrameType, ack_frame, data_frame, decode_frame,
+from .frames import (ACK_BITS, MAX_FRAGMENT_INDEX, MAX_PAYLOAD, OVERHEAD_BYTES,
+                     Frame, FrameType, ack_frame, data_frame, decode_frame,
                      encode_frame, management_frame)
-from . import frames as _frames
 
 MAX_NODES = 64
-MAX_FRAME_BYTES = _frames.MAX_PAYLOAD + _frames.OVERHEAD_BYTES
-MAX_FRAGMENTS = _frames.MAX_FRAGMENT_INDEX + 1
-ACK_BITS = _frames.ACK_FRAME_BYTES * 8
+MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
+MAX_FRAGMENTS = MAX_FRAGMENT_INDEX + 1
 DEFAULT_DATA_RATE_BPS = 121_400
 JOIN_MAX_ROUNDS = 63
 
@@ -146,7 +145,6 @@ class Device:
         self.role = role
         self.device_id = device_id
         self.max_retries = max_retries
-        self.max_payload = _frames.MAX_PAYLOAD
         self.data_rate_bps = data_rate_bps
         self.ack_timeout = ack_timeout_for_rate(data_rate_bps)
         self.reassembly_timeout = 10.0 * self.ack_timeout
@@ -155,17 +153,16 @@ class Device:
         self.now = 0.0
         self.connection = Connection.IDLE
         self.hub_id: Optional[int] = None          # node side
-        self.registry: dict[int, float] = {}       # hub side: node id -> join time
+        self.registry: set[int] = set()            # hub side: connected node ids
         self.next_sequence = 0
         self.inbox: deque = deque()
+        self.last_accepted: dict[int, int] = {}    # sender -> last data sequence
 
         self._tx_queue: deque = deque()            # (sdu_id, Frame)
         self._pending: Optional[_PendingAck] = None
         self._mgmt_deadline: Optional[float] = None
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
-        self._last_accepted: dict[int, int] = {}   # sender -> last data sequence
         self._ack_tx_memo: dict = {}               # (sender, seq) -> tx action
-        self._ack_rx_memo: dict = {}               # ack wire bytes -> Frame
 
         # raw tallies; the simulator folds them into per-link counters
         self.frames_sent = 0        # data-frame transmission attempts
@@ -214,7 +211,7 @@ class Device:
         self._record(PrimitiveFamily.DATA_SERVICE, PrimitiveKind.REQUEST)
         if self.hub_id is None:
             raise ProtocolError("no hub association; connect before sending data")
-        chunks = fragment_sdu(sdu, self.max_payload)
+        chunks = fragment_sdu(sdu, MAX_PAYLOAD)
         if len(chunks) > MAX_FRAGMENTS:
             raise RangeError(
                 f"SDU needs {len(chunks)} fragments; the header carries at most {MAX_FRAGMENTS}")
@@ -235,7 +232,6 @@ class Device:
         self.packets_sent += 1
         for frame in frames:
             frame.header.sequence = self._take_sequence()
-            frame.header.payload_len = len(frame.body)
             self._tx_queue.append((sdu_id, frame))
         outputs: list = []
         self._transmit_next(outputs)
@@ -270,23 +266,19 @@ class Device:
         outputs.append(("ind", primitive))
 
     def _on_wire(self, wire: bytes, outputs: list) -> None:
-        frame = self._ack_rx_memo.get(wire) if len(wire) == 9 else None
-        if frame is None:
-            try:
-                frame = decode_frame(wire)
-            except CrcError as exc:
-                self.drops["crc"] += 1
-                if exc.header is not None:
-                    self.drops[f"crc_from_{exc.header.sender_id}"] += 1
-                return
-            except TruncatedError:
-                self.drops["truncated"] += 1
-                return
-            except MalformedError:
-                self.drops["malformed"] += 1
-                return
-            if frame.header.frame_type is FrameType.ACK:
-                self._ack_rx_memo[wire] = frame
+        try:
+            frame = decode_frame(wire)
+        except CrcError as exc:
+            self.drops["crc"] += 1
+            if exc.header is not None:
+                self.drops[f"crc_from_{exc.header.sender_id}"] += 1
+            return
+        except TruncatedError:
+            self.drops["truncated"] += 1
+            return
+        except MalformedError:
+            self.drops["malformed"] += 1
+            return
         if frame.header.recipient_id != self.device_id:
             self.drops["address"] += 1
             return
@@ -331,7 +323,7 @@ class Device:
                 self.drops["capacity"] += 1
                 self._send_mgmt(FrameType.MGMT_DISCONNECT, sender, outputs)
                 return
-            self.registry[sender] = self.now
+            self.registry.add(sender)
             self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
             self._emit(outputs, Primitive(
                 PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
@@ -350,7 +342,7 @@ class Device:
         elif ftype is FrameType.MGMT_DISCONNECT:
             if self.role is Role.HUB:
                 if sender in self.registry:
-                    del self.registry[sender]
+                    self.registry.remove(sender)
                     self._emit(outputs, Primitive(
                         PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
                         {"event": "node_left", "node_id": sender}))
@@ -442,10 +434,10 @@ class Device:
             action = ("tx", ack, encode_frame(ack))
             self._ack_tx_memo[key] = action
         outputs.append(action)
-        if self._last_accepted.get(sender) == frame.header.sequence:
+        if self.last_accepted.get(sender) == frame.header.sequence:
             self.drops["duplicate"] += 1
             return
-        self._last_accepted[sender] = frame.header.sequence
+        self.last_accepted[sender] = frame.header.sequence
         sdu = self.reassemble(frame)
         if sdu is not None:
             self.rx_packets[sender] += 1
@@ -629,11 +621,11 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             or sender.hub_id != hub.device_id
             or sender.inbox or sender.next_deadline is not None
             or hub.inbox or node_id not in hub.registry
-            or hub._last_accepted.get(node_id) == seq):
+            or hub.last_accepted.get(node_id) == seq):
         return 0
     # After one clean exchange the hub's last accepted sequence is the one
     # before the next, so only the first exchange can be a wrapped duplicate.
-    data_bits = (payload_len + _frames.OVERHEAD_BYTES) * 8
+    data_bits = (payload_len + OVERHEAD_BYTES) * 8
     rate = sender.data_rate_bps
     t_data, t_ack = data_bits / rate, ACK_BITS / rate
     now = arrival = sender.now
@@ -657,7 +649,7 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     # hub: intact, new, unfragmented data frames
     hub.rx_frames[node_id] += taken
     hub.rx_packets[node_id] += taken
-    hub._last_accepted[node_id] = (seq + taken - 1) & 0xFF
+    hub.last_accepted[node_id] = (seq + taken - 1) & 0xFF
     if hub.now < arrival:
         hub.now = arrival
     return taken

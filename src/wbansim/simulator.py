@@ -42,13 +42,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import analytics
-from .channel import ChannelModel, ber_for_distance, check_distance_map, preset
+from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
+                      check_distance_map, preset)
 from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES, data_frame
 from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
                   establish_connection, make_link, send_clean, send_with_arq)
 
-PRESETS = ("wireless", "wired", "explicit")
+PRESETS = (*PRESET_FER_TARGETS, "explicit")
 MAX_EXCHANGES_PER_NODE = 10**8   # clean exchanges one node could fit in duration_s
 
 
@@ -152,13 +153,6 @@ class LinkResult:
     delivered: int
     lost: int
     busy_s: float       # link-local virtual time consumed
-
-    @property
-    def attempt_failure_rate(self) -> float:
-        """Share of ARQ attempts whose data frame or ack was corrupted."""
-        if self.counters.s_frm == 0:
-            return 0.0
-        return (self.counters.s_frm - self.delivered) / self.counters.s_frm
 
 
 @dataclass

@@ -64,6 +64,22 @@ def test_paper_model_two_attempts_term_by_term():
     assert retry_success_paper(2, 0.1) == pytest.approx(0.1539, rel=1e-12)
 
 
+def _paper_sum_with_math_comb(m, p):
+    # the printed sum, one math.comb per term
+    total = 0.0
+    for i in range(m):
+        total += math.comb(m - 1, i) * (p * (1.0 - p)) ** (m - i - 1) * p ** i
+    return (1.0 - p) ** 2 * total
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 300, PAPER_MAX_M])
+def test_paper_model_matches_math_comb_bit_for_bit(m):
+    for p in (0.0, 1e-6, 0.001, 0.05, 0.1, 0.3, 0.5, 0.7, 0.999, 1.0):
+        expected = _paper_sum_with_math_comb(m, p)
+        assert math.isfinite(expected)
+        assert retry_success_paper(m, p) == expected
+
+
 def test_geometric_single_attempt():
     assert retry_success_geometric(1, 0.1) == pytest.approx(0.81, rel=1e-12)
 

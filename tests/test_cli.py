@@ -31,6 +31,13 @@ def test_parse_range_with_step():
     assert parse_values("5..30 step 5") == [5, 10, 15, 20, 25, 30]
 
 
+def test_parse_range_ends_at_its_bound_despite_rounding():
+    # 0.001 added 1000 times comes to 1.0000000000000007
+    values = parse_values("0..1 step 0.001")
+    assert len(values) == 1001
+    assert values[-1] == 1.0 and max(values) == 1.0
+
+
 def test_parse_float_values():
     assert parse_values("1e-4,1e-3") == [1e-4, 1e-3]
 
@@ -309,6 +316,11 @@ BAD_FLAG_VALUES = {
     "payload-range-2e5": (["analyze", "payload", "--payload", "0..2e5", "--p-ber", "1e-3"],
                           "--payload"),
     "retry-m-range-1e9": (["analyze", "retry", "--m", "1..1e9"], "--m"),
+    # grids of more than MAX_RANGE_VALUES cells from two lists within it
+    "retry-grid-150030": (["analyze", "retry", "--m", "1..30", "--p-fer", "0..1 step 0.0002"],
+                          "--m x --p-fer"),
+    "payload-grid-128256": (["analyze", "payload", "--payload", "0..255",
+                             "--p-ber", "0..0.5 step 0.001"], "--payload x --p-ber"),
     "sweep-retries-range-1e9": (["sweep", "--axis", "max_retries", "--values", "0..1e9"],
                                 "--values"),
     # a step below the float spacing at 1e20 never moves the range on

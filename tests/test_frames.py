@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wbansim.errors import CrcError, MalformedError, RangeError, TruncatedError
-from wbansim.frames import (ACK_FRAME_BYTES, OVERHEAD_BYTES, Frame, FrameHeader,
+from wbansim.frames import (ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, Frame, FrameHeader,
                             FrameType, ack_frame, compute_crc16, data_frame,
                             decode_frame, encode_frame, management_frame)
 
@@ -124,8 +124,6 @@ def test_out_of_range_fields_raise(header):
         encode_frame(Frame(header, b""))
 
 
-def test_payload_len_mismatch_raises():
-    f = data_frame(1, 2, 3, b"abc")
-    f.header.payload_len = 2
+def test_body_over_max_payload_raises():
     with pytest.raises(RangeError):
-        encode_frame(f)
+        encode_frame(data_frame(1, 2, 3, bytes(MAX_PAYLOAD + 1)))

@@ -7,9 +7,9 @@ import pytest
 
 from wbansim.channel import ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (FrameType, ack_frame, compute_crc16, data_frame,
+from wbansim.frames import (ACK_BITS, FrameType, ack_frame, compute_crc16, data_frame,
                             encode_frame, management_frame)
-from wbansim.mac import (ACK_BITS, JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
+from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link,
                          send_clean, send_with_arq)
@@ -70,7 +70,7 @@ def test_full_handshake_reaches_connected():
 def test_hub_capacity_rejection():
     hub = Device(Role.HUB, 0)
     for i in range(MAX_NODES):
-        hub.registry[i + 1] = 0.0
+        hub.registry.add(i + 1)
     node = Device(Role.NODE, 70)
     link = make_link(node, hub, ChannelModel(ber=0.0, rng_seed=1))
     assert not establish_connection(node, hub, link)
@@ -158,12 +158,13 @@ def test_fragment_concat_inverse_full_range():
 
 def test_reassemble_in_order():
     hub, node, link = connect(*lossless_pair())
-    sdu = bytes(range(25))
-    node.max_payload = 10
+    sdu = bytes(i & 0xFF for i in range(600))
     outputs = node.request_send(sdu)
     delivered = []
+    data_frames = 0
     for _ in range(10):
         for _, frame, wire in txs(outputs):
+            data_frames += frame.header.frame_type is FrameType.DATA
             hub.deliver(wire)
             hub_out = hub.poll_step()
             delivered += [p.payload["sdu"] for p in inds(hub_out)
@@ -171,6 +172,7 @@ def test_reassemble_in_order():
             for _, _a, awire in txs(hub_out):
                 node.deliver(awire)
         outputs = node.poll_step()
+    assert data_frames > 1
     assert delivered == [sdu]
 
 
@@ -185,7 +187,7 @@ def make_fragments(sender_id, sdu, max_payload, base_seq=10):
 def test_reassemble_out_of_order_permutations():
     rng = random.Random(9)
     hub = Device(Role.HUB, 0)
-    hub.registry[1] = 0.0
+    hub.registry.add(1)
     for trial in range(40):
         sdu = rng.randbytes(rng.randrange(2, 60))
         frames = make_fragments(1, sdu, 7, base_seq=rng.randrange(256))
@@ -200,7 +202,7 @@ def test_reassemble_out_of_order_permutations():
 
 def test_reassembly_gap_times_out():
     hub = Device(Role.HUB, 0)
-    hub.registry[1] = 0.0
+    hub.registry.add(1)
     frames = make_fragments(1, bytes(30), 10)
     hub.deliver(encode_frame(frames[0]))
     hub.deliver(encode_frame(frames[2]))  # index 1 missing, last flag seen
@@ -318,7 +320,7 @@ def test_next_deadline_tracks_the_pending_ack():
 
 # --------------------------------------------------------- clean exchanges
 
-STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "_last_accepted",
+STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "last_accepted",
                 "frames_sent", "packets_sent", "packets_delivered", "packets_lost",
                 "rx_frames", "rx_packets", "drops")
 
@@ -358,11 +360,11 @@ def _traced(hub, node):
 
 
 def _wrapped_sequence(hub, node):
-    hub._last_accepted[node.device_id] = node.next_sequence
+    hub.last_accepted[node.device_id] = node.next_sequence
 
 
 def _not_registered(hub, node):
-    del hub.registry[node.device_id]
+    hub.registry.remove(node.device_id)
 
 
 def _hub_inbox_busy(hub, node):
