@@ -18,6 +18,8 @@ import functools
 import hashlib
 import math
 import sys
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +90,9 @@ class FrameCorruptor:
 
     Bit positions are MSB-first within each byte.  One instance per
     substream treats everything it carries as one Bernoulli(`ber`) bit
-    sequence, frame after frame, and keeps a single integer: the number of
-    clean bits before the next flip.  Gaps between the successes of
-    Bernoulli trials are geometric, so drawing each gap by inversion,
+    sequence, frame after frame, and keeps the number of clean bits before
+    the next flip.  Gaps between the successes of Bernoulli trials are
+    geometric, so drawing each gap by inversion,
     ``floor(log1p(-u) / log1p(-ber))`` from one uniform ``u`` (Devroye,
     *Non-Uniform Random Variate Generation*, 1986), realizes exactly the
     i.i.d. per-bit law at one draw per flipped bit.  A frame the gap covers
@@ -99,15 +101,19 @@ class FrameCorruptor:
     remainder carries into the next frame.
 
     ``clean_run`` says how many frames of a given length will cross with
-    zero flips before the next one that will not, and ``skip`` consumes
-    some of them without flipping anything; together they let a caller
-    account frames that will arrive intact without building them, and
-    neither draws.  At ``ber`` 0 nothing flips and at ``ber`` 1 every bit
-    does; neither draws anything.  Setting ``ber`` discards the gap and
-    draws a fresh one, which is exact because the law is memoryless.
+    zero flips before the next one that will not, ``flips_ahead`` counts
+    the flips of each next frame, and ``skip`` consumes frames without
+    flipping anything; together they let a caller account frames whose
+    fate their flip counts decide without building them.  Gaps drawn to
+    look ahead wait in a buffer that ``corrupt`` and ``skip`` take from
+    before they draw again, so every substream draws the same numbers in
+    the same order whether or not anyone looked ahead.  At ``ber`` 0
+    nothing flips and at ``ber`` 1 every bit does; neither draws anything.
+    Setting ``ber`` discards the gap and the buffer and draws a fresh gap,
+    which is exact because the law is memoryless.
     """
 
-    __slots__ = ("rng", "_ber", "_log_q", "_gap")
+    __slots__ = ("rng", "_ber", "_log_q", "_gap", "_ahead")
 
     def __init__(self, rng: np.random.Generator, ber: float):
         self.rng = rng
@@ -122,6 +128,7 @@ class FrameCorruptor:
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"ber={value} is not a probability")
         self._ber = value
+        self._ahead = deque()   # gaps after the next flip, drawn by a look-ahead
         if 0.0 < value < 1.0:
             self._log_q = math.log1p(-value)
             self._gap = self._draw()
@@ -146,11 +153,44 @@ class FrameCorruptor:
             return 0
         return self._gap // nbits
 
+    def flips_ahead(self, nbits: int, cap: int) -> Iterator[int]:
+        """Yield the number of flips each next frame of `nbits` bits will
+        carry, counting at most `cap`; consumes nothing.
+
+        The look-ahead ends after the first frame that reaches `cap`, and it
+        holds only until the next ``corrupt``, ``skip`` or change of ``ber``.
+        """
+        ber = self._ber
+        if ber == 0.0 or ber == 1.0:
+            count = min(nbits, cap) if ber else 0
+            while True:
+                yield count
+                if count == cap:
+                    return
+        ahead = self._ahead
+        pos, i = self._gap, 0   # next flip from the frame start; ahead[i] follows it
+        while True:
+            count = 0
+            while pos < nbits:
+                count += 1
+                if count == cap:
+                    yield cap
+                    return
+                if i == len(ahead):
+                    ahead.append(self._draw())
+                pos += 1 + ahead[i]
+                i += 1
+            yield count
+            pos -= nbits
+
     def skip(self, nbits: int, n: int) -> None:
-        """Consume `n` clean frames of `nbits` bits: `n` is at most
-        ``clean_run(nbits)``."""
+        """Consume `n` frames of `nbits` bits as ``corrupt`` would, flips
+        included, without building them."""
         if 0.0 < self._ber < 1.0:
-            self._gap -= n * nbits
+            end, pos, ahead = n * nbits, self._gap, self._ahead
+            while pos < end:
+                pos += 1 + (ahead.popleft() if ahead else self._draw())
+            self._gap = pos - end
 
     def corrupt(self, data: bytes) -> bytes:
         ber = self._ber
@@ -164,9 +204,10 @@ class FrameCorruptor:
             self._gap = pos - nbits
             return data
         out = bytearray(data)
+        ahead = self._ahead
         while pos < nbits:
             out[pos >> 3] ^= 0x80 >> (pos & 7)
-            pos += 1 + self._draw()
+            pos += 1 + (ahead.popleft() if ahead else self._draw())
         self._gap = pos - nbits
         return bytes(out)
 

@@ -18,8 +18,8 @@ class MalformedError(WbanError):
 
 
 class CrcError(WbanError):
-    """Checksum mismatch.  Carries the best-effort parsed header so the
-    receiver can still attribute the error frame to a link."""
+    """Checksum mismatch.  Carries the best-effort parsed header, which may
+    itself hold flipped bits; ``codec dump`` prints it."""
 
     def __init__(self, message, header=None):
         super().__init__(message)

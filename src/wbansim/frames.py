@@ -30,6 +30,9 @@ ACK_FRAME_BYTES = 9       # overhead + 1-byte acked sequence
 ACK_BITS = 8 * ACK_FRAME_BYTES
 MAX_PAYLOAD = 255
 MAX_FRAGMENT_INDEX = 127
+# CRC-16/CCITT has Hamming distance 4 up to the largest frame (Koopman and
+# Chakravarty, DSN 2004): every error of fewer bit flips fails the checksum.
+CRC_HAMMING_DISTANCE = 4
 
 _LAST_FRAGMENT_BIT = 0x80
 

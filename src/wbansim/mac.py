@@ -26,18 +26,21 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
 
-``send_clean`` is the arithmetic twin of ``send_with_arq`` for the common
-case.  The channel knows how many clean bits lie before each link's next
-flip, so while the next data frames and their acks will all cross the link
-with zero flips, the two devices are idle, connected and untraced, and the
-hub would not take the first frame for a sequence-wrap duplicate, the
-outcome of each exchange is known: one attempt, one delivery.
-``send_clean`` accounts that whole run of clean exchanges (up to a time
-limit) in one call: it consumes their clean bits and makes the counter,
-sequence and clock changes the frame path would make.  At the first
-exchange that is not clean it stops, and when there is none it changes
-nothing and the caller takes the frame path.  Each link draws from its own
-substreams, so skipping one link's frames cannot move another's.
+``send_clean`` is the arithmetic twin of ``send_with_arq``.  The channel
+can count the flips each of a link's next frames will carry before any
+frame exists, and CRC-16/CCITT catches every error of 1 to 3 flips in a
+frame of any size this codec builds.  So while the two devices are idle,
+connected and untraced, a packet whose data frames and acks each carry at
+most 3 flips has a decided fate: a frame with no flip arrives intact, any
+other fails its checksum, and each attempt ends in delivery or at its
+deadline.  ``send_clean`` accounts such packets (up to a time limit) in
+plain arithmetic: it consumes their bits and makes the counter, drop,
+sequence and clock changes the frame path would make, taking each run of
+clean exchanges in one step.  At the first packet with a frame of 4 or
+more flips it stops, and when that is the next packet it changes nothing
+and the caller takes the frame path, which flips the very bits counted.
+Each link draws from its own substreams, so skipping one link's frames
+cannot move another's.
 
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
@@ -54,9 +57,9 @@ from typing import Optional
 from .channel import ChannelModel, FrameCorruptor
 from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
                      RangeError, TruncatedError)
-from .frames import (ACK_BITS, MAX_FRAGMENT_INDEX, MAX_PAYLOAD, OVERHEAD_BYTES,
-                     Frame, FrameType, ack_frame, data_frame, decode_frame,
-                     encode_frame, management_frame)
+from .frames import (ACK_BITS, CRC_HAMMING_DISTANCE, MAX_FRAGMENT_INDEX, MAX_PAYLOAD,
+                     OVERHEAD_BYTES, Frame, FrameType, ack_frame, data_frame,
+                     decode_frame, encode_frame, management_frame)
 
 MAX_NODES = 64
 MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
@@ -268,10 +271,8 @@ class Device:
     def _on_wire(self, wire: bytes, outputs: list) -> None:
         try:
             frame = decode_frame(wire)
-        except CrcError as exc:
+        except CrcError:
             self.drops["crc"] += 1
-            if exc.header is not None:
-                self.drops[f"crc_from_{exc.header.sender_id}"] += 1
             return
         except TruncatedError:
             self.drops["truncated"] += 1
@@ -598,61 +599,122 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
 
 def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                until: float) -> int:
-    """Account the clean ARQ exchanges of `payload_len`-byte data frames that
-    start before `until`, up to the first exchange that is not clean.
+    """Account the packets of one `payload_len`-byte data frame each that
+    start before `until`, up to the first whose fate the CRC could leave
+    open.
 
-    An exchange is clean when it would be one attempt whose data frame and
-    ack both arrive intact, and new to the hub, between idle, untraced
-    devices.  Returns how many exchanges were taken; 0 means nothing changed
-    and the caller sends the next frame with ``send_with_arq``.  For each
-    exchange taken it applies what ``send_with_arq`` would do with that
-    frame.  The two airtimes are still added one at a time per exchange, as
-    the frame path adds them, so the clock rounds the same way; the hub
-    clock is pulled forward to the last data arrival.  At ``ber`` 0 every
-    exchange is clean and only `until` ends the run.
+    Between idle, untraced, connected devices a packet's fate follows from
+    the flip counts of its frames: a frame with no flip arrives intact, and
+    one with 1 to ``CRC_HAMMING_DISTANCE - 1`` flips fails its checksum.
+    Each attempt then goes as in ``send_with_arq``: a lost data frame or
+    ack ends at the attempt's deadline, the hub accepts an intact data
+    frame or counts it a duplicate, and a packet whose attempts all fail is
+    lost.  A packet with a frame of more flips is left to the frame path.
+    Returns how many packets were taken; 0 means nothing changed and the
+    caller sends the next packet with ``send_with_arq``, which flips the
+    bits counted here.  Airtimes and deadlines are added in the frame
+    path's order, so the clocks round the same way; the hub clock is pulled
+    forward to the last data arrival.  A run of clean exchanges is taken in
+    one step; at ``ber`` 0 every exchange is clean and only `until` ends
+    the run.
     """
     hub = link.peer
     node_id = sender.device_id
-    seq = sender.next_sequence
     # a connected sender with no armed deadline has no ack pending, and so
     # an empty transmit queue
     if (sender.trace is not None or hub.trace is not None
             or sender.connection is not Connection.CONNECTED
             or sender.hub_id != hub.device_id
             or sender.inbox or sender.next_deadline is not None
-            or hub.inbox or node_id not in hub.registry
-            or hub.last_accepted.get(node_id) == seq):
+            or hub.inbox or node_id not in hub.registry):
         return 0
-    # After one clean exchange the hub's last accepted sequence is the one
-    # before the next, so only the first exchange can be a wrapped duplicate.
+    uplink, downlink = link.uplink, link.downlink
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
     rate = sender.data_rate_bps
     t_data, t_ack = data_bits / rate, ACK_BITS / rate
+    timeout = sender.ack_timeout
+    tries = sender.max_retries + 1
     now = arrival = sender.now
-    run = link.clean_run(data_bits)
-    taken = 0
-    while taken < run and now < until:
-        now += t_data
-        arrival = now
-        now += t_ack
-        taken += 1
-    if not taken:
+    seq = sender.next_sequence
+    last = hub.last_accepted.get(node_id)
+    packets = frames = intact = accepted = lost = acks_lost = 0
+    while now < until:
+        run = link.clean_run(data_bits)
+        if run:   # one attempt each, data frame and ack intact
+            taken = 0
+            while taken < run and now < until:
+                now += t_data
+                arrival = now
+                now += t_ack
+                taken += 1
+            uplink.skip(data_bits, taken)
+            downlink.skip(ACK_BITS, taken)
+            packets += taken
+            frames += taken
+            intact += taken
+            accepted += taken - (last == seq)   # only the first can repeat it
+            last = (seq + taken - 1) & 0xFF
+            seq = (seq + taken) & 0xFF
+            continue
+        data_flips = uplink.flips_ahead(data_bits, CRC_HAMMING_DISTANCE)
+        ack_flips = downlink.flips_ahead(ACK_BITS, CRC_HAMMING_DISTANCE)
+        t, attempts, arrived = now, 0, 0
+        while attempts < tries:
+            attempts += 1
+            deadline = t + t_data + timeout
+            t += t_data
+            landed = t
+            flips = next(data_flips)
+            if not flips:
+                arrived += 1
+                t += t_ack
+                flips = next(ack_flips)
+                if not flips:
+                    break
+            if flips == CRC_HAMMING_DISTANCE:
+                break
+            t = deadline
+        if flips == CRC_HAMMING_DISTANCE:
+            break   # the frame path carries this packet
+        uplink.skip(data_bits, attempts)
+        downlink.skip(ACK_BITS, arrived)
+        now, arrival = t, landed
+        packets += 1
+        frames += attempts
+        intact += arrived
+        lost += flips != 0
+        acks_lost += arrived - (flips == 0)
+        if arrived:
+            accepted += last != seq
+            last = seq
+        seq = (seq + 1) & 0xFF
+    if not packets:
         return 0
-    link.uplink.skip(data_bits, taken)
-    link.downlink.skip(ACK_BITS, taken)
-    # sender: per exchange, submit, one transmission, the ack
-    sender.next_sequence = (seq + taken) & 0xFF
-    sender.packets_sent += taken
-    sender.frames_sent += taken
-    sender.packets_delivered += taken
+    # the sender: per packet, submit, its transmissions and its fate
+    sender.next_sequence = seq
+    sender.packets_sent += packets
+    sender.frames_sent += frames
+    sender.packets_delivered += packets - lost
     sender.now = now
-    # hub: intact, new, unfragmented data frames
-    hub.rx_frames[node_id] += taken
-    hub.rx_packets[node_id] += taken
-    hub.last_accepted[node_id] = (seq + taken - 1) & 0xFF
+    # Counter keys appear only when counted, as on the frame path
+    if lost:
+        sender.packets_lost += lost
+        sender.drops["exhausted"] += lost
+    if acks_lost:
+        sender.drops["crc"] += acks_lost
+    # the hub: intact data frames, new or duplicate, and checksum failures
+    if intact:
+        hub.rx_frames[node_id] += intact
+        hub.last_accepted[node_id] = last
+    if accepted:
+        hub.rx_packets[node_id] += accepted
+    if intact > accepted:
+        hub.drops["duplicate"] += intact - accepted
+    if frames > intact:
+        hub.drops["crc"] += frames - intact
     if hub.now < arrival:
         hub.now = arrival
-    return taken
+    return packets
 
 
 def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:

@@ -20,18 +20,19 @@ Missing and checksum-failed frames are indistinguishable in these counters,
 exactly as a real rig that logs send/receive tallies would see them.
 
 Each time a node comes off the heap it first tries ``mac.send_clean``,
-which accounts in plain arithmetic every clean exchange (data frame and ack
-both drawn with zero flips, devices idle and connected, no sequence-wrap
-duplicate) up to the first that is not clean or the end of the run, and
-falls back to ``mac.send_with_arq`` for that one exchange.  An untraced
-link therefore comes off the heap about twice per frame-path exchange, not
-once per exchange.  A run with a trace always takes the frame path, so
+which accounts in plain arithmetic every packet whose fate the flip counts
+of its frames decide (devices idle and connected, each data frame and ack
+with at most 3 flips, which the CRC always catches), up to the first packet
+with a frame of 4 or more flips or the end of the run, and falls back to
+``mac.send_with_arq`` for that one packet.  An untraced link therefore comes
+off the heap about twice per packet with a frame of 4 or more flips, not
+once per packet.  A run with a trace always takes the frame path, so
 every primitive is recorded in virtual-time order, which the heap keeps.
 Both paths leave the same counters and link clocks, because each link draws
-only from its own substreams and ``send_clean`` consumes exactly the clean
-bits the frame path would have carried.  Only the hub clock, which no
-untraced outcome reads, may run ahead of the other links while one link
-takes a long run.
+only from its own substreams and ``send_clean`` consumes exactly the bits
+the frame path would have carried.  Only the hub clock, which no untraced
+outcome reads, may run ahead of the other links while one link takes a
+long run.
 """
 
 import heapq
@@ -45,7 +46,7 @@ from . import analytics
 from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
                       check_distance_map, preset)
 from .errors import ConfigError, RangeError
-from .frames import ACK_FRAME_BYTES, OVERHEAD_BYTES, data_frame
+from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, data_frame
 from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
                   establish_connection, make_link, send_clean, send_with_arq)
 
@@ -74,8 +75,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not 1 <= self.node_count <= 64:
             raise ConfigError(f"node_count={self.node_count} outside 1..64")
-        if not 0 <= self.payload_len <= 255:
-            raise ConfigError(f"payload_len={self.payload_len} outside 0..255")
+        if not 0 <= self.payload_len <= MAX_PAYLOAD:
+            raise ConfigError(f"payload_len={self.payload_len} outside 0..{MAX_PAYLOAD}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries={self.max_retries} must be >= 0")
         for key in ("data_rate_bps", "duration_s"):

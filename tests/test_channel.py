@@ -2,6 +2,7 @@
 
 import math
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -128,10 +129,47 @@ def test_clean_run_and_skip_keep_the_corrupt_sequence():
     assert 5000 < skipped < 9000
 
 
+def test_flips_ahead_keeps_the_corrupt_sequence():
+    # counts read ahead, then the frames carried through corrupt or skip,
+    # give the bytes of a twin that never looked ahead, with three lengths
+    # on one bit sequence and looks that reach past what is then carried
+    cap = 4
+    rng = np.random.default_rng(8)
+    probed = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
+    plain = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
+    looked = carried = 0
+    for _ in range(3000):
+        frame = bytes(int(rng.choice([9, 18, 263])))
+        nbits, ahead = len(frame) * 8, int(rng.integers(1, 6))
+        counts = list(islice(probed.flips_ahead(nbits, cap), ahead))
+        assert list(islice(probed.flips_ahead(nbits, cap), ahead)) == counts
+        looked += len(counts)
+        for count in counts[:int(rng.integers(0, len(counts) + 1))]:
+            out = plain.corrupt(frame)
+            assert min(bit_count_diff(out, frame), cap) == count
+            if rng.random() < 0.5:
+                assert probed.corrupt(frame) == out
+            else:
+                probed.skip(nbits, 1)
+            carried += 1
+    assert probed.corrupt(bytes(263)) == plain.corrupt(bytes(263))
+    assert 1000 < carried < looked
+    # setting ber discards the gaps drawn ahead: the corruptor then equals
+    # a fresh one on a generator at the same point of the substream
+    list(islice(probed.flips_ahead(144, 10**6), 20))
+    fresh_rng = ChannelModel(rng_seed=6).stream("s")
+    fresh_rng.bit_generator.state = probed.rng.bit_generator.state
+    probed.ber = fresh_ber = 0.02
+    fresh = FrameCorruptor(fresh_rng, fresh_ber)
+    for _ in range(200):
+        assert probed.corrupt(bytes(18)) == fresh.corrupt(bytes(18))
+
+
 def test_clean_run_at_the_extreme_rates_draws_nothing():
     for ber, run in ((0.0, sys.maxsize), (1.0, 0)):
         corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
         assert corruptor.clean_run(144) == run
+        assert next(corruptor.flips_ahead(144, 4)) == (4 if ber else 0)
         corruptor.skip(144, run)
         assert corruptor.corrupt(bytes(18)) == bytes([0xFF if ber else 0] * 18)
         assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()

@@ -2,7 +2,8 @@
 
 import random
 
-from wbansim.frames import compute_crc16
+from wbansim.frames import (CRC_HAMMING_DISTANCE, MAX_PAYLOAD, OVERHEAD_BYTES,
+                            compute_crc16, data_frame, encode_frame)
 
 
 def crc16_reference(data: bytes) -> int:
@@ -37,3 +38,37 @@ def test_matches_reference_on_random_inputs():
     for _ in range(500):
         data = rng.randbytes(rng.randrange(0, 64))
         assert compute_crc16(data) == crc16_reference(data)
+
+
+def test_every_error_of_up_to_three_bits_fails_the_checksum():
+    # The syndrome, computed CRC xor received CRC, is 0 on an intact frame
+    # and linear in the error pattern, so an error's syndrome is the xor of
+    # its single-bit syndromes.  On the largest frame (263 bytes, 2104 bits,
+    # CRC included): no single-bit syndrome is 0, no two are equal and no
+    # two xor to a third, so every 1-, 2- and 3-bit error is caught.  A
+    # shorter frame's single-bit syndromes are the last ones of this frame.
+    wire = encode_frame(data_frame(0, 1, 0, bytes(range(MAX_PAYLOAD))))
+    assert len(wire) == MAX_PAYLOAD + OVERHEAD_BYTES
+
+    def syndrome(frame: bytes) -> int:
+        return compute_crc16(frame[:-2]) ^ int.from_bytes(frame[-2:], "big")
+
+    def flip(positions) -> bytes:
+        flipped = bytearray(wire)
+        for pos in positions:
+            flipped[pos >> 3] ^= 0x80 >> (pos & 7)
+        return bytes(flipped)
+
+    nbits = len(wire) * 8
+    singles = [syndrome(flip([pos])) for pos in range(nbits)]
+    assert syndrome(wire) == 0
+    rng = random.Random(4)
+    for _ in range(200):   # linearity, checked on random 3-bit errors
+        a, b, c = rng.sample(range(nbits), 3)
+        assert syndrome(flip([a, b, c])) == singles[a] ^ singles[b] ^ singles[c]
+    assert 0 not in singles
+    distinct = set(singles)
+    assert len(distinct) == len(singles)
+    for i, s in enumerate(singles):
+        assert distinct.isdisjoint(map(s.__xor__, singles[i + 1:]))
+    assert CRC_HAMMING_DISTANCE == 4

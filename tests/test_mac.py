@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -329,8 +330,8 @@ def state(*devices):
     return [{name: getattr(d, name) for name in STATE_FIELDS} for d in devices]
 
 
-def lossy_pair(seed, ber):
-    hub, node, link = connect(*lossless_pair(seed=seed))
+def lossy_pair(seed, ber, max_retries=3):
+    hub, node, link = connect(*lossless_pair(max_retries, seed))
     link.ber = ber
     return hub, node, link
 
@@ -359,10 +360,6 @@ def _traced(hub, node):
     node.trace = []
 
 
-def _wrapped_sequence(hub, node):
-    hub.last_accepted[node.device_id] = node.next_sequence
-
-
 def _not_registered(hub, node):
     hub.registry.remove(node.device_id)
 
@@ -375,8 +372,8 @@ def _frame_queued(hub, node):
     node.submit([data_frame(0, 1, 0, b"q")])
 
 
-@pytest.mark.parametrize("spoil", [_traced, _wrapped_sequence, _not_registered,
-                                   _hub_inbox_busy, _frame_queued])
+@pytest.mark.parametrize("spoil", [_traced, _not_registered, _hub_inbox_busy,
+                                   _frame_queued])
 def test_send_clean_declines_outside_the_steady_state(spoil):
     hub, node, link = connect(*lossless_pair())
     spoil(hub, node)
@@ -444,6 +441,79 @@ def test_one_long_send_clean_equals_one_exchange_calls():
                           (a.downlink, b.downlink, ACK_BITS)):
         assert ca.clean_run(nbits) == cb.clean_run(nbits)
         assert ca.rng.random() == cb.rng.random()
+
+
+# (ber, max_retries, payload_len) of lossy links where packets fail and
+# retry, up to ber 0.05, where most frames carry 4 or more flips
+LOSSY_LINKS = [(2e-3, 3, 10), (2e-3, 0, 10), (1e-2, 1, 10), (1e-2, 3, 0), (5e-2, 2, 0),
+               (5e-2, 3, 10), (1e-4, 2, 255), (2e-3, 1, 255), (5e-3, 3, 255)]
+
+
+def _carry(pair, payload_len, until, decide):
+    """Send packets until `until` as ``run_experiment`` does, trying
+    ``send_clean`` first when `decide`; give how many ``send_clean`` calls
+    stopped before `until` at a packet left to the frame path."""
+    hub, node, link = pair
+    cut = 0
+    while node.now < until:
+        taken = decide and send_clean(node, link, payload_len, until)
+        if not taken:
+            send_with_arq(node, data_frame(0, node.device_id, 0, bytes(payload_len)), link)
+        elif node.now < until:
+            cut += 1
+    return cut
+
+
+def _assert_same_devices_and_streams(decided, framed):
+    assert state(*decided[:2]) == state(*framed[:2])
+    for a, b in ((decided[2].uplink, framed[2].uplink),
+                 (decided[2].downlink, framed[2].downlink)):
+        assert a.clean_run(1) == b.clean_run(1)   # the clean bits before the next flip
+        assert a.rng.random() == b.rng.random()   # and no gap left drawn ahead
+
+
+def test_send_clean_matches_send_with_arq_on_lossy_links():
+    seen = Counter()
+    for seed, (ber, retries, payload_len) in enumerate(LOSSY_LINKS):
+        decided, framed = (lossy_pair(seed, ber, retries) for _ in range(2))
+        seen["cut"] += _carry(decided, payload_len, 30.0, decide=True)
+        _carry(framed, payload_len, 30.0, decide=False)
+        _assert_same_devices_and_streams(decided, framed)
+        seen.update(decided[1].drops)
+        seen.update({f"hub_{k}": v for k, v in decided[0].drops.items()})
+    # every outcome occurred: lost data frames and acks, duplicates,
+    # exhausted packets, and runs stopped at a frame of 4 or more flips
+    assert all(seen[k] for k in ("hub_crc", "crc", "hub_duplicate", "exhausted", "cut"))
+
+
+def test_send_clean_matches_send_with_arq_across_a_sequence_wrap():
+    # node 3 of the simulator's `sequence-wrap-clean` config, joined over its
+    # lossy link: with no retries, each duplicate is a new packet that
+    # arrives 256 sequence numbers after the last one the hub accepted
+    def pair():
+        hub, node = Device(Role.HUB, 0), Device(Role.NODE, 3, max_retries=0)
+        link = make_link(node, hub, ChannelModel(rng_seed=11), ber=0.00263)
+        return connect(hub, node, link)
+
+    decided, framed = pair(), pair()
+    _carry(decided, 255, 120.0, decide=True)
+    _carry(framed, 255, 120.0, decide=False)
+    _assert_same_devices_and_streams(decided, framed)
+    assert decided[0].drops["duplicate"] == 1
+
+
+@pytest.mark.parametrize("ber, seed", [(0.0, 0), (0.02, 5)])
+def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
+    # a data frame repeating the sequence the hub accepted last is a
+    # duplicate, in a clean exchange and in a packet whose first ack is lost
+    decided, framed = lossy_pair(seed, ber), lossy_pair(seed, ber)
+    for hub, node, link in (decided, framed):
+        hub.last_accepted[node.device_id] = node.next_sequence
+    assert send_clean(decided[1], decided[2], 0, decided[1].now + 1e-6) == 1
+    _carry(framed, 0, decided[1].now, decide=False)
+    _assert_same_devices_and_streams(decided, framed)
+    assert decided[0].drops["duplicate"] >= 1
+    assert bool(decided[1].drops["crc"]) == (ber > 0)   # an ack was lost
 
 
 # ------------------------------------------------------------------ polling
