@@ -1,9 +1,10 @@
 """Stochastic link model: i.i.d. bit flips at a configurable error rate.
 
-Randomness comes from counter-based Philox generators, one substream per
-(seed, stream id).  Distinct stream ids are statistically independent and
-reproducible regardless of how transmissions interleave across links, so
-adding a node to a simulation never perturbs the noise seen by the others.
+Randomness comes from MT19937 substreams (the stdlib's ``random.Random``),
+one per stream id, each keyed by a SHA-256 of ``(rng_seed, stream_id)``.
+Distinct stream ids are statistically independent and reproducible
+regardless of how transmissions interleave across links, so adding a node
+to a simulation never perturbs the noise seen by the others.
 Each substream is one Bernoulli(`ber`) bit sequence across every frame it
 carries, drawn as geometric gaps between flips: one uniform draw per
 flipped bit, none for a frame that crosses clean.
@@ -14,15 +15,15 @@ are frame error rates (what a test rig can actually measure), inverted
 through the analytic payload/FER model at the 10-byte reference payload.
 """
 
+import bisect
 import functools
 import hashlib
 import math
+import random
 import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analytics import invert_fer_analytic
 from .errors import RangeError
@@ -35,12 +36,6 @@ PRESET_FER_TARGETS = {
     "wireless": ((1.0, 0.00475), (2.0, 0.005), (4.0, 0.0056), (5.0, 0.012), (10.0, 0.025)),
     "wired": ((1.0, 0.0026), (2.0, 0.0030), (4.0, 0.0034), (5.0, 0.0040), (10.0, 0.0050)),
 }
-
-
-def _stream_spawn_key(stream_id) -> tuple[int, ...]:
-    """Stable 128-bit spawn key for an arbitrary (hashable, repr-stable) id."""
-    digest = hashlib.sha256(repr(stream_id).encode()).digest()
-    return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
 
 
 def check_distance_map(table) -> tuple[tuple[float, float], ...]:
@@ -76,13 +71,12 @@ class ChannelModel:
         if self.distance_map is not None:
             self.distance_map = check_distance_map(self.distance_map)
 
-    def stream(self, stream_id) -> np.random.Generator:
-        """Fresh Philox generator at the start of the (rng_seed, stream_id)
-        substream; asking twice for one id gives two generators that draw the
-        same numbers."""
-        seq = np.random.SeedSequence(entropy=self.rng_seed,
-                                     spawn_key=_stream_spawn_key(stream_id))
-        return np.random.Generator(np.random.Philox(seq))
+    def stream(self, stream_id) -> random.Random:
+        """Fresh generator at the start of the (rng_seed, stream_id)
+        substream, for any repr-stable id; asking twice for one id gives two
+        generators that draw the same numbers."""
+        digest = hashlib.sha256(repr((self.rng_seed, stream_id)).encode()).digest()
+        return random.Random(int.from_bytes(digest, "big"))
 
 
 class FrameCorruptor:
@@ -115,7 +109,7 @@ class FrameCorruptor:
 
     __slots__ = ("rng", "_ber", "_log_q", "_gap", "_ahead")
 
-    def __init__(self, rng: np.random.Generator, ber: float):
+    def __init__(self, rng: random.Random, ber: float):
         self.rng = rng
         self.ber = ber
 
@@ -214,14 +208,20 @@ class FrameCorruptor:
 
 def ber_for_distance(distance_m: float, model: ChannelModel) -> float:
     """Piecewise-linear interpolation over the calibration table, clamped
-    at both endpoints."""
-    if distance_m <= 0:
+    at both endpoints, in ``numpy.interp``'s arithmetic: the same floats."""
+    if not distance_m > 0:
         raise RangeError(f"distance_m={distance_m} must be positive")
-    if not model.distance_map:
+    table = model.distance_map
+    if not table:
         raise RangeError("channel model has no distance calibration table")
-    distances = [d for d, _ in model.distance_map]
-    bers = [b for _, b in model.distance_map]
-    return float(np.interp(distance_m, distances, bers))
+    j = bisect.bisect_right(table, distance_m, key=lambda entry: entry[0]) - 1
+    if j < 0:
+        return table[0][1]
+    x0, y0 = table[j]
+    if x0 == distance_m or j == len(table) - 1:
+        return y0
+    x1, y1 = table[j + 1]
+    return (y1 - y0) / (x1 - x0) * (distance_m - x0) + y0
 
 
 @functools.cache

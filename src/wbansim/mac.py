@@ -187,7 +187,7 @@ class Device:
         self._record(PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST)
         outputs: list = []
         if self.role is not Role.NODE or self.connection is not Connection.IDLE:
-            self._protocol_drop("connect_request_bad_state")
+            self.drops["protocol"] += 1
             return outputs
         self.hub_id = hub_id
         self.connection = Connection.CONNECTING
@@ -200,7 +200,7 @@ class Device:
         self._record(PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST)
         outputs: list = []
         if self.role is not Role.NODE or self.connection is not Connection.CONNECTED:
-            self._protocol_drop("disconnect_bad_state")
+            self.drops["protocol"] += 1
             return outputs
         self._send_mgmt(FrameType.MGMT_DISCONNECT, self.hub_id, outputs)
         self.connection = Connection.IDLE
@@ -315,7 +315,7 @@ class Device:
         sender = frame.header.sender_id
         if ftype is FrameType.MGMT_REQUEST:
             if self.role is not Role.HUB:
-                self._protocol_drop("request_at_node")
+                self.drops["protocol"] += 1
                 return
             if sender in self.registry:
                 self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
@@ -332,7 +332,7 @@ class Device:
         elif ftype is FrameType.MGMT_ASSIGNMENT:
             if self.role is not Role.NODE or self.connection is not Connection.CONNECTING \
                     or sender != self.hub_id:
-                self._protocol_drop("unexpected_assignment")
+                self.drops["protocol"] += 1
                 return
             self.connection = Connection.CONNECTED
             self._mgmt_deadline = None
@@ -348,7 +348,7 @@ class Device:
                         PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
                         {"event": "node_left", "node_id": sender}))
                 else:
-                    self._protocol_drop("disconnect_unknown_node")
+                    self.drops["protocol"] += 1
             else:
                 if self.connection is Connection.CONNECTING:
                     # join rejected (hub at capacity)
@@ -364,7 +364,7 @@ class Device:
                         PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
                         {"event": "disconnected", "hub_id": sender}))
                 else:
-                    self._protocol_drop("disconnect_while_idle")
+                    self.drops["protocol"] += 1
 
     def _mgmt_retry(self, outputs: list) -> None:
         # the deadline is armed only while CONNECTING: every way out of that
@@ -375,10 +375,6 @@ class Device:
     def _send_mgmt(self, ftype: FrameType, recipient: int, outputs: list) -> None:
         frame = management_frame(ftype, recipient, self.device_id, self._take_sequence())
         outputs.append(("tx", frame, encode_frame(frame)))
-
-    def _protocol_drop(self, reason: str) -> None:
-        self.drops["protocol"] += 1
-        self.drops[f"protocol_{reason}"] += 1
 
     # --------------------------------------------------------- data service
 

@@ -35,12 +35,11 @@ outcome reads, may run ahead of the other links while one link takes a
 long run.
 """
 
+import hashlib
 import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from . import analytics
 from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
@@ -272,8 +271,8 @@ class SweepRow:
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable per-run seed; independent streams for each sweep point."""
-    state = np.random.SeedSequence(entropy=[int(base_seed) & (2**64 - 1), index])
-    return int(state.generate_state(2, dtype=np.uint64)[0])
+    digest = hashlib.sha256(repr((int(base_seed), index)).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def sweep(base: ExperimentConfig, axis: str, values: Sequence) -> list[SweepRow]:

@@ -6,6 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wbansim.analytics import fer_analytic
 from wbansim.channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
@@ -158,7 +159,7 @@ def test_flips_ahead_keeps_the_corrupt_sequence():
     # a fresh one on a generator at the same point of the substream
     list(islice(probed.flips_ahead(144, 10**6), 20))
     fresh_rng = ChannelModel(rng_seed=6).stream("s")
-    fresh_rng.bit_generator.state = probed.rng.bit_generator.state
+    fresh_rng.setstate(probed.rng.getstate())
     probed.ber = fresh_ber = 0.02
     fresh = FrameCorruptor(fresh_rng, fresh_ber)
     for _ in range(200):
@@ -245,6 +246,49 @@ def test_non_positive_distance_rejected():
         ber_for_distance(0.0, model)
     with pytest.raises(RangeError):
         ber_for_distance(-1.0, model)
+    with pytest.raises(RangeError):
+        ber_for_distance(math.nan, model)
+
+
+def assert_interp_bits(distance, model):
+    """`ber_for_distance` is `np.interp`, bit for bit."""
+    distances, bers = zip(*model.distance_map)
+    expected = float(np.interp(distance, distances, bers))
+    assert ber_for_distance(distance, model).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("name", ["wireless", "wired"])
+def test_interpolation_is_numpy_interp_on_the_presets(name):
+    model = preset(name)
+    knots = [d for d, _ in model.distance_map]
+    probes = {0.01, 1.5, 3.0, 7.3, 1e6}
+    for d in knots:
+        probes |= {d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)}
+    for a, b in zip(knots, knots[1:]):
+        probes |= {a + (b - a) * k / 7 for k in range(1, 7)}
+    for distance in probes:
+        assert_interp_bits(distance, model)
+
+
+@st.composite
+def interp_cases(draw):
+    # magnitudes up to 1e300, so no knot difference overflows a float
+    finite = st.floats(-1e300, 1e300)
+    distances = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    bers = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(distances),
+                                max_size=len(distances))))
+    near = [math.nextafter(d, to) for d in distances for to in (-math.inf, math.inf)]
+    queries = draw(st.lists(st.floats(0.0, 1e300, exclude_min=True)
+                            | st.sampled_from(distances + near), min_size=1, max_size=8))
+    return ChannelModel(distance_map=tuple(zip(distances, bers))), queries
+
+
+@given(interp_cases())
+def test_interpolation_is_numpy_interp_on_any_valid_table(case):
+    model, queries = case
+    for distance in queries:
+        if distance > 0:
+            assert_interp_bits(distance, model)
 
 
 def test_monotone_distance_map_required():

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: subcommands, config handling, manifests."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wbansim
 from wbansim.cli import MAX_RANGE_VALUES, main, parse_values
 from wbansim.errors import ConfigError
 
@@ -413,3 +418,35 @@ def test_repeat_invocation_byte_identical(tmp_path):
     manifest_b = json.loads(out_b.with_suffix(".manifest.json").read_text())
     manifest_a["outputs"] = manifest_b["outputs"] = []
     assert manifest_a == manifest_b
+
+
+# ----------------------------------------------------- runtime dependencies
+
+SRC = Path(wbansim.__file__).resolve().parents[1]
+
+NUMPY_FREE_COMMANDS = [
+    ["simulate", *FAST, "-o", "simulate.csv"],
+    ["sweep", *FAST, "--axis", "max_retries", "--values", "0..1", "-o", "sweep.csv"],
+    ["analyze", "retry", "--m", "1..5", "-o", "retry.csv"],
+    ["optimize", "--p-ber", "1e-3", "-o", "optimize.csv"],
+]
+
+
+def run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports this wbansim."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    done = run_python("import sys, wbansim.cli; print('numpy' in sys.modules)", tmp_path)
+    assert done.stdout == "False\n", done.stderr
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every `import numpy` fail
+    done = run_python("import sys; sys.modules['numpy'] = None\n"
+                      "from wbansim.cli import main\n"
+                      f"print([main(args) for args in {NUMPY_FREE_COMMANDS!r}])", tmp_path)
+    assert done.stdout.splitlines()[-1:] == ["[0, 0, 0, 0]"], done.stderr

@@ -21,15 +21,15 @@ CASES = {
         ["simulate", "--set", "duration_s=0.5", "--set", "node_count=3",
          "--set", "seed=88"],
         True,
-        {"out.csv": "c26df8136106891da85b5f290cc9b8460549ba69e8a0e02700b51dd444c54764",
+        {"out.csv": "2692f8e2b5fd5fbba38c8d12d3032125ada6ec6b36afb6f5881e9300ab9eadb3",
          "out.manifest.json": "c43b259028b41fc7d322ece17df1a869d961543f98e98e42f90fe60263c264f9",
-         "trace.txt": "c05c0491cd4c1bccee431515c1b82e13654b263bbaf58b65af793fefb2e6b604"},
+         "trace.txt": "46c839cd1a429e18922daa32edd1e00701db3add06c5b5dde182e45b92c2c925"},
     ),
     "sweep-retries": (
         ["sweep", "--set", "duration_s=0.3", "--set", "node_count=2",
          "--set", "seed=88", "--axis", "max_retries", "--values", "0..2"],
         False,
-        {"out.csv": "087baebe3180469fc940b39e58860cdd4f8879997d288ead3bd4a4c83f48baf4",
+        {"out.csv": "42304591d774518254982089925d312c55df781be741a416e92fe2bf2af1806f",
          "out.manifest.json": "75aafe12debc13e861f4b367d8eba582a5f0003631afba378f89e338e97d0ed4"},
     ),
     # untraced, so clean exchanges take the arithmetic path
@@ -37,7 +37,7 @@ CASES = {
         ["simulate", "--set", "node_count=16", "--set", "duration_s=0.5",
          "--set", "seed=88"],
         False,
-        {"out.csv": "c3cd3fd98abbcaf160a194281c4f230fc5c9d826160dcd09754aa15297f9e697",
+        {"out.csv": "c9ba490256d4156cf871e44959da3868966682a68f9ed4fc265d53eb8282c3da",
          "out.manifest.json": "949324948b8279747a79f79d45bf857597426aeb96a1725651fd2c814438404e"},
     ),
     # untraced; clean runs cross sequence wraps
@@ -45,7 +45,7 @@ CASES = {
         ["simulate", "--set", "preset=wired", "--set", "node_count=2",
          "--set", "duration_s=20"],
         False,
-        {"out.csv": "cbf5d11caa3eb261e79ff0d337187b671ece8810176b4f9d6635814ed3e6bc45",
+        {"out.csv": "1b5b82724c18f1b31e650700e0106d704aef79c3797145a29af2d346ee7df271",
          "out.manifest.json": "a45c85f3256036bd87706e55132f2423e32d05d49336d76b813527eadd5c03af"},
     ),
     # a calibrated preset whose table a flat `ber` overrides
@@ -53,16 +53,16 @@ CASES = {
         ["simulate", "--set", "preset=wired", "--set", "ber=1e-3",
          "--set", "node_count=2", "--set", "duration_s=1", "--set", "seed=88"],
         False,
-        {"out.csv": "da033157faccbb84dcca28e489ba5eb409cb0bb12b5e7a958867ecb8566001d2",
+        {"out.csv": "5d3c8ded224cd2768af1f0ee6e0b09607bb929074f1de29d8a54e9c5c419d59f",
          "out.manifest.json": "6991710ddd16f1d17b244ac07eb1a88b09c41232d3b3d0364c06d851950c95d9"},
     ),
     "simulate-explicit-lossy": (
         ["simulate", "--set", "preset=explicit", "--set", "ber=2e-3",
          "--set", "node_count=3", "--set", "duration_s=2", "--set", "seed=5"],
         True,
-        {"out.csv": "dc55deaa2dee1f12b9356660060acb381b25d5e50bc562acdf5c8462dc181bbf",
+        {"out.csv": "4d76bdb764832f0184131acefc0f925a57249c3640cf06ca4c1c06c0b16459af",
          "out.manifest.json": "6f097fb9e390ba23eeb33d23b9985666098966330a97c23481db1f55ed07280e",
-         "trace.txt": "61d05963b59b24f0740e5d3d152a01a51db8233d3666bcb9a1f6204daa82373d"},
+         "trace.txt": "f16989e368bddf9d5f0dd39284dbb0f682953f7fe306bf9b03ab5d2359854d2c"},
     ),
 }
 
@@ -88,10 +88,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 DEMO_STDOUT = {
     "01_frame_anatomy.py": "f5b54a8a2d37f2848aa7f4a87b9325e507636f008670f25f66b4a5459cf35685",
-    "02_two_device_exchange.py": "478e4ece290282fcc233ac36e8e3901d76d21c7c1594e4395f026e3f7a18419a",
-    "03_retry_tradeoff.py": "15814f59e2db51818d8ab7c6fb8f4ef081540f4dc71822e5d0f52c374851b4d4",
-    "04_payload_vs_fer.py": "84d11e81af11676b8771d4808d9dee60d96772306b9ad71d1bd7fba1a3db4109",
-    "05_distance_experiment.py": "482744f4aa1d4182240643f62485fcb82643ed211ca37b7e8090734796a0edec",
+    "02_two_device_exchange.py": "6b5b2be495c1f4b448ff63a457794701fcea613c31bfc536ab6c9c1dfa011d65",
+    "03_retry_tradeoff.py": "44b060cf06517b350e4c3e5f573d4bf77d605ff0819d4fd765efc94dfeecda68",
+    "04_payload_vs_fer.py": "84d6514941ae186f0fe4fdda725bfd9f0704bdd20932a6df96b1e4566f21fd40",
+    "05_distance_experiment.py": "69020437768921e846f9db1ce0fb0b87f079cc8bd63d1cc75df2a9f4d03b42b3",
     "06_payload_optimizer.py": "a2e13966613938fc1da96704eabebbeeb3de0cc09a77629936018ed0ab837cd9",
 }
 
