@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from wbansim.cli import main
+from wbansim.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 CASES = {
     "simulate-trace": (
@@ -64,15 +64,44 @@ CASES = {
          "out.manifest.json": "6f097fb9e390ba23eeb33d23b9985666098966330a97c23481db1f55ed07280e",
          "trace.txt": "f16989e368bddf9d5f0dd39284dbb0f682953f7fe306bf9b03ab5d2359854d2c"},
     ),
+    # the optimizer's trace CSV: every iterate, weight and objective value
+    "optimize": (
+        ["optimize", "--p-ber", "1e-3"],
+        False,
+        {"out.csv": "61472108a0dd14f41365543bc1e89825e541f3280169d6faae64b5c231243da3",
+         "out.manifest.json": "142c29acf9b968835b2b67485eaf332d94061cf39ea2a55ff56c0f30251ad963"},
+    ),
+    "optimize-verbatim": (
+        ["optimize", "--p-ber", "1e-3", "--verbatim-gradient"],
+        False,
+        {"out.csv": "b12c97b865e992306161a502e72d1719d7f89270ec2c6ba507a4159d3034a848",
+         "out.manifest.json": "e00806523c9d9ddb5dc149ad9dbeec90f0a4c6df0aee9e2c759b75d4636f71cc"},
+    ),
+    # runs out of descent steps: the trace so far, and exit 3
+    "optimize-no-convergence": (
+        ["optimize", "--p-ber", "0.05", "--max-iterations", "40"],
+        False,
+        {"out.csv": "38154eb8757c4f6063744df2b54f9ab4355111f21980a68428cdd44aa75f1460",
+         "out.manifest.json": "b247a75c484dae6fd763e711ccca4b1f7d4a0f94c1cc83e16ddb8f52290ae11a"},
+    ),
+    "analyze-payload": (
+        ["analyze", "payload", "--payload", "0..30", "--p-ber", "1e-5,1e-3,1e-2"],
+        False,
+        {"out.csv": "48e88d87f36a570064580b6826c21e752bee468c5287971311f5026160a1d79f",
+         "out.manifest.json": "ee7bcda070aab340da43431ab4aaf3331a9a31108417eeaf791bad2eee9219f9"},
+    ),
 }
 
+# a case not listed here exits 0
+EXIT_CODES = {"optimize-no-convergence": EXIT_NO_CONVERGENCE}
 
-def run_case(tmp_path, argv, traced) -> dict:
+
+def run_case(tmp_path, argv, traced, exit_code=EXIT_OK) -> dict:
     """Run one CLI case in `tmp_path`; return {file name: sha256 hex}."""
     args = list(argv) + ["--output", str(tmp_path / "out.csv")]
     if traced:
         args += ["--trace", str(tmp_path / "trace.txt")]
-    assert main(args) == 0
+    assert main(args) == exit_code
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(tmp_path.iterdir())}
 
@@ -81,7 +110,7 @@ def run_case(tmp_path, argv, traced) -> dict:
 def test_cli_outputs_are_byte_identical(tmp_path, name, monkeypatch):
     monkeypatch.delenv("WBAN_SEED", raising=False)
     argv, traced, expected = CASES[name]
-    assert run_case(tmp_path, argv, traced) == expected
+    assert run_case(tmp_path, argv, traced, EXIT_CODES.get(name, EXIT_OK)) == expected
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
