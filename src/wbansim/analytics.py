@@ -104,14 +104,19 @@ def data_length(payload: float) -> float:
     return 8.0 * (payload + _OVERHEAD)
 
 
+def _any_flip(bits: float, log_clean: float) -> float:
+    """1 - (1-p)^bits from log_clean = log1p(-p), unchecked; the exp/log1p
+    form keeps precision at small p where (1-p)^L loses bits."""
+    return -math.expm1(bits * log_clean)
+
+
 def fer_analytic(payload: float, p_ber: float) -> float:
     """Exchange failure probability 1 - (1-p)^(L_data + L_ack)."""
     _check_probability("p_ber", p_ber)
     l_total = data_length(payload) + ack_length_term(p_ber)
     if p_ber == 1.0:
         return 1.0
-    # exp/log1p form keeps precision at small p where (1-p)^L loses bits
-    return -math.expm1(l_total * math.log1p(-p_ber))
+    return _any_flip(l_total, math.log1p(-p_ber))
 
 
 def frame_corruption_probability(frame_bits: float, p_ber: float) -> float:
@@ -119,7 +124,7 @@ def frame_corruption_probability(frame_bits: float, p_ber: float) -> float:
     _check_probability("p_ber", p_ber)
     if p_ber == 1.0:
         return 1.0 if frame_bits > 0 else 0.0
-    return -math.expm1(frame_bits * math.log1p(-p_ber))
+    return _any_flip(frame_bits, math.log1p(-p_ber))
 
 
 def invert_fer_analytic(target_fer: float, payload: float) -> float:

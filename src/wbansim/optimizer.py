@@ -21,6 +21,13 @@ Two gradient forms are provided:
 ``(1-p)^(L_data+L_ack) + eps/payload`` for reference and testing; the
 descent itself uses the error-rate orientation above, which is the form
 whose interior minimum exists.
+
+Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p) and
+log1p(-p)) once, into an `_Exact` or a `_Verbatim` kernel, and runs the
+whole descent on the kernel's unchecked methods: the domain is checked
+once, at entry, and the descent only moves to payloads > 0.  The public
+formula functions above are checked wrappers over the same
+kernels, so each formula is written once.
 """
 
 import math
@@ -28,7 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .analytics import ack_length_term, data_length, fer_analytic
+from .analytics import _OVERHEAD, _any_flip, ack_length_term, fer_analytic
 from .errors import DomainError, RangeError
 from .frames import MAX_PAYLOAD
 
@@ -53,21 +60,20 @@ def _check_domain(payload: float, p_ber: float, allow_zero: bool = False) -> Non
 def barrier_objective(payload: float, p_ber: float, epsilon: float) -> float:
     """Printed barrier form: (1-p)^(L_data+L_ack) + epsilon/payload."""
     _check_domain(payload, p_ber)
-    exponent = data_length(payload) + ack_length_term(p_ber)
-    return (1.0 - p_ber) ** exponent + epsilon / payload
+    kernel = _Exact(p_ber)
+    return kernel.clean ** kernel.exponent(payload) + epsilon / payload
 
 
 def barrier_gradient(payload: float, p_ber: float, epsilon: float) -> float:
     """Printed gradient form: -8 ln(1-p)(1-p)^payload - epsilon/payload^2."""
     _check_domain(payload, p_ber)
-    return (-8.0 * math.log(1.0 - p_ber) * (1.0 - p_ber) ** payload
-            - epsilon / payload ** 2)
+    return _Verbatim(p_ber).gradient(payload, epsilon)
 
 
 def epsilon_schedule(payload: float, p_ber: float) -> float:
     """Barrier weight -8 payload^2 [ln(1-p)(1-p)^payload]."""
     _check_domain(payload, p_ber, allow_zero=True)
-    return -8.0 * payload ** 2 * (math.log(1.0 - p_ber) * (1.0 - p_ber) ** payload)
+    return _Verbatim(p_ber).schedule(payload)
 
 
 def epsilon_schedule_exact(payload: float, p_ber: float) -> float:
@@ -79,14 +85,13 @@ def epsilon_schedule_exact(payload: float, p_ber: float) -> float:
     larger error rates, leaving the inner problem with no stationary point.
     """
     _check_domain(payload, p_ber, allow_zero=True)
-    exponent = data_length(payload) + ack_length_term(p_ber)
-    return -8.0 * payload ** 2 * (math.log(1.0 - p_ber) * (1.0 - p_ber) ** exponent)
+    return _Exact(p_ber).schedule(payload)
 
 
 def penalized_fer(payload: float, p_ber: float, epsilon: float) -> float:
     """Error-rate orientation of the barrier objective: FER + epsilon/payload."""
     _check_domain(payload, p_ber)
-    return fer_analytic(payload, p_ber) + epsilon / payload
+    return _Exact(p_ber).objective(payload, epsilon)
 
 
 def penalized_fer_gradient(payload: float, p_ber: float, epsilon: float) -> float:
@@ -96,14 +101,50 @@ def penalized_fer_gradient(payload: float, p_ber: float, epsilon: float) -> floa
     frame exponent instead of the bare payload.
     """
     _check_domain(payload, p_ber)
-    exponent = data_length(payload) + ack_length_term(p_ber)
-    return (-8.0 * math.log(1.0 - p_ber) * (1.0 - p_ber) ** exponent
-            - epsilon / payload ** 2)
+    return _Exact(p_ber).gradient(payload, epsilon)
 
 
-def _verbatim_potential(payload: float, p_ber: float, epsilon: float) -> float:
-    """Antiderivative of the printed gradient, used for its line search."""
-    return -8.0 * (1.0 - p_ber) ** payload + epsilon / payload
+class _Verbatim:
+    """The printed gradient, its schedule and its potential at one p_ber.
+
+    The p_ber constants are bound once; the methods check nothing, so the
+    caller keeps 0 <= p_ber < 1 and x > 0 (x >= 0 for `schedule`).
+    """
+
+    def __init__(self, p_ber: float):
+        self.clean = 1.0 - p_ber
+        self.log_clean = math.log(self.clean)
+
+    def exponent(self, x: float) -> float:
+        """The power of (1-p) in the gradient and the schedule."""
+        return x
+
+    def objective(self, x: float, eps: float) -> float:
+        """Antiderivative of the printed gradient, used for its line search."""
+        return -8.0 * self.clean ** x + eps / x
+
+    def gradient(self, x: float, eps: float) -> float:
+        return -8.0 * self.log_clean * self.clean ** self.exponent(x) - eps / x ** 2
+
+    def schedule(self, x: float) -> float:
+        return -8.0 * x ** 2 * (self.log_clean * self.clean ** self.exponent(x))
+
+
+class _Exact(_Verbatim):
+    """`penalized_fer`, its exact gradient and its schedule at one p_ber:
+    the power of (1-p) is the full frame exponent L_data + L_ack."""
+
+    def __init__(self, p_ber: float):
+        super().__init__(p_ber)
+        self.l_ack = ack_length_term(p_ber)
+        self.log1p_clean = math.log1p(-p_ber)
+
+    def exponent(self, x: float) -> float:
+        """`data_length(x) + ack_length_term(p_ber)`, unchecked."""
+        return 8.0 * (x + _OVERHEAD) + self.l_ack
+
+    def objective(self, x: float, eps: float) -> float:
+        return _any_flip(self.exponent(x), self.log1p_clean) + eps / x
 
 
 @dataclass
@@ -152,16 +193,10 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     if not MIN_START <= payload_0 <= MAX_START:
         raise DomainError(f"payload_0={payload_0} outside [{MIN_START:.3g}, {MAX_START:g}]")
 
-    if verbatim_gradient:
-        objective, gradient, schedule = (_verbatim_potential, barrier_gradient,
-                                         epsilon_schedule)
-    else:
-        objective, gradient, schedule = (penalized_fer, penalized_fer_gradient,
-                                         epsilon_schedule_exact)
-
+    kernel = _Verbatim(p_ber) if verbatim_gradient else _Exact(p_ber)
     x = float(payload_0)
-    eps = schedule(x, p_ber)
-    trace = [TracePoint(0, x, eps, objective(x, p_ber, eps))]
+    eps = kernel.schedule(x)
+    trace = [TracePoint(0, x, eps, kernel.objective(x, eps))]
     steps = 0
     converged = False
     outer = 0
@@ -169,9 +204,8 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     while steps < max_iterations:
         outer += 1
         eps *= SHRINK
-        x_new, steps = _descend(objective, gradient, x, p_ber, eps,
-                                steps, max_iterations)
-        trace.append(TracePoint(outer, x_new, eps, objective(x_new, p_ber, eps)))
+        x_new, steps = _descend(kernel, x, eps, steps, max_iterations)
+        trace.append(TracePoint(outer, x_new, eps, kernel.objective(x_new, eps)))
         if abs(x_new - x) < tolerance:
             x = x_new
             converged = True
@@ -191,23 +225,28 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     )
 
 
-def _descend(objective, gradient, x: float, p_ber: float, eps: float,
-             steps: int, max_iterations: int) -> tuple[float, int]:
-    """Backtracking gradient descent to the inner minimum for fixed eps."""
+def _descend(kernel, x: float, eps: float, steps: int,
+             max_iterations: int) -> tuple[float, int]:
+    """Backtracking gradient descent to the inner minimum for fixed eps.
+
+    x only ever moves to a candidate > 0, so the unchecked kernel stays in
+    its domain.
+    """
+    objective = kernel.objective
     for _ in range(INNER_CAP):
         if steps >= max_iterations:
             break
-        g = gradient(x, p_ber, eps)
+        g = kernel.gradient(x, eps)
         steps += 1
         if g == 0.0:
             break
         # first candidate moves a quarter of the way to the boundary at most
         alpha = 0.25 * x / abs(g)
-        fx = objective(x, p_ber, eps)
+        fx = objective(x, eps)
         moved = False
         for _ in range(60):
             candidate = x - alpha * g
-            if candidate > 0 and objective(candidate, p_ber, eps) < fx:
+            if candidate > 0 and objective(candidate, eps) < fx:
                 if abs(candidate - x) < 1e-12 * max(1.0, x):
                     x = candidate
                     break
