@@ -4,14 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wbansim.analytics import ack_length_term, data_length, fer_analytic
 from wbansim.errors import DomainError, RangeError
-from wbansim.optimizer import (MAX_START, MIN_START, barrier_gradient,
-                               barrier_objective, epsilon_schedule,
-                               epsilon_schedule_exact, grid_search_fer,
-                               optimize_payload, penalized_fer,
-                               penalized_fer_gradient)
+from wbansim.optimizer import (DEFAULT_MAX_ITERATIONS, MAX_START, MIN_START,
+                               barrier_gradient, barrier_objective,
+                               epsilon_schedule, epsilon_schedule_exact,
+                               grid_search_fer, optimize_payload,
+                               penalized_fer, penalized_fer_gradient)
 
 
 # ------------------------------------------------------- formula evaluators
@@ -113,6 +114,26 @@ def test_printed_gradient_matches_its_own_potential():
         assert barrier_gradient(x, p, eps) == pytest.approx(fd, rel=1e-6)
 
 
+# Each public formula equals its written-out form bit for bit.  Payloads
+# start at MIN_START: below it payload**2 underflows and both sides divide
+# by zero; past 1e100 it overflows.
+@settings(derandomize=True, database=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(MIN_START, 1e100),
+       st.floats(0.0, 1e300))
+def test_formulas_are_their_written_out_forms(p, x, e):
+    exact = data_length(x) + ack_length_term(p)
+    assert penalized_fer(x, p, e) == fer_analytic(x, p) + e / x
+    assert penalized_fer_gradient(x, p, e) == (
+        -8.0 * math.log(1.0 - p) * (1.0 - p) ** exact - e / x ** 2)
+    assert barrier_gradient(x, p, e) == (
+        -8.0 * math.log(1.0 - p) * (1.0 - p) ** x - e / x ** 2)
+    assert barrier_objective(x, p, e) == (1.0 - p) ** exact + e / x
+    assert epsilon_schedule_exact(x, p) == (
+        -8.0 * x ** 2 * (math.log(1.0 - p) * (1.0 - p) ** exact))
+    assert epsilon_schedule(x, p) == (
+        -8.0 * x ** 2 * (math.log(1.0 - p) * (1.0 - p) ** x))
+
+
 def test_printed_vs_exact_gradient_deviation_is_the_exponent():
     # the two forms differ exactly by the frame exponent substitution:
     # swap payload -> 8*(payload+8)+L_ack in the power and they coincide
@@ -149,11 +170,15 @@ def test_smaller_payload_means_smaller_fer_along_trace():
     assert fers[-1] < fers[0]
 
 
-def test_iterates_stay_feasible():
-    for p in (1e-4, 1e-2):
-        for mode in (False, True):
-            result = optimize_payload(p, verbatim_gradient=mode)
-            assert all(pt.payload > 0 for pt in result.trace)
+# The descent's kernels skip the domain checks; this is what lets them.
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(MIN_START, MAX_START), st.booleans(),
+       st.sampled_from((1, 5, 50, DEFAULT_MAX_ITERATIONS)))
+def test_iterates_stay_feasible(p, payload_0, verbatim, max_iterations):
+    result = optimize_payload(p, payload_0=payload_0, max_iterations=max_iterations,
+                              verbatim_gradient=verbatim)
+    assert all(pt.payload > 0 for pt in result.trace)
 
 
 def test_verbatim_mode_reaches_the_boundary_too():
