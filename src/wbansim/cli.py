@@ -18,6 +18,8 @@ import os
 import re
 import sys
 from dataclasses import asdict, fields
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, analytics, optimizer, simulator
@@ -32,6 +34,7 @@ EXIT_NO_CONVERGENCE = 3
 _FIELD_TYPES = {f.name: f.type for f in fields(simulator.ExperimentConfig)}
 MAX_RANGE_VALUES = 100_000   # values in one a..b range, and cells in one analyze grid:
                              # 100x the longest an example uses
+MAX_DECIMAL_PLACES = 1074    # of the smallest float, 2**-1074, written out exactly
 
 
 # ------------------------------------------------------------ config files
@@ -53,25 +56,32 @@ def parse_values(spec: str) -> list:
         raise ConfigError("empty value list")
     m = re.fullmatch(r"(\S+)\s*\.\.\s*([^\s]+)(?:\s+step\s+(\S+))?", spec)
     if m:
-        start = _parse_number(m.group(1))
-        stop = _parse_number(m.group(2))
-        step = _parse_number(m.group(3)) if m.group(3) else 1
+        texts = (m.group(1), m.group(2), m.group(3) or "1")
+        start, stop, step = (_parse_number(text) for text in texts)
         if not all(math.isfinite(x) for x in (start, stop, step)):
             raise ConfigError(f"range bounds and step must be finite in {spec!r}")
         if step <= 0:
             raise ConfigError(f"step must be positive in {spec!r}")
-        values = []
-        v = start
-        while v <= stop + 1e-12 * max(1.0, abs(stop)):
-            # counted as it grows: a step lost to rounding never moves `v`
-            if len(values) == MAX_RANGE_VALUES:
-                raise ConfigError(f"range {spec!r} holds more than {MAX_RANGE_VALUES} values")
-            # rounding may carry the last value just past `stop`: it is `stop`
-            values.append(v if v <= stop else float(stop))
-            v = v + step
-        if not values:
+        integral = isinstance(start, int) and isinstance(step, int)
+        if not integral and step < math.ulp(max(abs(start), abs(stop))):
+            raise ConfigError(f"step is below the float spacing in {spec!r}")
+        decimals = [Decimal(text) for text in texts]
+        # no float's exact decimal has more places; past them the exact sums
+        # below grow without bound
+        if min(d.as_tuple().exponent for d in decimals) < -MAX_DECIMAL_PLACES:
+            raise ConfigError(f"{spec!r} has more than {MAX_DECIMAL_PLACES} decimal places")
+        # value i is the float nearest the exact decimal start + i*step
+        first, last, delta = map(Fraction, decimals)
+        count = math.floor((last - first) / delta) + 1
+        if count < 1:
             raise ConfigError(f"range {spec!r} is empty")
-        return values
+        if count > MAX_RANGE_VALUES:
+            raise ConfigError(f"range {spec!r} holds more than {MAX_RANGE_VALUES} values")
+        if integral:
+            return [start + i * step for i in range(count)]
+        den = math.lcm(first.denominator, delta.denominator)
+        first, delta = int(first * den), int(delta * den)
+        return [(first + i * delta) / den for i in range(count)]
     values = [part for part in (p.strip() for p in spec.split(",")) if part]
     if not values:
         raise ConfigError("empty value list")

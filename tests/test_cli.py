@@ -43,6 +43,15 @@ def test_parse_range_ends_at_its_bound_despite_rounding():
     assert values[-1] == 1.0 and max(values) == 1.0
 
 
+def test_parse_float_range_values_are_the_nearest_floats():
+    # repeated addition gave 0.30000000000000004 and 0.7999999999999999,
+    # after a first value of int 0
+    values = parse_values("0..1 step 0.1")
+    assert values == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert all(type(v) is float for v in values)
+    assert parse_values("-0.3..0.3 step 0.15") == [-0.3, -0.15, 0.0, 0.15, 0.3]
+
+
 def test_parse_float_values():
     assert parse_values("1e-4,1e-3") == [1e-4, 1e-3]
 
@@ -331,6 +340,9 @@ BAD_FLAG_VALUES = {
     # a step below the float spacing at 1e20 never moves the range on
     "sweep-distance-lost-step": (["sweep", "--axis", "distance", "--values", "1e20..1e20"],
                                  "--values"),
+    # exact decimal arithmetic on 10**99999999999 would never finish
+    "payload-range-decimal-places": (["analyze", "payload", "--payload", "0..1e-99999999999"],
+                                     "--payload"),
     "start-inf": (["optimize", "--p-ber", "1e-3", "--start", "inf"], "--start"),
     "start-nan": (["optimize", "--p-ber", "1e-3", "--start", "nan"], "--start"),
     "start-1e300": (["optimize", "--p-ber", "0.5", "--start", "1e300"], "--start"),
