@@ -502,12 +502,8 @@ class LinkHandle:
     uplink: FrameCorruptor    # sender -> peer
     downlink: FrameCorruptor  # peer -> sender
 
-    @property
-    def ber(self) -> float:
-        return self.uplink.ber
-
-    @ber.setter
-    def ber(self, value: float) -> None:
+    def set_ber(self, value: float) -> None:
+        """Give both directions the bit error rate `value`."""
         self.uplink.ber = value
         self.downlink.ber = value
 

@@ -116,7 +116,7 @@ def test_handshake_survives_lost_request():
 
 def test_join_over_dead_link_gives_up_within_round_bound():
     hub, node, link = lossless_pair()
-    link.ber = 1.0
+    link.set_ber(1.0)
     assert not establish_connection(node, hub, link)
     assert node.connection is Connection.CONNECTING
     assert not hub.registry
@@ -229,7 +229,7 @@ def test_arq_perfect_channel_single_attempt():
 
 def test_arq_dead_channel_exhausts_retries():
     hub, node, link = connect(*lossless_pair(max_retries=3))
-    link.ber = 1.0
+    link.set_ber(1.0)
     outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
     assert not outcome.success
     assert outcome.attempts_used == 4
@@ -239,7 +239,7 @@ def test_arq_dead_channel_exhausts_retries():
 def test_arq_attempt_bound_various_limits():
     for retries in (0, 1, 2, 5):
         hub, node, link = connect(*lossless_pair(max_retries=retries))
-        link.ber = 1.0
+        link.set_ber(1.0)
         outcome = send_with_arq(node, data_frame(0, 1, 0, b"x"), link)
         assert outcome.attempts_used == retries + 1
 
@@ -286,7 +286,7 @@ def test_arq_empirical_attempt_failure_matches_exchange_model():
     # the actual 9-byte ack (72 bits)
     p_ber = 2e-3
     hub, node, link = connect(*lossless_pair(max_retries=3, seed=7))
-    link.ber = p_ber
+    link.set_ber(p_ber)
     packets = 4000
     attempts = 0
     delivered = 0
@@ -332,7 +332,7 @@ def state(*devices):
 
 def lossy_pair(seed, ber, max_retries=3):
     hub, node, link = connect(*lossless_pair(max_retries, seed))
-    link.ber = ber
+    link.set_ber(ber)
     return hub, node, link
 
 
