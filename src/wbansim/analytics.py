@@ -105,8 +105,8 @@ def data_length(payload: float) -> float:
 
 
 def _any_flip(bits: float, log_clean: float) -> float:
-    """1 - (1-p)^bits from log_clean = log1p(-p), unchecked; the exp/log1p
-    form keeps precision at small p where (1-p)^L loses bits."""
+    """Unchecked 1 - (1-p)^bits from log_clean = log1p(-p)."""
+    # exp/log1p form keeps precision at small p where (1-p)^L loses bits
     return -math.expm1(bits * log_clean)
 
 

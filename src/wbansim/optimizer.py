@@ -22,12 +22,10 @@ Two gradient forms are provided:
 descent itself uses the error-rate orientation above, which is the form
 whose interior minimum exists.
 
-Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p) and
-log1p(-p)) once, into an `_Exact` or a `_Verbatim` kernel, and runs the
-whole descent on the kernel's unchecked methods: the domain is checked
-once, at entry, and the descent only moves to payloads > 0.  The public
-formula functions above are checked wrappers over the same
-kernels, so each formula is written once.
+Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p),
+log1p(-p)) once into an `_Exact` or `_Verbatim` kernel and descends on its
+unchecked methods; the public formula functions are checked wrappers over
+the same kernels, so each formula is written once.
 """
 
 import math
@@ -106,10 +104,7 @@ def penalized_fer_gradient(payload: float, p_ber: float, epsilon: float) -> floa
 
 class _Verbatim:
     """The printed gradient, its schedule and its potential at one p_ber.
-
-    The p_ber constants are bound once; the methods check nothing, so the
-    caller keeps 0 <= p_ber < 1 and x > 0 (x >= 0 for `schedule`).
-    """
+    Unchecked: the caller keeps 0 <= p_ber < 1 and x > 0 (>= 0 to schedule)."""
 
     def __init__(self, p_ber: float):
         self.clean = 1.0 - p_ber
@@ -228,10 +223,7 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
 def _descend(kernel, x: float, eps: float, steps: int,
              max_iterations: int) -> tuple[float, int]:
     """Backtracking gradient descent to the inner minimum for fixed eps.
-
-    x only ever moves to a candidate > 0, so the unchecked kernel stays in
-    its domain.
-    """
+    x only moves to a candidate > 0, keeping the kernel in its domain."""
     objective = kernel.objective
     for _ in range(INNER_CAP):
         if steps >= max_iterations:
