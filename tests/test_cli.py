@@ -341,7 +341,7 @@ BAD_FLAG_VALUES = {
     "sweep-distance-lost-step": (["sweep", "--axis", "distance", "--values", "1e20..1e20"],
                                  "--values"),
     # exact decimal arithmetic on 10**99999999999 would never finish
-    "payload-range-decimal-places": (["analyze", "payload", "--payload", "0..1e-99999999999"],
+    "payload-range-decimal-places": (["analyze", "payload", "--payload", "1e-99999999999..1"],
                                      "--payload"),
     "start-inf": (["optimize", "--p-ber", "1e-3", "--start", "inf"], "--start"),
     "start-nan": (["optimize", "--p-ber", "1e-3", "--start", "nan"], "--start"),
