@@ -12,7 +12,7 @@ from wbansim.frames import (ACK_BITS, FrameType, ack_frame, compute_crc16, data_
                             encode_frame, management_frame)
 from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
-                         establish_connection, fragment_sdu, make_link,
+                         establish_connection, fragment_sdu, make_link, pump,
                          send_clean, send_with_arq)
 
 
@@ -98,6 +98,49 @@ def test_disconnect_tears_down_both_sides():
     hub.deliver(link.to_peer(wire))
     hub.poll_step()
     assert node.device_id not in hub.registry
+
+
+def _connect_at_hub():
+    hub = Device(Role.HUB, 0)
+    return hub, hub.request_connect(0)
+
+
+def _connect_while_connecting():
+    node = Device(Role.NODE, 1)
+    node.request_connect(0)
+    return node, node.request_connect(0)
+
+
+def _disconnect_while_idle():
+    node = Device(Role.NODE, 1)
+    return node, node.request_disconnect()
+
+
+def _received(device, ftype, sender):
+    device.deliver(encode_frame(management_frame(ftype, device.device_id, sender, 0)))
+    return device, device.poll_step()
+
+
+def _join_request_at_a_node():
+    return _received(Device(Role.NODE, 1), FrameType.MGMT_REQUEST, 0)
+
+
+def _disconnect_from_an_unregistered_node():
+    return _received(Device(Role.HUB, 0), FrameType.MGMT_DISCONNECT, 5)
+
+
+def _disconnect_at_an_idle_node():
+    return _received(Device(Role.NODE, 1), FrameType.MGMT_DISCONNECT, 0)
+
+
+@pytest.mark.parametrize("case", [
+    _connect_at_hub, _connect_while_connecting, _disconnect_while_idle,
+    _join_request_at_a_node, _disconnect_from_an_unregistered_node,
+    _disconnect_at_an_idle_node])
+def test_management_out_of_turn_is_a_protocol_drop(case):
+    device, outputs = case()
+    assert device.drops["protocol"] == 1
+    assert outputs == []
 
 
 def test_handshake_survives_lost_request():
@@ -233,6 +276,15 @@ def test_arq_dead_channel_exhausts_retries():
     outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
     assert not outcome.success
     assert outcome.attempts_used == 4
+    assert node.packets_lost == 1
+
+
+def test_exhausted_fragment_drops_the_rest_of_its_sdu():
+    hub, node, link = connect(*lossless_pair(max_retries=3))
+    link.set_ber(1.0)
+    pump(node, link, node.request_send(bytes(600)), lambda p: False, 100)
+    assert node.frames_sent == node.max_retries + 1
+    assert node.next_deadline is None
     assert node.packets_lost == 1
 
 
