@@ -112,11 +112,7 @@ def _any_flip(bits: float, log_clean: float) -> float:
 
 def fer_analytic(payload: float, p_ber: float) -> float:
     """Exchange failure probability 1 - (1-p)^(L_data + L_ack)."""
-    _check_probability("p_ber", p_ber)
-    l_total = data_length(payload) + ack_length_term(p_ber)
-    if p_ber == 1.0:
-        return 1.0
-    return _any_flip(l_total, math.log1p(-p_ber))
+    return frame_corruption_probability(data_length(payload) + ack_length_term(p_ber), p_ber)
 
 
 def frame_corruption_probability(frame_bits: float, p_ber: float) -> float:

@@ -103,7 +103,7 @@ class FrameCorruptor:
     before they draw again, so every substream draws the same numbers in
     the same order whether or not anyone looked ahead.  At ``ber`` 0
     nothing flips and at ``ber`` 1 every bit does; neither draws anything.
-    Setting ``ber`` discards the gap and the buffer and draws a fresh gap,
+    ``set_ber`` discards the gap and the buffer and draws a fresh gap,
     which is exact because the law is memoryless.
     """
 
@@ -111,14 +111,10 @@ class FrameCorruptor:
 
     def __init__(self, rng: random.Random, ber: float):
         self.rng = rng
-        self.ber = ber
+        self.set_ber(ber)
 
-    @property
-    def ber(self) -> float:
-        return self._ber
-
-    @ber.setter
-    def ber(self, value: float) -> None:
+    def set_ber(self, value: float) -> None:
+        """Flip each bit from here on with probability `value`."""
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"ber={value} is not a probability")
         self._ber = value
@@ -152,7 +148,7 @@ class FrameCorruptor:
         carry, counting at most `cap`; consumes nothing.
 
         The look-ahead ends after the first frame that reaches `cap`, and it
-        holds only until the next ``corrupt``, ``skip`` or change of ``ber``.
+        holds only until the next ``corrupt``, ``skip`` or ``set_ber``.
         """
         ber = self._ber
         if ber == 0.0 or ber == 1.0:

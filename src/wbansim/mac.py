@@ -191,8 +191,7 @@ class Device:
             return outputs
         self.hub_id = hub_id
         self.connection = Connection.CONNECTING
-        self._send_mgmt(FrameType.MGMT_REQUEST, hub_id, outputs)
-        self._mgmt_deadline = self.now + self.ack_timeout
+        self._send_join_request(outputs)
         return outputs
 
     def request_disconnect(self) -> list:
@@ -203,10 +202,7 @@ class Device:
             self.drops["protocol"] += 1
             return outputs
         self._send_mgmt(FrameType.MGMT_DISCONNECT, self.hub_id, outputs)
-        self.connection = Connection.IDLE
-        self._emit(outputs, Primitive(
-            PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
-            {"event": "disconnected", "hub_id": self.hub_id}))
+        self._leave(PrimitiveKind.CONFIRM, "disconnected", self.hub_id, outputs)
         return outputs
 
     def request_send(self, sdu: bytes) -> list:
@@ -295,7 +291,7 @@ class Device:
         if self._pending is not None and self.now >= self._pending.deadline:
             self._retry_or_give_up(outputs)
         if self._mgmt_deadline is not None and self.now >= self._mgmt_deadline:
-            self._mgmt_retry(outputs)
+            self._send_join_request(outputs)
         if self._reassembly:
             expired = [key for key, entry in self._reassembly.items()
                        if self.now >= entry.deadline]
@@ -349,28 +345,26 @@ class Device:
                         {"event": "node_left", "node_id": sender}))
                 else:
                     self.drops["protocol"] += 1
+            elif self.connection is Connection.CONNECTING:
+                # join rejected (hub at capacity)
+                self._leave(PrimitiveKind.CONFIRM, "rejected", sender, outputs)
+            elif self.connection is Connection.CONNECTED:
+                self._leave(PrimitiveKind.INDICATION, "disconnected", sender, outputs)
             else:
-                if self.connection is Connection.CONNECTING:
-                    # join rejected (hub at capacity)
-                    self.connection = Connection.IDLE
-                    self._mgmt_deadline = None
-                    self._emit(outputs, Primitive(
-                        PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
-                        {"event": "rejected", "hub_id": sender}))
-                elif self.connection is Connection.CONNECTED:
-                    self.connection = Connection.IDLE
-                    self._mgmt_deadline = None
-                    self._emit(outputs, Primitive(
-                        PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
-                        {"event": "disconnected", "hub_id": sender}))
-                else:
-                    self.drops["protocol"] += 1
+                self.drops["protocol"] += 1
 
-    def _mgmt_retry(self, outputs: list) -> None:
+    def _send_join_request(self, outputs: list) -> None:
         # the deadline is armed only while CONNECTING: every way out of that
-        # state (assignment, rejection) disarms it
+        # state (assignment, _leave) disarms it
         self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
         self._mgmt_deadline = self.now + self.ack_timeout
+
+    def _leave(self, kind: PrimitiveKind, event: str, hub_id: int, outputs: list) -> None:
+        """Back to IDLE with no join timer armed; tell the layer above."""
+        self.connection = Connection.IDLE
+        self._mgmt_deadline = None
+        self._emit(outputs, Primitive(PrimitiveFamily.MANAGEMENT, kind,
+                                      {"event": event, "hub_id": hub_id}))
 
     def _send_mgmt(self, ftype: FrameType, recipient: int, outputs: list) -> None:
         frame = management_frame(ftype, recipient, self.device_id, self._take_sequence())
@@ -504,8 +498,8 @@ class LinkHandle:
 
     def set_ber(self, value: float) -> None:
         """Give both directions the bit error rate `value`."""
-        self.uplink.ber = value
-        self.downlink.ber = value
+        self.uplink.set_ber(value)
+        self.downlink.set_ber(value)
 
     def to_peer(self, wire: bytes) -> bytes:
         return self.uplink.corrupt(wire)

@@ -201,11 +201,10 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
         eps *= SHRINK
         x_new, steps = _descend(kernel, x, eps, steps, max_iterations)
         trace.append(TracePoint(outer, x_new, eps, kernel.objective(x_new, eps)))
-        if abs(x_new - x) < tolerance:
-            x = x_new
-            converged = True
-            break
+        converged = abs(x_new - x) < tolerance
         x = x_new
+        if converged:
+            break
 
     candidates = _integer_candidates(x, p_ber)
     return OptimizeResult(
@@ -235,18 +234,16 @@ def _descend(kernel, x: float, eps: float, steps: int,
         # first candidate moves a quarter of the way to the boundary at most
         alpha = 0.25 * x / abs(g)
         fx = objective(x, eps)
-        moved = False
         for _ in range(60):
             candidate = x - alpha * g
             if candidate > 0 and objective(candidate, eps) < fx:
-                if abs(candidate - x) < 1e-12 * max(1.0, x):
-                    x = candidate
-                    break
-                x = candidate
-                moved = True
                 break
             alpha *= 0.5
-        if not moved:
+        else:
+            break
+        stalled = abs(candidate - x) < 1e-12 * max(1.0, x)
+        x = candidate
+        if stalled:
             break
     return x, steps
 

@@ -160,7 +160,7 @@ def test_flips_ahead_keeps_the_corrupt_sequence():
     list(islice(probed.flips_ahead(144, 10**6), 20))
     fresh_rng = ChannelModel(rng_seed=6).stream("s")
     fresh_rng.setstate(probed.rng.getstate())
-    probed.ber = fresh_ber = 0.02
+    probed.set_ber(fresh_ber := 0.02)
     fresh = FrameCorruptor(fresh_rng, fresh_ber)
     for _ in range(200):
         assert probed.corrupt(bytes(18)) == fresh.corrupt(bytes(18))
