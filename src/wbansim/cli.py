@@ -77,11 +77,13 @@ def parse_values(spec: str) -> list:
             raise ConfigError(f"range bounds and step must be finite in {spec!r}")
         if step <= 0:
             raise ConfigError(f"step must be positive in {spec!r}")
-        if isinstance(start, int) and isinstance(step, int):
-            numerators, den = range(start, math.floor(stop) + 1, step), None
-        elif step < math.ulp(max(abs(start), abs(stop))):
+        integral = isinstance(start, int) and isinstance(step, int)
+        if integral and isinstance(stop, int):
+            numerators, den = range(start, stop + 1, step), 1
+        elif not integral and step < math.ulp(max(abs(start), abs(stop))):
             raise ConfigError(f"step is below the float spacing in {spec!r}")
         else:
+            # an integral range's denominator is 1, so its stop is cut exactly
             numerators, den = _decimal_range(spec, texts)
         # cut before len(): the whole range's length may not fit a C ssize_t
         numerators = numerators[:MAX_RANGE_VALUES + 1]
@@ -89,7 +91,7 @@ def parse_values(spec: str) -> list:
             raise ConfigError(f"range {spec!r} is empty")
         if len(numerators) > MAX_RANGE_VALUES:
             raise ConfigError(f"range {spec!r} holds more than {MAX_RANGE_VALUES} values")
-        return list(numerators) if den is None else [n / den for n in numerators]
+        return list(numerators) if integral else [n / den for n in numerators]
     values = [part for part in (p.strip() for p in spec.split(",")) if part]
     if not values:
         raise ConfigError("empty value list")

@@ -96,7 +96,7 @@ class ExperimentConfig:
         distances = self.distances()
         if len(distances) != self.node_count:
             raise ConfigError(
-                f"{len(distances)} distances given for {self.node_count} nodes")
+                f"distance_m gives {len(distances)} distances for node_count={self.node_count}")
         for d in distances:
             if not (math.isfinite(d) and d > 0):
                 raise ConfigError(f"distance_m={d} must be positive and finite")

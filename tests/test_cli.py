@@ -52,6 +52,13 @@ def test_parse_float_range_values_are_the_nearest_floats():
     assert parse_values("-0.3..0.3 step 0.15") == [-0.3, -0.15, 0.0, 0.15, 0.3]
 
 
+def test_parse_integer_range_ends_at_its_exact_stop():
+    # the float nearest this stop is 5.0, whose floor would take in 5
+    assert parse_values("0..4.99999999999999999") == [0, 1, 2, 3, 4]
+    values = parse_values("-3..-0.5")
+    assert values == [-3, -2, -1] and all(type(v) is int for v in values)
+
+
 def test_parse_float_values():
     assert parse_values("1e-4,1e-3") == [1e-4, 1e-3]
 
@@ -121,7 +128,7 @@ def main_within_10s(argv) -> int:
 @pytest.mark.parametrize("key, value", [
     ("duration_s", "inf"), ("duration_s", "nan"),
     ("data_rate_bps", "inf"), ("data_rate_bps", "nan"),
-    ("distance_m", "nan"), ("ber", "nan"), ("ber", "abc"),
+    ("distance_m", "nan"), ("distance_m", "1,2,3"), ("ber", "nan"), ("ber", "abc"),
     ("distance_map", "1:x"), ("seed", "-1"), ("WBAN_SEED", "x"),
     ("node_count", "2.5"), ("payload_len", "3.7"), ("data_rate_bps", "1e300"),
     ("ber", "0.2"),   # no join handshake gets through
