@@ -94,17 +94,14 @@ class FrameCorruptor:
     further gaps are drawn until one reaches past the frame end, whose
     remainder carries into the next frame.
 
-    ``clean_run`` says how many frames of a given length will cross with
-    zero flips before the next one that will not, ``flips_ahead`` counts
-    the flips of each next frame, and ``skip`` consumes frames without
-    flipping anything; together they let a caller account frames whose
-    fate their flip counts decide without building them.  Gaps drawn to
-    look ahead wait in a buffer that ``corrupt`` and ``skip`` take from
-    before they draw again, so every substream draws the same numbers in
-    the same order whether or not anyone looked ahead.  At ``ber`` 0
-    nothing flips and at ``ber`` 1 every bit does; neither draws anything.
-    ``set_ber`` discards the gap and the buffer and draws a fresh gap,
-    which is exact because the law is memoryless.
+    ``clean_run``, ``flips_ahead`` and ``skip`` serve ``mac.send_clean``,
+    whose docstring gives the rule for frames decided by their flip counts.
+    Gaps drawn to look ahead wait in a buffer that ``corrupt`` and ``skip``
+    take from before they draw again, so every substream draws the same
+    numbers in the same order whether or not anyone looked ahead.  At
+    ``ber`` 0 nothing flips and at ``ber`` 1 every bit does; neither draws
+    anything.  ``set_ber`` discards the gap and the buffer and draws a fresh
+    gap, which is exact because the law is memoryless.
     """
 
     __slots__ = ("rng", "_ber", "_log_q", "_gap", "_ahead")

@@ -26,21 +26,8 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
 
-``send_clean`` is the arithmetic twin of ``send_with_arq``.  The channel
-can count the flips each of a link's next frames will carry before any
-frame exists, and CRC-16/CCITT catches every error of 1 to 3 flips in a
-frame of any size this codec builds.  So while the two devices are idle,
-connected and untraced, a packet whose data frames and acks each carry at
-most 3 flips has a decided fate: a frame with no flip arrives intact, any
-other fails its checksum, and each attempt ends in delivery or at its
-deadline.  ``send_clean`` accounts such packets (up to a time limit) in
-plain arithmetic: it consumes their bits and makes the counter, drop,
-sequence and clock changes the frame path would make, taking each run of
-clean exchanges in one step.  At the first packet with a frame of 4 or
-more flips it stops, and when that is the next packet it changes nothing
-and the caller takes the frame path, which flips the very bits counted.
-Each link draws from its own substreams, so skipping one link's frames
-cannot move another's.
+``send_clean`` is the arithmetic twin of ``send_with_arq`` for packets
+whose flip counts decide their fate; its docstring gives the rule.
 
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its own deadlines.  The
@@ -589,20 +576,25 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     start before `until`, up to the first whose fate the CRC could leave
     open.
 
-    Between idle, untraced, connected devices a packet's fate follows from
-    the flip counts of its frames: a frame with no flip arrives intact, and
-    one with 1 to ``CRC_HAMMING_DISTANCE - 1`` flips fails its checksum.
-    Each attempt then goes as in ``send_with_arq``: a lost data frame or
+    The channel can count the flips each of a link's next frames will carry
+    before any frame exists.  Between idle, untraced, connected devices a
+    packet's fate follows from those counts: a frame with no flip arrives
+    intact, and one with 1 to ``CRC_HAMMING_DISTANCE - 1`` flips fails its
+    checksum, because CRC-16/CCITT catches every such error in any frame
+    this codec builds.  Each attempt then goes as in ``send_with_arq``: a lost data frame or
     ack ends at the attempt's deadline, the hub accepts an intact data
     frame or counts it a duplicate, and a packet whose attempts all fail is
-    lost.  A packet with a frame of more flips is left to the frame path.
-    Returns how many packets were taken; 0 means nothing changed and the
-    caller sends the next packet with ``send_with_arq``, which flips the
-    bits counted here.  Airtimes and deadlines are added in the frame
-    path's order, so the clocks round the same way; the hub clock is pulled
-    forward to the last data arrival.  A run of clean exchanges is taken in
-    one step; at ``ber`` 0 every exchange is clean and only `until` ends
-    the run.
+    lost.  Such packets are taken in plain arithmetic: their bits are
+    consumed and the counters, drops, sequence numbers and clocks change as
+    on the frame path.  A packet with a frame of more flips is left to the
+    frame path.  Returns how many packets were taken; 0 means nothing
+    changed and the caller sends the next packet with ``send_with_arq``,
+    which flips the bits counted here.  Airtimes and deadlines are added in
+    the frame path's order, so the clocks round the same way; the hub clock
+    is pulled forward to the last data arrival.  A run of clean exchanges
+    is taken in one step; at ``ber`` 0 every exchange is clean and only
+    `until` ends the run.  Each link draws from its own substreams, so
+    skipping one link's frames cannot move another's.
     """
     hub = link.peer
     node_id = sender.device_id

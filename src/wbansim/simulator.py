@@ -19,20 +19,12 @@ Frame accounting per link (uplink data frames only):
 Missing and checksum-failed frames are indistinguishable in these counters,
 exactly as a real rig that logs send/receive tallies would see them.
 
-Each time a node comes off the heap it first tries ``mac.send_clean``,
-which accounts in plain arithmetic every packet whose fate the flip counts
-of its frames decide (devices idle and connected, each data frame and ack
-with at most 3 flips, which the CRC always catches), up to the first packet
-with a frame of 4 or more flips or the end of the run, and falls back to
-``mac.send_with_arq`` for that one packet.  An untraced link therefore comes
-off the heap about twice per packet with a frame of 4 or more flips, not
-once per packet.  A run with a trace always takes the frame path, so
-every primitive is recorded in virtual-time order, which the heap keeps.
-Both paths leave the same counters and link clocks, because each link draws
-only from its own substreams and ``send_clean`` consumes exactly the bits
-the frame path would have carried.  Only the hub clock, which no untraced
-outcome reads, may run ahead of the other links while one link takes a
-long run.
+Each time a node comes off the heap it first tries ``mac.send_clean``
+(its docstring gives the rule for the packets it decides) and falls back
+to ``mac.send_with_arq`` for the one packet it leaves.  A run with a trace
+always takes the frame path, so every primitive is recorded in virtual-time
+order, which the heap keeps; untraced, only the hub clock, which no outcome
+reads, may run ahead of the other links while one link takes a long run.
 """
 
 import hashlib
