@@ -371,6 +371,54 @@ def test_next_deadline_tracks_the_pending_ack():
                                   + node.ack_timeout)
 
 
+def _leave_by_request(node):
+    return node.request_disconnect()
+
+
+def _leave_at_the_hubs_word(node):
+    return _received(node, FrameType.MGMT_DISCONNECT, node.hub_id)[1]
+
+
+@pytest.mark.parametrize("leave", [_leave_by_request, _leave_at_the_hubs_word])
+def test_a_node_that_leaves_gives_up_its_pending_frame(leave):
+    hub, node, link = connect(*lossless_pair())
+    sdu_id, _ = node.submit([data_frame(0, 1, 0, b"x")])
+    deadline = node.next_deadline
+    outputs = leave(node)
+    assert node.connection is Connection.IDLE
+    assert node.next_deadline is None
+    assert node.packets_lost == 1
+    confirms = [p for p in inds(outputs) if p.family is PrimitiveFamily.DATA_TRANSFER]
+    assert [(p.kind, p.payload["success"], p.payload["sdu_id"]) for p in confirms] == [
+        (PrimitiveKind.CONFIRM, False, sdu_id)]
+    # nothing is retransmitted to the hub it left
+    node.now = deadline
+    assert txs(node.poll_step()) == []
+    assert node.frames_sent == 1
+
+
+def test_a_rejected_join_holds_no_deadline():
+    node = Device(Role.NODE, 1)
+    node.request_connect(0)
+    _received(node, FrameType.MGMT_DISCONNECT, 0)
+    assert node.connection is Connection.IDLE
+    assert node.next_deadline is None
+
+
+def test_sdus_behind_the_one_given_up_wait_for_the_next_connect():
+    hub, node, link = connect(*lossless_pair())
+    node.submit([data_frame(0, 1, 0, b"x")])
+    node.submit([data_frame(0, 1, 0, b"y")])
+    hub.deliver(txs(node.request_disconnect())[0][2])
+    hub.poll_step()
+    assert node.frames_sent == 1
+    hub.deliver(txs(node.request_connect(0))[0][2])
+    node.deliver(txs(hub.poll_step())[0][2])
+    sent = txs(node.poll_step())
+    assert node.connection is Connection.CONNECTED
+    assert [frame.body for _, frame, _ in sent] == [b"y"]
+
+
 # --------------------------------------------------------- clean exchanges
 
 STATE_FIELDS = ("now", "connection", "registry", "next_sequence", "last_accepted",
