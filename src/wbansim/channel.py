@@ -25,7 +25,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .analytics import invert_fer_analytic
+from .analytics import _check_probability, invert_fer_analytic
 from .errors import RangeError
 
 CALIBRATION_PAYLOAD = 10   # reference payload (bytes) for preset inversion
@@ -47,8 +47,7 @@ def check_distance_map(table) -> tuple[tuple[float, float], ...]:
         raise RangeError("calibration entries must be finite")
     distances = [d for d, _ in table]
     bers = [b for _, b in table]
-    if any(b < a for a, b in zip(distances, distances[1:])) or \
-       len(set(distances)) != len(distances):
+    if any(b <= a for a, b in zip(distances, distances[1:])):
         raise RangeError("calibration distances must be strictly increasing")
     if any(b < a for a, b in zip(bers, bers[1:])):
         raise RangeError("calibration BERs must be non-decreasing with distance")
@@ -66,8 +65,7 @@ class ChannelModel:
     distance_map: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.ber <= 1.0:
-            raise RangeError(f"ber={self.ber} is not a probability")
+        _check_probability("ber", self.ber)
         if self.distance_map is not None:
             self.distance_map = check_distance_map(self.distance_map)
 
@@ -112,8 +110,7 @@ class FrameCorruptor:
 
     def set_ber(self, value: float) -> None:
         """Flip each bit from here on with probability `value`."""
-        if not 0.0 <= value <= 1.0:
-            raise RangeError(f"ber={value} is not a probability")
+        _check_probability("ber", value)
         self._ber = value
         self._ahead = deque()   # gaps after the next flip, drawn by a look-ahead
         if 0.0 < value < 1.0:

@@ -192,15 +192,9 @@ def _resolve_config(args) -> simulator.ExperimentConfig:
 
 # ------------------------------------------------------------- CSV helpers
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -26,7 +26,7 @@ from enum import IntEnum
 from .errors import CrcError, MalformedError, RangeError, TruncatedError
 
 OVERHEAD_BYTES = 8        # header (6) + CRC (2)
-ACK_FRAME_BYTES = 9       # overhead + 1-byte acked sequence
+ACK_FRAME_BYTES = OVERHEAD_BYTES + 1   # overhead + 1-byte acked sequence
 ACK_BITS = 8 * ACK_FRAME_BYTES
 MAX_PAYLOAD = 255
 MAX_FRAGMENT_INDEX = 127

@@ -30,10 +30,11 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 whose flip counts decide their fate; its docstring gives the rule.
 
 Timing is virtual: a driver (the simulator or a test) advances
-``device.now`` and the device compares it against its own deadlines.  The
-ack timeout is the on-air time of one maximum-size frame at the configured
-data rate plus a 2x guard, the smallest value that can never expire on an
-exchange that is still in flight.
+``device.now`` and the device compares it against its one deadline: the
+join timer while CONNECTING, or the ack timer of its pending frame, which a
+node gives up when it leaves.  The ack timeout is the on-air time of one
+maximum-size frame at the configured data rate plus a 2x guard, the
+smallest value that can never expire on an exchange that is still in flight.
 """
 
 from collections import Counter, deque
@@ -97,7 +98,6 @@ class _PendingAck:
     wire: bytes
     sdu_id: int
     attempts_used: int
-    deadline: float
 
 
 @dataclass
@@ -150,7 +150,7 @@ class Device:
 
         self._tx_queue: deque = deque()            # (sdu_id, Frame)
         self._pending: Optional[_PendingAck] = None
-        self._mgmt_deadline: Optional[float] = None
+        self._deadline: Optional[float] = None     # join (CONNECTING) or ack timer
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
         self._ack_tx_memo: dict = {}               # (sender, seq) -> tx action
 
@@ -158,7 +158,7 @@ class Device:
         self.frames_sent = 0        # data-frame transmission attempts
         self.packets_sent = 0       # distinct SDUs handed down; the next SDU id
         self.packets_delivered = 0  # SDUs confirmed by ack
-        self.packets_lost = 0       # SDUs exhausted after all retries
+        self.packets_lost = 0       # SDUs given up
         self.rx_frames: Counter = Counter()   # per sender, intact data frames
         self.rx_packets: Counter = Counter()  # per sender, completed SDUs
         self.drops: Counter = Counter()       # reason -> count
@@ -225,12 +225,8 @@ class Device:
 
     @property
     def next_deadline(self) -> Optional[float]:
-        """Earliest armed ack or management deadline; None when none is armed."""
-        ack = self._pending.deadline if self._pending is not None else None
-        mgmt = self._mgmt_deadline
-        if mgmt is None or (ack is not None and ack < mgmt):
-            return ack
-        return mgmt
+        """The armed ack or join deadline; None when none is armed."""
+        return self._deadline
 
     def poll_step(self) -> list:
         """Handle one received frame; with an empty inbox, check the timers."""
@@ -275,10 +271,13 @@ class Device:
             self._on_management(frame, outputs)
 
     def _check_timers(self, outputs: list) -> None:
-        if self._pending is not None and self.now >= self._pending.deadline:
-            self._retry_or_give_up(outputs)
-        if self._mgmt_deadline is not None and self.now >= self._mgmt_deadline:
-            self._send_join_request(outputs)
+        if self._deadline is not None and self.now >= self._deadline:
+            if self._pending is None:
+                self._send_join_request(outputs)
+            elif self._pending.attempts_used <= self.max_retries:
+                self._transmit_pending(outputs)
+            else:
+                self._give_up(outputs)
         if self._reassembly:
             expired = [key for key, entry in self._reassembly.items()
                        if self.now >= entry.deadline]
@@ -318,7 +317,7 @@ class Device:
                 self.drops["protocol"] += 1
                 return
             self.connection = Connection.CONNECTED
-            self._mgmt_deadline = None
+            self._deadline = None
             self._emit(outputs, Primitive(
                 PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
                 {"event": "connected", "hub_id": sender}))
@@ -341,15 +340,18 @@ class Device:
                 self.drops["protocol"] += 1
 
     def _send_join_request(self, outputs: list) -> None:
-        # the deadline is armed only while CONNECTING: every way out of that
-        # state (assignment, _leave) disarms it
+        # the join deadline is armed only while CONNECTING: every way out of
+        # that state (assignment, _leave) disarms it
         self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
-        self._mgmt_deadline = self.now + self.ack_timeout
+        self._deadline = self.now + self.ack_timeout
 
     def _leave(self, kind: PrimitiveKind, event: str, hub_id: int, outputs: list) -> None:
-        """Back to IDLE with no join timer armed; tell the layer above."""
+        """Back to IDLE holding no deadline, giving up any pending frame; tell
+        the layer above.  Later SDUs stay queued for the next connect."""
         self.connection = Connection.IDLE
-        self._mgmt_deadline = None
+        self._deadline = None
+        if self._pending is not None:
+            self._give_up(outputs)
         self._emit(outputs, Primitive(PrimitiveFamily.MANAGEMENT, kind,
                                       {"event": event, "hub_id": hub_id}))
 
@@ -428,14 +430,9 @@ class Device:
         if pending is None or frame.acked_sequence != pending.frame.header.sequence:
             self.drops["stale_ack"] += 1
             return
-        self._pending = None
         if pending.frame.header.last_fragment:
             self.packets_delivered += 1
-        self._emit(outputs, Primitive(
-            PrimitiveFamily.DATA_TRANSFER, PrimitiveKind.CONFIRM,
-            {"success": True, "sequence": pending.frame.header.sequence,
-             "attempts_used": pending.attempts_used, "sdu_id": pending.sdu_id}))
-        self._transmit_next(outputs)
+        self._resolve(True, outputs)
 
     def _transmit_next(self, outputs: list) -> None:
         if self._pending is not None or not self._tx_queue:
@@ -444,31 +441,32 @@ class Device:
             return  # handshake safety: hold data until Connected
         sdu_id, frame = self._tx_queue.popleft()
         wire = encode_frame(frame)
-        self._pending = _PendingAck(frame, wire, sdu_id, 0, 0.0)
+        self._pending = _PendingAck(frame, wire, sdu_id, 0)
         self._transmit_pending(outputs)
 
     def _transmit_pending(self, outputs: list) -> None:
         pending = self._pending
         pending.attempts_used += 1
-        pending.deadline = (self.now + len(pending.wire) * 8 / self.data_rate_bps
-                            + self.ack_timeout)
+        self._deadline = (self.now + len(pending.wire) * 8 / self.data_rate_bps
+                          + self.ack_timeout)
         self.frames_sent += 1
         outputs.append(("tx", pending.frame, pending.wire))
 
-    def _retry_or_give_up(self, outputs: list) -> None:
-        pending = self._pending
-        if pending.attempts_used <= self.max_retries:
-            self._transmit_pending(outputs)
-            return
-        self._pending = None
+    def _give_up(self, outputs: list) -> None:
         self.packets_lost += 1
-        self.drops["exhausted"] += 1
         # the rest of this SDU is pointless; drop queued siblings
-        while self._tx_queue and self._tx_queue[0][0] == pending.sdu_id:
+        while self._tx_queue and self._tx_queue[0][0] == self._pending.sdu_id:
             self._tx_queue.popleft()
+        self._resolve(False, outputs)
+
+    def _resolve(self, success: bool, outputs: list) -> None:
+        """Clear the pending frame and its deadline, confirm it, send the next."""
+        pending = self._pending
+        self._pending = None
+        self._deadline = None
         self._emit(outputs, Primitive(
             PrimitiveFamily.DATA_TRANSFER, PrimitiveKind.CONFIRM,
-            {"success": False, "sequence": pending.frame.header.sequence,
+            {"success": success, "sequence": pending.frame.header.sequence,
              "attempts_used": pending.attempts_used, "sdu_id": pending.sdu_id}))
         self._transmit_next(outputs)
 
@@ -674,10 +672,8 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     sender.frames_sent += frames
     sender.packets_delivered += packets - lost
     sender.now = now
+    sender.packets_lost += lost
     # Counter keys appear only when counted, as on the frame path
-    if lost:
-        sender.packets_lost += lost
-        sender.drops["exhausted"] += lost
     if acks_lost:
         sender.drops["crc"] += acks_lost
     # the hub: intact data frames, new or duplicate, and checksum failures

@@ -580,6 +580,7 @@ def test_send_clean_matches_send_with_arq_on_lossy_links():
         _carry(framed, payload_len, 30.0, decide=False)
         _assert_same_devices_and_streams(decided, framed)
         seen.update(decided[1].drops)
+        seen["exhausted"] += decided[1].packets_lost
         seen.update({f"hub_{k}": v for k, v in decided[0].drops.items()})
     # every outcome occurred: lost data frames and acks, duplicates,
     # exhausted packets, and runs stopped at a frame of 4 or more flips
