@@ -371,6 +371,15 @@ def test_next_deadline_tracks_the_pending_ack():
                                   + node.ack_timeout)
 
 
+def test_a_resolved_frame_leaves_no_deadline():
+    hub, node, link = connect(*lossless_pair())
+    assert send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
+    assert node.next_deadline is None
+    link.set_ber(1.0)
+    assert not send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
+    assert node.next_deadline is None
+
+
 def _leave_by_request(node):
     return node.request_disconnect()
 
