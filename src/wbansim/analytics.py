@@ -99,7 +99,7 @@ def ack_length_term(p_ber: float) -> float:
 
 def data_length(payload: float) -> float:
     """Data frame length in bits: 8 * (payload + 8)."""
-    if payload < 0:
+    if not payload >= 0:
         raise RangeError(f"payload={payload} must be >= 0")
     return 8.0 * (payload + _OVERHEAD)
 
@@ -118,6 +118,8 @@ def fer_analytic(payload: float, p_ber: float) -> float:
 def frame_corruption_probability(frame_bits: float, p_ber: float) -> float:
     """Chance at least one of `frame_bits` i.i.d. bits flips: 1-(1-p)^L."""
     _check_probability("p_ber", p_ber)
+    if not frame_bits >= 0:
+        raise RangeError(f"frame_bits={frame_bits} must be >= 0")
     if p_ber == 1.0:
         return 1.0 if frame_bits > 0 else 0.0
     return _any_flip(frame_bits, math.log1p(-p_ber))

@@ -49,7 +49,7 @@ MAX_START = float(MAX_PAYLOAD)
 
 
 def _check_domain(payload: float, p_ber: float, allow_zero: bool = False) -> None:
-    if payload < 0 or (payload == 0 and not allow_zero):
+    if not (payload > 0 or allow_zero and payload == 0):
         raise DomainError(f"payload={payload} outside the barrier domain")
     if not 0.0 <= p_ber < 1.0:
         raise DomainError(f"p_ber={p_ber} must lie in [0,1)")

@@ -223,6 +223,23 @@ def test_fer_analytic_monte_carlo():
         assert abs(corrupted - expected) < 3 * sigma + 1e-4
 
 
+@pytest.mark.parametrize("function, args", [
+    (data_length, (math.nan,)), (data_length, (-1,)), (fer_analytic, (math.nan, 1.0)),
+    (fer_analytic, (math.nan, 1e-3)), (invert_fer_analytic, (0.01, math.nan))],
+    ids=["data_length-nan", "data_length-negative", "fer_analytic-nan-at-ber-1",
+         "fer_analytic-nan", "invert_fer_analytic-nan"])
+def test_a_nan_or_negative_payload_is_refused(function, args):
+    with pytest.raises(RangeError, match="payload="):
+        function(*args)
+
+
+@pytest.mark.parametrize("frame_bits", [math.nan, -8, -1e-9])
+@pytest.mark.parametrize("p_ber", [0.1, 1.0])
+def test_a_nan_or_negative_frame_length_is_refused(frame_bits, p_ber):
+    with pytest.raises(RangeError, match="frame_bits="):
+        frame_corruption_probability(frame_bits, p_ber)
+
+
 def test_frame_corruption_probability():
     assert frame_corruption_probability(144, 0.0) == 0.0
     assert frame_corruption_probability(144, 1.0) == 1.0

@@ -39,6 +39,20 @@ def test_objective_rejects_bad_domain():
         barrier_objective(-1.0, 1e-3, 1.0)
 
 
+@pytest.mark.parametrize("function", [barrier_objective, barrier_gradient, penalized_fer,
+                                      penalized_fer_gradient], ids=lambda f: f.__name__)
+def test_formulas_reject_a_nan_payload(function):
+    with pytest.raises(DomainError, match="payload=nan"):
+        function(math.nan, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("schedule", [epsilon_schedule, epsilon_schedule_exact],
+                         ids=lambda f: f.__name__)
+def test_schedules_reject_a_nan_payload(schedule):
+    with pytest.raises(DomainError, match="payload=nan"):
+        schedule(math.nan, 1e-3)
+
+
 def test_gradient_zero_ber_is_pure_barrier():
     for x, eps in ((2.0, 1.0), (7.0, 0.25)):
         assert barrier_gradient(x, 0.0, eps) == pytest.approx(-eps / x ** 2)
