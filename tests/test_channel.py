@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from wbansim.analytics import fer_analytic
 from wbansim.channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
@@ -284,7 +284,6 @@ def interp_cases(draw):
 
 
 @given(interp_cases())
-@settings(derandomize=True, database=None)
 def test_interpolation_is_numpy_interp_on_any_valid_table(case):
     model, queries = case
     for distance in queries:

@@ -131,7 +131,6 @@ def test_printed_gradient_matches_its_own_potential():
 # Each public formula equals its written-out form bit for bit.  Payloads
 # start at MIN_START: below it payload**2 underflows and both sides divide
 # by zero; past 1e100 it overflows.
-@settings(derandomize=True, database=None)
 @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(MIN_START, 1e100),
        st.floats(0.0, 1e300))
 def test_formulas_are_their_written_out_forms(p, x, e):
@@ -185,7 +184,7 @@ def test_smaller_payload_means_smaller_fer_along_trace():
 
 
 # The descent's kernels skip the domain checks; this is what lets them.
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.floats(MIN_START, MAX_START), st.booleans(),
        st.sampled_from((1, 5, 50, DEFAULT_MAX_ITERATIONS)))

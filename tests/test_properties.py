@@ -36,7 +36,7 @@ def small_configs(draw):
 
 # A traced run takes the frame path for every exchange, so it is the oracle
 # for the clean runs an untraced run accounts in one step.
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(small_configs())
 def test_untraced_links_equal_traced_links(config):
     assert links_or_error(config) == links_or_error(config, trace=[])
