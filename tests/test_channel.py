@@ -298,6 +298,11 @@ def test_monotone_distance_map_required():
         ChannelModel(distance_map=((1.0, 2e-5), (2.0, 1e-5)))
 
 
+def test_a_repeated_distance_is_refused():
+    with pytest.raises(RangeError, match="strictly increasing"):
+        ChannelModel(distance_map=((1.0, 1e-5), (1.0, 2e-5), (2.0, 3e-5)))
+
+
 @pytest.mark.parametrize("table", [((math.nan, 1e-5), (2.0, 2e-5)),
                                    ((1.0, 1e-5), (math.inf, 2e-5))])
 def test_distance_map_entries_must_be_finite(table):
