@@ -18,6 +18,7 @@ through the analytic payload/FER model at the 10-byte reference payload.
 import bisect
 import functools
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -94,12 +95,13 @@ class FrameCorruptor:
 
     ``clean_run``, ``flips_ahead`` and ``skip`` serve ``mac.send_clean``,
     whose docstring gives the rule for frames decided by their flip counts.
-    Gaps drawn to look ahead wait in a buffer that ``corrupt`` and ``skip``
-    take from before they draw again, so every substream draws the same
-    numbers in the same order whether or not anyone looked ahead.  At
-    ``ber`` 0 nothing flips and at ``ber`` 1 every bit does; neither draws
-    anything.  ``set_ber`` discards the gap and the buffer and draws a fresh
-    gap, which is exact because the law is memoryless.
+    ``flips_ahead`` yields each frame's full flip count; the gaps it draws
+    to look ahead wait in a buffer that ``corrupt`` and ``skip`` take from
+    before they draw again, so every substream draws the same numbers in
+    the same order whether or not anyone looked ahead.  At ``ber`` 0
+    nothing flips and at ``ber`` 1 every bit does; neither draws anything.
+    ``set_ber`` discards the gap and the buffer and draws a fresh gap, which
+    is exact because the law is memoryless.
     """
 
     __slots__ = ("rng", "_ber", "_log_q", "_gap", "_ahead")
@@ -137,29 +139,22 @@ class FrameCorruptor:
             return 0
         return self._gap // nbits
 
-    def flips_ahead(self, nbits: int, cap: int) -> Iterator[int]:
+    def flips_ahead(self, nbits: int) -> Iterator[int]:
         """Yield the number of flips each next frame of `nbits` bits will
-        carry, counting at most `cap`; consumes nothing.
+        carry; consumes nothing.
 
-        The look-ahead ends after the first frame that reaches `cap`, and it
-        holds only until the next ``corrupt``, ``skip`` or ``set_ber``.
+        The look-ahead holds only until the next ``corrupt``, ``skip`` or
+        ``set_ber``.
         """
         ber = self._ber
         if ber == 0.0 or ber == 1.0:
-            count = min(nbits, cap) if ber else 0
-            while True:
-                yield count
-                if count == cap:
-                    return
+            yield from itertools.repeat(nbits if ber else 0)
         ahead = self._ahead
         pos, i = self._gap, 0   # next flip from the frame start; ahead[i] follows it
         while True:
             count = 0
             while pos < nbits:
                 count += 1
-                if count == cap:
-                    yield cap
-                    return
                 if i == len(ahead):
                     ahead.append(self._draw())
                 pos += 1 + ahead[i]

@@ -579,20 +579,25 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     packet's fate follows from those counts: a frame with no flip arrives
     intact, and one with 1 to ``CRC_HAMMING_DISTANCE - 1`` flips fails its
     checksum, because CRC-16/CCITT catches every such error in any frame
-    this codec builds.  Each attempt then goes as in ``send_with_arq``: a lost data frame or
-    ack ends at the attempt's deadline, the hub accepts an intact data
-    frame or counts it a duplicate, and a packet whose attempts all fail is
-    lost.  Such packets are taken in plain arithmetic: their bits are
-    consumed and the counters, drops, sequence numbers and clocks change as
-    on the frame path.  A packet with a frame of more flips is left to the
-    frame path.  Returns how many packets were taken; 0 means nothing
-    changed and the caller sends the next packet with ``send_with_arq``,
-    which flips the bits counted here.  Airtimes and deadlines are added in
-    the frame path's order, so the clocks round the same way; the hub clock
-    is pulled forward to the last data arrival.  A run of clean exchanges
-    is taken in one step; at ``ber`` 0 every exchange is clean and only
-    `until` ends the run.  Each link draws from its own substreams, so
-    skipping one link's frames cannot move another's.
+    this codec builds.  Each attempt then goes as in ``send_with_arq``: a
+    lost data frame or ack ends at the attempt's deadline, the hub accepts
+    an intact data frame or counts it a duplicate, and a packet whose
+    attempts all fail is lost.  A packet with a frame of
+    ``CRC_HAMMING_DISTANCE`` or more flips is left to the frame path.
+    Returns how many packets were taken; 0 means nothing changed and the
+    caller sends the next packet with ``send_with_arq``, which flips the
+    bits counted here.
+
+    Each step takes either a run of clean exchanges or one packet decided
+    by its flip counts, and gives the same four counts: packets, data
+    frames, intact data frames and acked packets.  One block then consumes
+    those frames' bits and changes the counters, drops and sequence numbers
+    as the frame path would, applying the hub's duplicate rule once.
+    Airtimes and deadlines are added in the frame path's order, so the
+    clocks round the same way; the hub clock is pulled forward to the last
+    data arrival.  At ``ber`` 0 every exchange is clean and only `until`
+    ends the run.  Each link draws from its own substreams, so skipping one
+    link's frames cannot move another's.
     """
     hub = link.peer
     node_id = sender.device_id
@@ -605,6 +610,7 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             or hub.inbox or node_id not in hub.registry):
         return 0
     uplink, downlink = link.uplink, link.downlink
+    clean_run = link.clean_run
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
     rate = sender.data_rate_bps
     t_data, t_ack = data_bits / rate, ACK_BITS / rate
@@ -613,69 +619,64 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     now = arrival = sender.now
     seq = sender.next_sequence
     last = hub.last_accepted.get(node_id)
-    packets = frames = intact = accepted = lost = acks_lost = 0
+    packets = frames = intact = acked = accepted = 0
     while now < until:
-        run = link.clean_run(data_bits)
+        # each step takes `n` packets in `attempts` data frames, of which
+        # `arrived` came through intact and `delivered` packets were acked
+        run = clean_run(data_bits)
         if run:   # one attempt each, data frame and ack intact
-            taken = 0
-            while taken < run and now < until:
+            n = 0
+            while n < run and now < until:
                 now += t_data
                 arrival = now
                 now += t_ack
-                taken += 1
-            uplink.skip(data_bits, taken)
-            downlink.skip(ACK_BITS, taken)
-            packets += taken
-            frames += taken
-            intact += taken
-            accepted += taken - (last == seq)   # only the first can repeat it
-            last = (seq + taken - 1) & 0xFF
-            seq = (seq + taken) & 0xFF
-            continue
-        data_flips = uplink.flips_ahead(data_bits, CRC_HAMMING_DISTANCE)
-        ack_flips = downlink.flips_ahead(ACK_BITS, CRC_HAMMING_DISTANCE)
-        t, attempts, arrived = now, 0, 0
-        while attempts < tries:
-            attempts += 1
-            deadline = t + t_data + timeout
-            t += t_data
-            landed = t
-            flips = next(data_flips)
-            if not flips:
-                arrived += 1
-                t += t_ack
-                flips = next(ack_flips)
+                n += 1
+            attempts = arrived = delivered = n
+        else:     # one packet, decided by its frames' flip counts
+            data_flips = uplink.flips_ahead(data_bits)
+            ack_flips = downlink.flips_ahead(ACK_BITS)
+            t, attempts, arrived = now, 0, 0
+            while attempts < tries:
+                attempts += 1
+                t += t_data
+                landed = t
+                deadline = t + timeout
+                flips = next(data_flips)
                 if not flips:
+                    arrived += 1
+                    t += t_ack
+                    flips = next(ack_flips)
+                    if not flips:
+                        break
+                if flips >= CRC_HAMMING_DISTANCE:
                     break
-            if flips == CRC_HAMMING_DISTANCE:
-                break
-            t = deadline
-        if flips == CRC_HAMMING_DISTANCE:
-            break   # the frame path carries this packet
+                t = deadline
+            if flips >= CRC_HAMMING_DISTANCE:
+                break   # the frame path carries this packet
+            n, now, arrival = 1, t, landed
+            delivered = not flips
         uplink.skip(data_bits, attempts)
         downlink.skip(ACK_BITS, arrived)
-        now, arrival = t, landed
-        packets += 1
+        packets += n
         frames += attempts
         intact += arrived
-        lost += flips != 0
-        acks_lost += arrived - (flips == 0)
-        if arrived:
-            accepted += last != seq
-            last = seq
-        seq = (seq + 1) & 0xFF
+        acked += delivered
+        if arrived:   # the hub's duplicate rule: only the first can repeat `last`
+            accepted += n - (last == seq)
+            last = (seq + n - 1) & 0xFF
+        seq = (seq + n) & 0xFF
     if not packets:
         return 0
     # the sender: per packet, submit, its transmissions and its fate
     sender.next_sequence = seq
     sender.packets_sent += packets
     sender.frames_sent += frames
-    sender.packets_delivered += packets - lost
+    sender.packets_delivered += acked
     sender.now = now
-    sender.packets_lost += lost
+    sender.packets_lost += packets - acked
     # Counter keys appear only when counted, as on the frame path
-    if acks_lost:
-        sender.drops["crc"] += acks_lost
+    if intact > acked:   # intact data frames whose ack was lost
+        sender.drops["crc"] += intact - acked
     # the hub: intact data frames, new or duplicate, and checksum failures
     if intact:
         hub.rx_frames[node_id] += intact
