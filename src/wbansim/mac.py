@@ -19,9 +19,9 @@ are action tuples: ``("tx", frame, wire_bytes)`` for transmissions and
 
 Drivers use a small public surface: the three requests, ``submit``, which
 hands a list of frames down as one SDU and returns its id with the first
-poll outputs, ``poll_step``, which handles one received frame or else
-checks the timers, and ``next_deadline``, which says when the device next
-needs polling with an empty inbox.  ``pump`` is the one loop
+poll outputs, ``poll_step``, which handles one received frame if there is
+one and then checks the timers, and ``next_deadline``, which says when the
+device next needs polling with an empty inbox.  ``pump`` is the one loop
 that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
@@ -32,7 +32,7 @@ whose flip counts decide their fate; its docstring gives the rule.
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its one deadline: the
 join timer while CONNECTING, or the ack timer of its pending frame, which a
-node gives up when it leaves.  The ack timeout is the on-air time of one
+node gives up when it leaves and a hub gives up when its recipient leaves.  The ack timeout is the on-air time of one
 maximum-size frame at the configured data rate plus a 2x guard, the
 smallest value that can never expire on an exchange that is still in flight.
 """
@@ -229,12 +229,11 @@ class Device:
         return self._deadline
 
     def poll_step(self) -> list:
-        """Handle one received frame; with an empty inbox, check the timers."""
+        """Handle one received frame if there is one, then check the timers."""
         outputs: list = []
         if self.inbox:
             self._on_wire(self.inbox.popleft(), outputs)
-        else:
-            self._check_timers(outputs)
+        self._check_timers(outputs)
         return outputs
 
     # ------------------------------------------------------- event dispatch
@@ -278,6 +277,7 @@ class Device:
                 self._transmit_pending(outputs)
             else:
                 self._give_up(outputs)
+                self._transmit_next(outputs)
         if self._reassembly:
             expired = [key for key, entry in self._reassembly.items()
                        if self.now >= entry.deadline]
@@ -326,6 +326,10 @@ class Device:
             if self.role is Role.HUB:
                 if sender in self.registry:
                     self.registry.remove(sender)
+                    pending = self._pending
+                    if pending is not None and pending.frame.header.recipient_id == sender:
+                        self._give_up(outputs)
+                        self._transmit_next(outputs)
                     self._emit(outputs, Primitive(
                         PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
                         {"event": "node_left", "node_id": sender}))
@@ -433,16 +437,20 @@ class Device:
         if pending.frame.header.last_fragment:
             self.packets_delivered += 1
         self._resolve(True, outputs)
+        self._transmit_next(outputs)
 
     def _transmit_next(self, outputs: list) -> None:
-        if self._pending is not None or not self._tx_queue:
-            return
-        if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
-            return  # handshake safety: hold data until Connected
-        sdu_id, frame = self._tx_queue.popleft()
-        wire = encode_frame(frame)
-        self._pending = _PendingAck(frame, wire, sdu_id, 0)
-        self._transmit_pending(outputs)
+        """Send the next queued frame; a hub first gives up, one by one, each
+        SDU at the head of the queue for a node that is not connected."""
+        while self._pending is None and self._tx_queue:
+            if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
+                return  # handshake safety: hold data until Connected
+            sdu_id, frame = self._tx_queue.popleft()
+            self._pending = _PendingAck(frame, encode_frame(frame), sdu_id, 0)
+            if self.role is Role.HUB and frame.header.recipient_id not in self.registry:
+                self._give_up(outputs)
+            else:
+                self._transmit_pending(outputs)
 
     def _transmit_pending(self, outputs: list) -> None:
         pending = self._pending
@@ -460,7 +468,7 @@ class Device:
         self._resolve(False, outputs)
 
     def _resolve(self, success: bool, outputs: list) -> None:
-        """Clear the pending frame and its deadline, confirm it, send the next."""
+        """Clear the pending frame and its deadline and confirm it."""
         pending = self._pending
         self._pending = None
         self._deadline = None
@@ -468,7 +476,6 @@ class Device:
             PrimitiveFamily.DATA_TRANSFER, PrimitiveKind.CONFIRM,
             {"success": success, "sequence": pending.frame.header.sequence,
              "attempts_used": pending.attempts_used, "sdu_id": pending.sdu_id}))
-        self._transmit_next(outputs)
 
 
 # -------------------------------------------------------------- link drivers

@@ -8,8 +8,8 @@ import pytest
 
 from wbansim.channel import ChannelModel
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (ACK_BITS, FrameType, ack_frame, compute_crc16, data_frame,
-                            encode_frame, management_frame)
+from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, FrameType, ack_frame, compute_crc16,
+                            data_frame, encode_frame, management_frame)
 from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, make_link, pump,
@@ -99,6 +99,22 @@ def test_disconnect_tears_down_both_sides():
     hub.poll_step()
     assert node.device_id not in hub.registry
 
+
+
+def test_the_hub_gives_up_every_sdu_for_a_node_that_left():
+    hub, node, link = connect(*lossless_pair())
+    for body in (b"a", b"b"):
+        hub.submit([data_frame(1, 0, 0, body)])
+    assert hub.frames_sent == 1
+    hub.deliver(encode_frame(management_frame(FrameType.MGMT_DISCONNECT, 0, 1, 9)))
+    outputs = hub.poll_step()
+    assert txs(outputs) == []
+    confirms = [p.payload for p in inds(outputs) if p.family is PrimitiveFamily.DATA_TRANSFER]
+    assert [(c["sdu_id"], c["success"]) for c in confirms] == [(0, False), (1, False)]
+    assert (hub.frames_sent, hub.packets_lost, hub.next_deadline) == (1, 2, None)
+    hub.now += 1.0
+    assert hub.poll_step() == []
+    assert hub.frames_sent == 1
 
 def _connect_at_hub():
     hub = Device(Role.HUB, 0)
@@ -259,6 +275,25 @@ def test_reassembly_gap_times_out():
     gaps = [p for p in inds(outputs) if p.payload.get("error") == "gap"]
     assert len(gaps) == 1
     assert gaps[0].payload["missing"] == [1]
+    assert hub.drops["gap"] == 1
+
+
+
+def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
+    # the hub is polled only with frames in its inbox, so its gap timer runs
+    # after each frame it handles
+    hub, node, link = connect(*lossless_pair(max_retries=0))
+    first = txs(node.request_send(bytes(2 * MAX_PAYLOAD + 1)))[0][2]   # three fragments
+    hub.deliver(first)
+    node.deliver(txs(hub.poll_step())[0][2])
+    node.poll_step()                    # the first is acked; the middle one is lost
+    node.now = node.next_deadline
+    node.poll_step()                    # and given up, with the last one
+    assert node.packets_lost == 1
+    node.now += hub.reassembly_timeout
+    confirm = pump(node, link, node.request_send(b"next"),
+                   lambda p: p.family is PrimitiveFamily.DATA_TRANSFER, 8)
+    assert confirm.payload["success"]
     assert hub.drops["gap"] == 1
 
 
