@@ -251,3 +251,13 @@ def test_invert_fer_analytic_round_trip():
     for target in (1e-4, 0.003, 0.005, 0.05, 0.5):
         p = invert_fer_analytic(target, 10)
         assert fer_analytic(10, p) == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: per(1, 2),                         # more packets received than sent
+    lambda: retry_success_geometric(0, 0.1),   # no attempt at all
+    lambda: invert_fer_analytic(0.0, 10),      # no BER gives a FER of 0
+], ids=["per", "retry_success_geometric", "invert_fer_analytic"])
+def test_arguments_outside_the_domain_raise(call):
+    with pytest.raises(RangeError):
+        call()

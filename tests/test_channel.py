@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wbansim.analytics import fer_analytic
-from wbansim.channel import ChannelModel, FrameCorruptor, ber_for_distance, preset
+from wbansim.channel import (ChannelModel, FrameCorruptor, ber_for_distance,
+                             check_distance_map, preset)
 from wbansim.errors import RangeError
 
 
@@ -337,3 +338,13 @@ def test_bad_ber_rejected():
         ChannelModel(ber=1.5)
     with pytest.raises(RangeError):
         ChannelModel(ber=-0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_distance_map(((1.0, 1.5),)),    # a BER over 1
+    lambda: ber_for_distance(1.0, ChannelModel()),   # no calibration table
+    lambda: preset("nope"),
+], ids=["check_distance_map", "ber_for_distance", "preset"])
+def test_bad_calibration_inputs_raise(call):
+    with pytest.raises(RangeError):
+        call()

@@ -146,6 +146,13 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key, va
     assert key in capsys.readouterr().err
 
 
+def test_a_config_file_line_without_equals_exits_2_naming_it(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("node_count 3\n")
+    assert main(["simulate", str(conf), "-o", str(tmp_path / "x.csv")]) == 2
+    assert "node_count 3" in capsys.readouterr().err
+
+
 def test_distance_map_needs_the_explicit_preset(tmp_path, capsys):
     code = main(["simulate", "--set", "distance_map=1:1e-2,10:2e-2",
                  "--set", "node_count=1", "-o", str(tmp_path / "x.csv")])
@@ -361,6 +368,16 @@ BAD_FLAG_VALUES = {
                           "--max-iterations"),
     "max-iterations-0": (["optimize", "--p-ber", "1e-3", "--max-iterations", "0"],
                          "--max-iterations"),
+    "sweep-values-empty-range": (["sweep", "--axis", "max_retries", "--values", "5..1"],
+                                 "--values"),
+    "sweep-values-empty-list": (["sweep", "--axis", "max_retries", "--values", ","],
+                                "--values"),
+    "set-without-equals": (["simulate", "--set", "node_count"], "node_count"),
+    # with no ber beside it, a distance_map reaches its own checks
+    "distance-map-entry-without-colon": (["simulate", "--set", "preset=explicit",
+                                          "--set", "distance_map=1-0.001"], "distance_map"),
+    "distance-map-decreasing": (["simulate", "--set", "preset=explicit",
+                                 "--set", "distance_map=2:0.001,1:0.002"], "distance_map"),
 }
 
 

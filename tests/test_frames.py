@@ -127,3 +127,13 @@ def test_out_of_range_fields_raise(header):
 def test_body_over_max_payload_raises():
     with pytest.raises(RangeError):
         encode_frame(data_frame(1, 2, 3, bytes(MAX_PAYLOAD + 1)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: FrameHeader(7, 0, 1, 0).validate(), RangeError),   # unknown frame type
+    (lambda: data_frame(0, 1, 0, b"x").acked_sequence, ValueError),
+    (lambda: encode_frame(Frame(ack_frame(0, 1, 0).header, b"\x00\x00")), RangeError),
+], ids=["unknown-type", "acked-sequence-of-data", "two-byte-ack"])
+def test_frames_the_codec_refuses_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -297,6 +297,28 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     assert hub.drops["gap"] == 1
 
 
+
+def _hub_id_256():
+    Device(Role.HUB, 256)
+
+
+def _send_before_connecting():
+    Device(Role.NODE, 1).request_send(b"x")
+
+
+def _send_129_fragments():
+    hub, node, link = connect(*lossless_pair())
+    node.request_send(bytes(128 * MAX_PAYLOAD + 1))
+
+
+@pytest.mark.parametrize("call, error", [
+    (_hub_id_256, RangeError), (_send_before_connecting, ProtocolError),
+    (_send_129_fragments, RangeError)])
+def test_requests_the_mac_refuses_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ------------------------------------------------------------------ ARQ
 
 def test_arq_perfect_channel_single_attempt():
