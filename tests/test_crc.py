@@ -2,8 +2,9 @@
 
 import random
 
+from wbansim.errors import MalformedError
 from wbansim.frames import (CRC_HAMMING_DISTANCE, MAX_PAYLOAD, OVERHEAD_BYTES,
-                            compute_crc16, data_frame, encode_frame)
+                            compute_crc16, data_frame, decode_frame, encode_frame)
 
 
 def crc16_reference(data: bytes) -> int:
@@ -72,3 +73,26 @@ def test_every_error_of_up_to_three_bits_fails_the_checksum():
     for i, s in enumerate(singles):
         assert distinct.isdisjoint(map(s.__xor__, singles[i + 1:]))
     assert CRC_HAMMING_DISTANCE == 4
+
+
+def test_the_generator_pattern_is_a_four_bit_error_the_checksum_misses():
+    # g(x) = x^16 + x^12 + x^5 + 1 divides itself, so xoring it into a frame
+    # at any shift leaves the checksum matching: distance 4 is tight, and a
+    # frame with 4 flips may arrive as a different, valid frame
+    pattern = 0x11021
+    assert pattern.bit_count() == CRC_HAMMING_DISTANCE
+    frame = data_frame(0, 1, 0, bytes(range(10)))
+    wire = encode_frame(frame)
+    nbits = len(wire) * 8
+    assert nbits == 144
+    decoded = 0
+    for shift in range(nbits - pattern.bit_length() + 1):
+        hit = (int.from_bytes(wire, "big") ^ (pattern << shift)).to_bytes(len(wire), "big")
+        assert compute_crc16(hit[:-2]) == int.from_bytes(hit[-2:], "big")
+        try:
+            other = decode_frame(hit)
+        except MalformedError:
+            continue
+        assert other != frame
+        decoded += 1
+    assert decoded

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from wbansim.channel import ChannelModel
+from wbansim.channel import ChannelModel, FrameCorruptor
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, FrameType, ack_frame, compute_crc16,
                             data_frame, encode_frame, management_frame)
@@ -681,6 +681,45 @@ def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
     _assert_same_devices_and_streams(decided, framed)
     assert decided[0].drops["duplicate"] >= 1
     assert bool(decided[1].drops["crc"]) == (ber > 0)   # an ack was lost
+
+
+
+class _Gaps:
+    """Stands in for a substream's generator: its uniforms make a
+    ``FrameCorruptor`` at `ber` draw exactly `gaps`, the clean bits before
+    each next flip."""
+
+    def __init__(self, gaps, ber):
+        log_q = math.log1p(-ber)
+        self._uniforms = iter([-math.expm1((gap + 0.5) * log_q) for gap in gaps])
+
+    def random(self):
+        return next(self._uniforms)
+
+
+@pytest.mark.parametrize("pattern", [0x11021, 0x11021 | 0x11021 << 20],
+                         ids=["g", "g-times-1-plus-x20"])
+def test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path(pattern):
+    # the first data frame carries a multiple of g(x) inside its body: the
+    # CRC misses it, so the hub takes a different, valid frame and acks it;
+    # send_clean must leave that packet to the frame path, which sends it once
+    ber, nbits = 0.01, 18 * 8
+    flips = sorted(nbits - 1 - d for d in range(nbits) if pattern << 16 >> d & 1)
+    gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000, 0]
+
+    def pair():
+        hub, node, link = connect(*lossless_pair())
+        link.uplink = FrameCorruptor(_Gaps(gaps, ber), ber)
+        return hub, node, link
+
+    decided, framed = pair(), pair()
+    assert send_clean(decided[1], decided[2], 10, 1.0) == 0
+    _carry(decided, 10, decided[1].now + 1e-6, decide=True)
+    _carry(framed, 10, framed[1].now + 1e-6, decide=False)
+    _assert_same_devices_and_streams(decided, framed)
+    hub, node = decided[:2]
+    assert (node.frames_sent, node.packets_delivered, hub.rx_packets[1]) == (1, 1, 1)
+    assert hub.drops == Counter()
 
 
 # ------------------------------------------------------------------ polling
