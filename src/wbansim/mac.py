@@ -32,9 +32,10 @@ whose flip counts decide their fate; its docstring gives the rule.
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its one deadline: the
 join timer while CONNECTING, or the ack timer of its pending frame, which a
-node gives up when it leaves and a hub gives up when its recipient leaves.  The ack timeout is the on-air time of one
-maximum-size frame at the configured data rate plus a 2x guard, the
-smallest value that can never expire on an exchange that is still in flight.
+node gives up when it leaves and a hub gives up when its recipient leaves.
+The ack timeout is the on-air time of one maximum-size frame at the
+configured data rate plus a 2x guard, the smallest value that can never
+expire on an exchange that is still in flight.
 """
 
 from collections import Counter, deque
@@ -440,8 +441,7 @@ class Device:
         self._transmit_next(outputs)
 
     def _transmit_next(self, outputs: list) -> None:
-        """Send the next queued frame; a hub first gives up, one by one, each
-        SDU at the head of the queue for a node that is not connected."""
+        """Send the next queued frame; a hub gives up each SDU for a node not connected."""
         while self._pending is None and self._tx_queue:
             if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
                 return  # handshake safety: hold data until Connected
@@ -595,16 +595,15 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     caller sends the next packet with ``send_with_arq``, which flips the
     bits counted here.
 
-    Each step takes either a run of clean exchanges or one packet decided
-    by its flip counts, and gives the same four counts: packets, data
-    frames, intact data frames and acked packets.  One block then consumes
-    those frames' bits and changes the counters, drops and sequence numbers
-    as the frame path would, applying the hub's duplicate rule once.
-    Airtimes and deadlines are added in the frame path's order, so the
-    clocks round the same way; the hub clock is pulled forward to the last
-    data arrival.  At ``ber`` 0 every exchange is clean and only `until`
-    ends the run.  Each link draws from its own substreams, so skipping one
-    link's frames cannot move another's.
+    Each step, a run of clean exchanges or one packet decided by its flip
+    counts, gives its packets, data frames, intact data frames and acked
+    packets; one block then consumes their bits and changes the counters,
+    drops and sequence numbers as the frame path would, the hub's duplicate
+    rule included.  Airtimes and deadlines are added in the frame path's
+    order, so the clocks round the same way; the hub clock is pulled
+    forward to the last data arrival.  At ``ber`` 0 only `until` ends a
+    run.  Each link draws from its own substreams, so skipping one link's
+    frames cannot move another's.
     """
     hub = link.peer
     node_id = sender.device_id
