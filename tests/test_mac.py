@@ -100,7 +100,6 @@ def test_disconnect_tears_down_both_sides():
     assert node.device_id not in hub.registry
 
 
-
 def test_the_hub_gives_up_every_sdu_for_a_node_that_left():
     hub, node, link = connect(*lossless_pair())
     for body in (b"a", b"b"):
@@ -115,6 +114,7 @@ def test_the_hub_gives_up_every_sdu_for_a_node_that_left():
     hub.now += 1.0
     assert hub.poll_step() == []
     assert hub.frames_sent == 1
+
 
 def _connect_at_hub():
     hub = Device(Role.HUB, 0)
@@ -278,7 +278,6 @@ def test_reassembly_gap_times_out():
     assert hub.drops["gap"] == 1
 
 
-
 def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     # the hub is polled only with frames in its inbox, so its gap timer runs
     # after each frame it handles
@@ -295,7 +294,6 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
                    lambda p: p.family is PrimitiveFamily.DATA_TRANSFER, 8)
     assert confirm.payload["success"]
     assert hub.drops["gap"] == 1
-
 
 
 def _hub_id_256():
@@ -681,7 +679,6 @@ def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
     _assert_same_devices_and_streams(decided, framed)
     assert decided[0].drops["duplicate"] >= 1
     assert bool(decided[1].drops["crc"]) == (ber > 0)   # an ack was lost
-
 
 
 class _Gaps:
