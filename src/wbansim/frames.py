@@ -28,6 +28,7 @@ from .errors import CrcError, MalformedError, RangeError, TruncatedError
 OVERHEAD_BYTES = 8        # header (6) + CRC (2)
 ACK_FRAME_BYTES = OVERHEAD_BYTES + 1   # overhead + 1-byte acked sequence
 ACK_BITS = 8 * ACK_FRAME_BYTES
+MGMT_BITS = 8 * OVERHEAD_BYTES          # a management frame without params
 MAX_PAYLOAD = 255
 MAX_FRAGMENT_INDEX = 127
 # CRC-16/CCITT has Hamming distance 4 up to the largest frame (Koopman and

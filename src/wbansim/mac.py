@@ -26,8 +26,10 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``send_with_arq`` (one data frame through stop-and-wait ARQ) and
 ``establish_connection`` (the join handshake) are thin calls over it.
 
-``send_clean`` is the arithmetic twin of ``send_with_arq`` for packets
-whose flip counts decide their fate; its docstring gives the rule.
+``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
+``send_with_arq`` and ``establish_connection``: each takes the exchanges
+whose flip counts decide their fate without building frames, and its
+docstring gives the rule.
 
 Timing is virtual: a driver (the simulator or a test) advances
 ``device.now`` and the device compares it against its one deadline: the
@@ -47,7 +49,7 @@ from .channel import ChannelModel, FrameCorruptor
 from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
                      RangeError, TruncatedError)
 from .frames import (ACK_BITS, CRC_HAMMING_DISTANCE, MAX_FRAGMENT_INDEX, MAX_PAYLOAD,
-                     OVERHEAD_BYTES, Frame, FrameType, ack_frame, data_frame,
+                     MGMT_BITS, OVERHEAD_BYTES, Frame, FrameType, ack_frame, data_frame,
                      decode_frame, encode_frame, management_frame)
 
 MAX_NODES = 64
@@ -228,6 +230,11 @@ class Device:
     def next_deadline(self) -> Optional[float]:
         """The armed ack or join deadline; None when none is armed."""
         return self._deadline
+
+    @property
+    def open_reassemblies(self) -> int:
+        """SDUs partly received, each with its gap timer armed."""
+        return len(self._reassembly)
 
     def poll_step(self) -> list:
         """Handle one received frame if there is one, then check the timers."""
@@ -703,3 +710,44 @@ def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:
     pump(node, link, node.request_connect(hub.device_id),
          lambda p: p.family is PrimitiveFamily.MANAGEMENT, JOIN_MAX_ROUNDS)
     return node.connection is Connection.CONNECTED
+
+
+def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
+    """Apply the join handshake of `node` with `hub` when its request and
+    assignment will both cross with zero flips; give whether it was taken.
+
+    Between untraced devices, an IDLE node with nothing queued and a hub
+    with no armed deadline, no open reassembly and room for the node, both
+    with empty inboxes, such a join has one outcome: the hub registers the
+    node and the node is CONNECTED.  The devices, clocks and substreams then
+    change as ``pump`` would change them, in its order, so the clocks round
+    the same way.  False means nothing changed and the caller joins with
+    ``establish_connection``.
+    """
+    # an IDLE node holds no deadline and no pending frame, so sent minus
+    # resolved SDUs is what waits in its queue
+    if (node.trace is not None or hub.trace is not None or link.peer is not hub
+            or node.role is not Role.NODE or node.connection is not Connection.IDLE
+            or node.inbox or node.open_reassemblies
+            or node.packets_sent - node.packets_delivered - node.packets_lost
+            or hub.role is not Role.HUB or hub.inbox or hub.next_deadline is not None
+            or hub.open_reassemblies
+            or node.device_id in hub.registry or len(hub.registry) >= MAX_NODES
+            or not (link.uplink.clean_run(MGMT_BITS)
+                    and link.downlink.clean_run(MGMT_BITS))):
+        return False
+    airtime = MGMT_BITS / node.data_rate_bps
+    # the request: the node's sequence number, its airtime, the hub's arrival
+    node.hub_id = hub.device_id
+    node.next_sequence = (node.next_sequence + 1) & 0xFF
+    node.now += airtime
+    if hub.now < node.now:
+        hub.now = node.now
+    # the assignment: the hub registers the node and answers
+    hub.registry.add(node.device_id)
+    hub.next_sequence = (hub.next_sequence + 1) & 0xFF
+    node.now += airtime
+    node.connection = Connection.CONNECTED
+    link.uplink.skip(MGMT_BITS, 1)
+    link.downlink.skip(MGMT_BITS, 1)
+    return True

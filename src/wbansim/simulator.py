@@ -19,12 +19,15 @@ Frame accounting per link (uplink data frames only):
 Missing and checksum-failed frames are indistinguishable in these counters,
 exactly as a real rig that logs send/receive tallies would see them.
 
-Each time a node comes off the heap it first tries ``mac.send_clean``
-(its docstring gives the rule for the packets it decides) and falls back
-to ``mac.send_with_arq`` for the one packet it leaves.  A run with a trace
-always takes the frame path, so every primitive is recorded in virtual-time
-order, which the heap keeps; untraced, only the hub clock, which no outcome
-reads, may run ahead of the other links while one link takes a long run.
+Each node's join first tries ``mac.join_clean`` and falls back to
+``mac.establish_connection`` when the twin declines.  Each time a node
+comes off the heap it first tries ``mac.send_clean`` (its docstring gives
+the rule for the packets it decides) and falls back to
+``mac.send_with_arq`` for the one packet it leaves.  A run with a trace
+always joins and sends through the frame path, so every primitive is
+recorded in virtual-time order, which the heap keeps; untraced, only the
+hub clock, which no outcome reads, may run ahead of the other links while
+one link takes a long run.
 """
 
 import hashlib
@@ -39,7 +42,8 @@ from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
 from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, data_frame
 from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
-                  establish_connection, make_link, send_clean, send_with_arq)
+                  establish_connection, join_clean, make_link, send_clean,
+                  send_with_arq)
 
 PRESETS = (*PRESET_FER_TARGETS, "explicit")
 MAX_EXCHANGES_PER_NODE = 10**8   # clean exchanges one node could fit in duration_s
@@ -196,7 +200,7 @@ def run_experiment(config: ExperimentConfig,
         # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
         ber = config.ber if config.ber is not None else ber_for_distance(distances[i], model)
         link = make_link(node, hub, model, ber=ber)
-        if not establish_connection(node, hub, link):
+        if not (join_clean(node, hub, link) or establish_connection(node, hub, link)):
             source = (f"ber={config.ber}" if config.ber is not None
                       else f"distance_m={distances[i]}")
             raise ConfigError(

@@ -378,6 +378,8 @@ BAD_FLAG_VALUES = {
                                           "--set", "distance_map=1-0.001"], "distance_map"),
     "distance-map-decreasing": (["simulate", "--set", "preset=explicit",
                                  "--set", "distance_map=2:0.001,1:0.002"], "distance_map"),
+    "distance-map-ber-over-one": (["simulate", "--set", "preset=explicit",
+                                   "--set", "distance_map=1:2,2:3"], "distance_map"),
 }
 
 

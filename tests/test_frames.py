@@ -5,8 +5,8 @@ import random
 import pytest
 
 from wbansim.errors import CrcError, MalformedError, RangeError, TruncatedError
-from wbansim.frames import (ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, Frame, FrameHeader,
-                            FrameType, ack_frame, compute_crc16, data_frame,
+from wbansim.frames import (ACK_FRAME_BYTES, MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, Frame,
+                            FrameHeader, FrameType, ack_frame, compute_crc16, data_frame,
                             decode_frame, encode_frame, management_frame)
 
 
@@ -43,6 +43,12 @@ def test_zero_payload_data_frame_is_8_bytes():
 def test_ack_frame_is_9_bytes():
     for seq in (0, 77, 255):
         assert len(encode_frame(ack_frame(3, 0, seq))) == ACK_FRAME_BYTES
+
+
+@pytest.mark.parametrize("ftype", [FrameType.MGMT_REQUEST, FrameType.MGMT_ASSIGNMENT,
+                                   FrameType.MGMT_DISCONNECT])
+def test_management_frame_without_params_is_mgmt_bits(ftype):
+    assert len(encode_frame(management_frame(ftype, 0, 1, 0))) * 8 == MGMT_BITS
 
 
 def test_length_law_all_payload_sizes():

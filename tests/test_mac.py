@@ -8,12 +8,12 @@ import pytest
 
 from wbansim.channel import ChannelModel, FrameCorruptor
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, FrameType, ack_frame, compute_crc16,
-                            data_frame, encode_frame, management_frame)
+from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, MGMT_BITS, FrameType, ack_frame,
+                            compute_crc16, data_frame, encode_frame, management_frame)
 from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
-                         establish_connection, fragment_sdu, make_link, pump,
-                         send_clean, send_with_arq)
+                         establish_connection, fragment_sdu, join_clean, make_link,
+                         pump, send_clean, send_with_arq)
 
 
 def lossless_pair(max_retries=3, seed=0):
@@ -717,6 +717,109 @@ def test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path(pattern):
     hub, node = decided[:2]
     assert (node.frames_sent, node.packets_delivered, hub.rx_packets[1]) == (1, 1, 1)
     assert hub.drops == Counter()
+
+
+# ------------------------------------------------------------- clean joins
+
+JOIN_FIELDS = (*STATE_FIELDS, "hub_id", "next_deadline")
+
+
+def join_state(hub, link, *nodes):
+    """Every join field of the devices, and where each substream stands: the
+    clean bits before its next flip and its generator's whole state, so that
+    no gap is left drawn ahead."""
+    devices = [{name: getattr(d, name) for name in JOIN_FIELDS} for d in (hub, *nodes)]
+    streams = [(c.clean_run(1), c.rng.getstate()) for c in (link.uplink, link.downlink)]
+    return devices, streams
+
+
+def idle_pair(ber=1e-3, seed=0):
+    hub, node = Device(Role.HUB, 0), Device(Role.NODE, 1)
+    return hub, node, make_link(node, hub, ChannelModel(ber=ber, rng_seed=seed))
+
+
+def test_join_clean_takes_a_join_whose_frames_both_cross_clean():
+    hub, node, link = idle_pair()
+    airtime = MGMT_BITS / node.data_rate_bps
+    assert join_clean(node, hub, link)
+    assert (node.connection, node.hub_id, node.next_deadline) == (Connection.CONNECTED, 0, None)
+    assert (hub.registry, node.next_sequence, hub.next_sequence) == ({1}, 1, 1)
+    assert (hub.now, node.now) == (airtime, airtime + airtime)
+
+
+def _node_traced(hub, node):
+    node.trace = []
+
+
+def _hub_traced(hub, node):
+    hub.trace = []
+
+
+def _node_connecting(hub, node):
+    node.request_connect(hub.device_id)
+
+
+def _node_registered(hub, node):
+    hub.registry.add(node.device_id)
+
+
+def _hub_full(hub, node):
+    hub.registry.update(range(100, 100 + MAX_NODES))
+
+
+def _join_hub_inbox_busy(hub, node):
+    hub.deliver(b"\x00")
+
+
+def _sdu_queued_at_idle_node(hub, node):
+    node.submit([data_frame(0, 1, 0, b"q")])
+
+
+def _hub_frame_pending(hub, node):
+    hub.registry.add(2)
+    hub.submit([data_frame(2, 0, 0, b"d")])
+
+
+def _hub_reassembling(hub, node):
+    hub.reassemble(data_frame(0, 2, 5, b"x", fragment_index=0, last_fragment=False))
+
+
+@pytest.mark.parametrize("spoil", [_node_traced, _hub_traced, _node_connecting,
+                                   _node_registered, _hub_full, _join_hub_inbox_busy,
+                                   _sdu_queued_at_idle_node, _hub_frame_pending,
+                                   _hub_reassembling])
+def test_join_clean_declines_outside_its_steady_state(spoil):
+    hub, node, link = idle_pair()
+    spoil(hub, node)
+    before = join_state(hub, link, node)
+    assert not join_clean(node, hub, link)
+    assert join_state(hub, link, node) == before
+
+
+@pytest.mark.parametrize("ber", [0.0, 2e-3, 0.02, 1.0])
+def test_join_clean_then_establish_connection_matches_establish_connection(ber):
+    # three nodes join one hub in turn, as in ``run_experiment``, so later
+    # joins meet a hub whose clock runs ahead of the node's
+    def star(seed):
+        hub = Device(Role.HUB, 0)
+        model = ChannelModel(ber=ber, rng_seed=seed)
+        return hub, [(node, make_link(node, hub, model))
+                     for node in (Device(Role.NODE, i) for i in (1, 2, 3))]
+
+    seen = Counter()
+    for seed in range(40):
+        twin, framed = star(seed), star(seed)
+        for (node, link), (other, other_link) in zip(twin[1], framed[1]):
+            taken = join_clean(node, twin[0], link)
+            seen[taken] += 1
+            if not taken:
+                establish_connection(node, twin[0], link)
+            establish_connection(other, framed[0], other_link)
+            assert join_state(twin[0], link, node) == join_state(framed[0], other_link, other)
+    if ber in (2e-3, 0.02):
+        assert seen[True] and seen[False]   # both ways of joining occurred
+    else:
+        assert seen[ber == 0.0] == 120      # every join taken at ber 0, none at ber 1
 
 
 # ------------------------------------------------------------------ polling
