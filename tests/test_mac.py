@@ -739,6 +739,7 @@ def idle_pair(ber=1e-3, seed=0):
 
 
 def test_join_clean_takes_a_join_whose_frames_both_cross_clean():
+    # the pair each case below spoils
     hub, node, link = idle_pair()
     airtime = MGMT_BITS / node.data_rate_bps
     assert join_clean(node, hub, link)
@@ -784,10 +785,16 @@ def _hub_reassembling(hub, node):
     hub.reassemble(data_frame(0, 2, 5, b"x", fragment_index=0, last_fragment=False))
 
 
+def _node_reassembling(hub, node):
+    # left over from an earlier connection: its gap timer runs at the node's
+    # next poll, which the frame path makes when the assignment arrives
+    node.reassemble(data_frame(1, 0, 5, b"x", fragment_index=0, last_fragment=False))
+
+
 @pytest.mark.parametrize("spoil", [_node_traced, _hub_traced, _node_connecting,
                                    _node_registered, _hub_full, _join_hub_inbox_busy,
                                    _sdu_queued_at_idle_node, _hub_frame_pending,
-                                   _hub_reassembling])
+                                   _hub_reassembling, _node_reassembling])
 def test_join_clean_declines_outside_its_steady_state(spoil):
     hub, node, link = idle_pair()
     spoil(hub, node)

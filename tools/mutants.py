@@ -1,7 +1,6 @@
 """Named mutants of the decision code, each with the tests that must kill it.
 
-    python3 tools/mutants.py            # every mutant in the catalogue
-    python3 tools/mutants.py NAME ...   # only the named ones
+    python3 tools/mutants.py
 
 Each mutant is one exact text replacement in one file of the tree this
 script sits in.  For each, the script copies the tree to a temporary
@@ -16,7 +15,6 @@ catalogue or the unmutated tree is at fault.  Standard library only.
 """
 
 import concurrent.futures
-import os
 import re
 import shutil
 import subprocess
@@ -72,6 +70,9 @@ CATALOGUE = [
            "    link.downlink.skip(MGMT_BITS, 1)\n", "", JOIN_TWIN),
     Mutant("join-capacity-unchecked", MAC,
            " or len(hub.registry) >= MAX_NODES", "",
+           (TEST_MAC + "test_join_clean_declines_outside_its_steady_state",)),
+    Mutant("join-node-reassembly-unchecked", MAC,
+           " or node.open_reassemblies", "",
            (TEST_MAC + "test_join_clean_declines_outside_its_steady_state",)),
     Mutant("join-clean-check-and-to-or", MAC,
            "clean_run(MGMT_BITS)\n                    and link.downlink",
@@ -138,10 +139,10 @@ CATALOGUE = [
 ]
 
 
-def refusals(mutants: list[Mutant]) -> list[str]:
+def refusals() -> list[str]:
     """Why each refused mutant cannot be applied to this tree."""
     problems = []
-    for m in mutants:
+    for m in CATALOGUE:
         count = (ROOT / m.file).read_text().count(m.old)
         if count != 1:
             problems.append(f"{m.name}: its old text occurs {count} times in {m.file}, not once")
@@ -151,10 +152,9 @@ def refusals(mutants: list[Mutant]) -> list[str]:
 def pytest(tree: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     """Run pytest in `tree` on `tests` (all of tier-1 when empty); give the
     exit status (None on a timeout) and the output."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, ""
@@ -170,7 +170,7 @@ def copy_tree(into: str) -> Path:
 def verdict(status, output: str) -> str:
     if status is None:
         return f"killed by a timeout after {TIMEOUT_S} s"
-    if status in (1, 2):   # a test failed, or a module failed to import
+    if status in (1, 2):   # a test failed, or collecting the tests did
         found = FAILED_LINE.search(output)
         return "killed by " + (found.group(1) if found else f"pytest exit {status}")
     if status == 0:
@@ -193,31 +193,29 @@ def run(mutant: Mutant) -> str:
     return result
 
 
-def main(argv: list[str]) -> int:
-    mutants = [m for m in CATALOGUE if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in CATALOGUE}
-    problems = [f"{name}: no such mutant" for name in sorted(unknown)] + refusals(mutants)
+def main() -> int:
+    problems = refusals()
     if problems:
         print("refused:\n  " + "\n  ".join(problems))
         return 2
     start = time.monotonic()
-    listed = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    listed = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="wbansim-mutant-") as scratch:
         status, output = pytest(copy_tree(scratch), listed)
     if status != 0:
         print(f"refused: the listed tests do not pass on the unmutated tree\n{output}")
         return 2
     with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
-        verdicts = list(pool.map(run, mutants))
-    width = max(len(m.name) for m in mutants)
-    for m, v in zip(mutants, verdicts):
+        verdicts = list(pool.map(run, CATALOGUE))
+    width = max(len(m.name) for m in CATALOGUE)
+    for m, v in zip(CATALOGUE, verdicts):
         print(f"{m.name:<{width}}  {v}")
-    survived = sum(v == "SURVIVED" for v in verdicts)
+    survived = verdicts.count("SURVIVED")
     broken = sum(v.startswith("BROKEN") for v in verdicts)
-    print(f"{len(mutants)} mutants: {len(mutants) - survived - broken} killed, "
+    print(f"{len(CATALOGUE)} mutants: {len(CATALOGUE) - survived - broken} killed, "
           f"{survived} survived, {broken} broken, in {time.monotonic() - start:.0f} s")
     return 2 if broken else 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
