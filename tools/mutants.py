@@ -92,6 +92,9 @@ CATALOGUE = [
            "                if flips >= CRC_HAMMING_DISTANCE:\n                    break\n",
            "                if flips == CRC_HAMMING_DISTANCE:\n                    break\n",
            (TEST_MAC + "test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path",)),
+    Mutant("send-duplicate-drop-not-counted", MAC,
+           '    if intact > accepted:\n        hub.drops["duplicate"] += intact - accepted\n', "",
+           (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
     Mutant("send-clean-run-drops-the-ack-airtime", MAC,
            "                now += t_ack\n", "",
            (TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone",)),
