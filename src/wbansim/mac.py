@@ -31,13 +31,15 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 whose flip counts decide their fate without building frames, and its
 docstring gives the rule.
 
-Timing is virtual: a driver (the simulator or a test) advances
-``device.now`` and the device compares it against its one deadline: the
-join timer while CONNECTING, or the ack timer of its pending frame, which a
-node gives up when it leaves and a hub gives up when its recipient leaves.
-The ack timeout is the on-air time of one maximum-size frame at the
-configured data rate plus a 2x guard, the smallest value that can never
-expire on an exchange that is still in flight.
+Timing is virtual and counts integer ticks, one bit period each: a frame's
+airtime is ``len(wire) * 8`` ticks.  A driver (the simulator or a test)
+advances ``device.now`` and the device compares it against its one
+deadline: the join timer while CONNECTING, or the ack timer of its pending
+frame, which a node gives up when it leaves and a hub gives up when its
+recipient leaves.  ``ACK_TIMEOUT`` is the airtime of one maximum-size frame
+plus a 2x guard, the smallest value that can never expire on an exchange
+that is still in flight.  Seconds appear only at the edges: a trace time
+and the simulator's ``busy_s`` are ticks divided by ``data_rate_bps``.
 """
 
 from collections import Counter, deque
@@ -57,6 +59,9 @@ MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
 MAX_FRAGMENTS = MAX_FRAGMENT_INDEX + 1
 DEFAULT_DATA_RATE_BPS = 121_400
 JOIN_MAX_ROUNDS = 63
+# timers, in ticks
+ACK_TIMEOUT = 3 * MAX_FRAME_BYTES * 8
+REASSEMBLY_TIMEOUT = 10 * ACK_TIMEOUT
 
 
 class PrimitiveFamily(Enum):
@@ -107,11 +112,12 @@ class _PendingAck:
 class _ReassemblyEntry:
     chunks: dict
     last_index: Optional[int]
-    deadline: float
+    deadline: int
 
 
 def ack_timeout_for_rate(data_rate_bps: float) -> float:
-    return 3.0 * (MAX_FRAME_BYTES * 8) / data_rate_bps
+    """The ack timeout in seconds at `data_rate_bps`."""
+    return ACK_TIMEOUT / data_rate_bps
 
 
 def fragment_sdu(sdu: bytes, max_payload: int) -> list[bytes]:
@@ -139,11 +145,9 @@ class Device:
         self.device_id = device_id
         self.max_retries = max_retries
         self.data_rate_bps = data_rate_bps
-        self.ack_timeout = ack_timeout_for_rate(data_rate_bps)
-        self.reassembly_timeout = 10.0 * self.ack_timeout
         self.trace = trace
 
-        self.now = 0.0
+        self.now = 0                               # ticks
         self.connection = Connection.IDLE
         self.hub_id: Optional[int] = None          # node side
         self.registry: set[int] = set()            # hub side: connected node ids
@@ -153,7 +157,7 @@ class Device:
 
         self._tx_queue: deque = deque()            # (sdu_id, Frame)
         self._pending: Optional[_PendingAck] = None
-        self._deadline: Optional[float] = None     # join (CONNECTING) or ack timer
+        self._deadline: Optional[int] = None       # join (CONNECTING) or ack timer
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
         self._ack_tx_memo: dict = {}               # (sender, seq) -> tx action
 
@@ -227,7 +231,7 @@ class Device:
         return sdu_id, outputs
 
     @property
-    def next_deadline(self) -> Optional[float]:
+    def next_deadline(self) -> Optional[int]:
         """The armed ack or join deadline; None when none is armed."""
         return self._deadline
 
@@ -248,7 +252,8 @@ class Device:
 
     def _record(self, family: PrimitiveFamily, kind: PrimitiveKind) -> None:
         if self.trace is not None:
-            self.trace.append((self.now, self.device_id, family.name, kind.name))
+            self.trace.append((self.now / self.data_rate_bps, self.device_id,
+                               family.name, kind.name))
 
     def _emit(self, outputs: list, primitive: Primitive) -> None:
         self._record(primitive.family, primitive.kind)
@@ -355,7 +360,7 @@ class Device:
         # the join deadline is armed only while CONNECTING: every way out of
         # that state (assignment, _leave) disarms it
         self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
-        self._deadline = self.now + self.ack_timeout
+        self._deadline = self.now + ACK_TIMEOUT
 
     def _leave(self, kind: PrimitiveKind, event: str, hub_id: int, outputs: list) -> None:
         """Back to IDLE holding no deadline, giving up any pending frame; tell
@@ -392,7 +397,7 @@ class Device:
         key = (header.sender_id, base_seq)
         entry = self._reassembly.get(key)
         if entry is None:
-            entry = _ReassemblyEntry({}, None, self.now + self.reassembly_timeout)
+            entry = _ReassemblyEntry({}, None, self.now + REASSEMBLY_TIMEOUT)
             self._reassembly[key] = entry
         entry.chunks[header.fragment_index] = frame.body
         if header.last_fragment:
@@ -462,8 +467,7 @@ class Device:
     def _transmit_pending(self, outputs: list) -> None:
         pending = self._pending
         pending.attempts_used += 1
-        self._deadline = (self.now + len(pending.wire) * 8 / self.data_rate_bps
-                          + self.ack_timeout)
+        self._deadline = self.now + len(pending.wire) * 8 + ACK_TIMEOUT
         self.frames_sent += 1
         outputs.append(("tx", pending.frame, pending.wire))
 
@@ -530,12 +534,13 @@ def pump(sender: Device, link: LinkHandle, outputs: list, done,
     polls the peer once per frame, ferries the peer's replies back, then
     polls the sender, first jumping the clock to its next deadline when its
     inbox is empty.  Airtime of both directions is charged to the sender's
-    clock; the peer's clock is pulled forward to match.  Returns the first
-    sender indication `done` accepts, or None when the sender has nothing
-    left to wait for or `max_rounds` run out.
+    clock; the peer's clock is pulled forward to match.  So a tick is one
+    bit period at the sender's rate, which matters when the two devices were
+    given different rates.  Returns the first sender indication `done`
+    accepts, or None when the sender has nothing left to wait for or
+    `max_rounds` run out.
     """
     peer = link.peer
-    rate = sender.data_rate_bps
     for _ in range(max_rounds):
         for item in outputs:
             if item[0] == "ind":
@@ -543,13 +548,13 @@ def pump(sender: Device, link: LinkHandle, outputs: list, done,
                     return item[1]
                 continue
             wire = item[2]
-            sender.now += len(wire) * 8 / rate
+            sender.now += len(wire) * 8
             if peer.now < sender.now:
                 peer.now = sender.now
             peer.deliver(link.to_peer(wire))
             for reply in peer.poll_step():
                 if reply[0] == "tx":
-                    sender.now += len(reply[2]) * 8 / rate
+                    sender.now += len(reply[2]) * 8
                     sender.deliver(link.to_sender(reply[2]))
         if not sender.inbox:
             deadline = sender.next_deadline
@@ -583,7 +588,7 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
 
 
 def send_clean(sender: Device, link: LinkHandle, payload_len: int,
-               until: float) -> int:
+               until: int) -> int:
     """Account the packets of one `payload_len`-byte data frame each that
     start before `until`, up to the first whose fate the CRC could leave
     open.
@@ -600,17 +605,16 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     ``CRC_HAMMING_DISTANCE`` or more flips is left to the frame path.
     Returns how many packets were taken; 0 means nothing changed and the
     caller sends the next packet with ``send_with_arq``, which flips the
-    bits counted here.
+    bits counted here.  `until` is a tick, an int like ``sender.now``.
 
     Each step, a run of clean exchanges or one packet decided by its flip
     counts, gives its packets, data frames, intact data frames and acked
     packets; one block then consumes their bits and changes the counters,
     drops and sequence numbers as the frame path would, the hub's duplicate
-    rule included.  Airtimes and deadlines are added in the frame path's
-    order, so the clocks round the same way; the hub clock is pulled
-    forward to the last data arrival.  At ``ber`` 0 only `until` ends a
-    run.  Each link draws from its own substreams, so skipping one link's
-    frames cannot move another's.
+    rule included.  A clean run takes the exchanges that start before
+    `until` without a loop; the hub clock is pulled forward to the last data
+    arrival.  At ``ber`` 0 only `until` ends a run.  Each link draws from
+    its own substreams, so skipping one link's frames cannot move another's.
     """
     hub = link.peer
     node_id = sender.device_id
@@ -625,9 +629,7 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     uplink, downlink = link.uplink, link.downlink
     clean_run = link.clean_run
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
-    rate = sender.data_rate_bps
-    t_data, t_ack = data_bits / rate, ACK_BITS / rate
-    timeout = sender.ack_timeout
+    exchange = data_bits + ACK_BITS
     tries = sender.max_retries + 1
     now = arrival = sender.now
     seq = sender.next_sequence
@@ -638,12 +640,12 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
         # `arrived` came through intact and `delivered` packets were acked
         run = clean_run(data_bits)
         if run:   # one attempt each, data frame and ack intact
-            n = 0
-            while n < run and now < until:
-                now += t_data
-                arrival = now
-                now += t_ack
-                n += 1
+            # the run's exchanges that start before `until`: all of them
+            # when its last one does, else one division counts them
+            final_start = now + (run - 1) * exchange
+            n = run if final_start < until else (until - now - 1) // exchange + 1
+            now += n * exchange
+            arrival = now - ACK_BITS
             attempts = arrived = delivered = n
         else:     # one packet, decided by its frames' flip counts
             data_flips = uplink.flips_ahead(data_bits)
@@ -651,13 +653,13 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             t, attempts, arrived = now, 0, 0
             while attempts < tries:
                 attempts += 1
-                t += t_data
+                t += data_bits
                 landed = t
-                deadline = t + timeout
+                deadline = t + ACK_TIMEOUT
                 flips = next(data_flips)
                 if not flips:
                     arrived += 1
-                    t += t_ack
+                    t += ACK_BITS
                     flips = next(ack_flips)
                     if not flips:
                         break
@@ -720,9 +722,10 @@ def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
     with no armed deadline, no open reassembly and room for the node, both
     with empty inboxes, such a join has one outcome: the hub registers the
     node and the node is CONNECTED.  The devices, clocks and substreams then
-    change as ``pump`` would change them, in its order, so the clocks round
-    the same way.  False means nothing changed and the caller joins with
-    ``establish_connection``.
+    change as ``pump`` would change them: the node's clock gains two
+    ``MGMT_BITS`` airtimes and the hub clock is pulled forward to the
+    request's arrival.  False means nothing changed and the caller joins
+    with ``establish_connection``.
     """
     # an IDLE node holds no deadline and no pending frame, so sent minus
     # resolved SDUs is what waits in its queue
@@ -736,17 +739,16 @@ def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
             or not (link.uplink.clean_run(MGMT_BITS)
                     and link.downlink.clean_run(MGMT_BITS))):
         return False
-    airtime = MGMT_BITS / node.data_rate_bps
     # the request: the node's sequence number, its airtime, the hub's arrival
     node.hub_id = hub.device_id
     node.next_sequence = (node.next_sequence + 1) & 0xFF
-    node.now += airtime
+    node.now += MGMT_BITS
     if hub.now < node.now:
         hub.now = node.now
     # the assignment: the hub registers the node and answers
     hub.registry.add(node.device_id)
     hub.next_sequence = (hub.next_sequence + 1) & 0xFF
-    node.now += airtime
+    node.now += MGMT_BITS
     node.connection = Connection.CONNECTED
     link.uplink.skip(MGMT_BITS, 1)
     link.downlink.skip(MGMT_BITS, 1)

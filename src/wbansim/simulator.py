@@ -214,16 +214,17 @@ def run_experiment(config: ExperimentConfig,
     # pattern is detected does not depend on the bytes it lands on, and the
     # header holds no payload.  Every data frame carries zeros.
     payload = bytes(config.payload_len)
-    duration = config.duration_s
-    # event queue entries: (next send time, node index)
+    # an exchange starts in the run when it starts before tick `until`
+    until = math.ceil(config.duration_s * config.data_rate_bps)
+    # event queue entries: (next send tick, node index)
     queue = [(node.now, i) for i, node in enumerate(nodes)]
     heapq.heapify(queue)
     while queue:
         t, i = heapq.heappop(queue)
-        if t >= duration:
+        if t >= until:
             continue
         node = nodes[i]
-        if not send_clean(node, links[i], config.payload_len, duration):
+        if not send_clean(node, links[i], config.payload_len, until):
             send_with_arq(node, data_frame(hub.device_id, node.device_id, 0, payload),
                           links[i])
         heapq.heappush(queue, (node.now, i))
@@ -239,7 +240,7 @@ def run_experiment(config: ExperimentConfig,
         results.append(LinkResult(
             node_id=node.device_id, distance_m=distances[i], ber=bers[i],
             counters=counters, delivered=node.packets_delivered,
-            lost=node.packets_lost, busy_s=node.now))
+            lost=node.packets_lost, busy_s=node.now / config.data_rate_bps))
     return ExperimentResult(config=config, links=results)
 
 

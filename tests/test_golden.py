@@ -23,7 +23,7 @@ CASES = {
         True,
         {"out.csv": "2692f8e2b5fd5fbba38c8d12d3032125ada6ec6b36afb6f5881e9300ab9eadb3",
          "out.manifest.json": "c43b259028b41fc7d322ece17df1a869d961543f98e98e42f90fe60263c264f9",
-         "trace.txt": "46c839cd1a429e18922daa32edd1e00701db3add06c5b5dde182e45b92c2c925"},
+         "trace.txt": "f4b230e0e3399861126a2b95e684a0825cbc524da81a97128239cdc6cec6d410"},
     ),
     "sweep-retries": (
         ["sweep", "--set", "duration_s=0.3", "--set", "node_count=2",

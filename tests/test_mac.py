@@ -8,12 +8,16 @@ import pytest
 
 from wbansim.channel import ChannelModel, FrameCorruptor
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, MGMT_BITS, FrameType, ack_frame,
-                            compute_crc16, data_frame, encode_frame, management_frame)
-from wbansim.mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device,
+from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, FrameType,
+                            ack_frame, compute_crc16, data_frame, encode_frame,
+                            management_frame)
+from wbansim.mac import (ACK_TIMEOUT, DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, MAX_NODES,
+                         REASSEMBLY_TIMEOUT, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, join_clean, make_link,
                          pump, send_clean, send_with_arq)
+
+SECOND = DEFAULT_DATA_RATE_BPS   # ticks: bit periods at the devices' default rate
 
 
 def lossless_pair(max_retries=3, seed=0):
@@ -111,7 +115,7 @@ def test_the_hub_gives_up_every_sdu_for_a_node_that_left():
     confirms = [p.payload for p in inds(outputs) if p.family is PrimitiveFamily.DATA_TRANSFER]
     assert [(c["sdu_id"], c["success"]) for c in confirms] == [(0, False), (1, False)]
     assert (hub.frames_sent, hub.packets_lost, hub.next_deadline) == (1, 2, None)
-    hub.now += 1.0
+    hub.now += SECOND
     assert hub.poll_step() == []
     assert hub.frames_sent == 1
 
@@ -183,7 +187,7 @@ def test_join_over_dead_link_gives_up_within_round_bound():
     assert 1 < hub.drops["crc"] <= JOIN_MAX_ROUNDS
     # exactly one request per round: a join that moves by one round fails
     assert hub.drops["crc"] == 63
-    assert node.now == 3.275584843492586
+    assert node.now == JOIN_MAX_ROUNDS * ACK_TIMEOUT
 
 
 # ------------------------------------------------------------ fragmentation
@@ -270,7 +274,7 @@ def test_reassembly_gap_times_out():
     outputs = hub.poll_step()
     for _, _f, wire in txs(outputs):
         pass  # acks, ignored
-    hub.now += hub.reassembly_timeout + 1.0
+    hub.now += REASSEMBLY_TIMEOUT + 1
     outputs = hub.poll_step()   # empty inbox -> timer sweep
     gaps = [p for p in inds(outputs) if p.payload.get("error") == "gap"]
     assert len(gaps) == 1
@@ -289,7 +293,7 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     node.now = node.next_deadline
     node.poll_step()                    # and given up, with the last one
     assert node.packets_lost == 1
-    node.now += hub.reassembly_timeout
+    node.now += REASSEMBLY_TIMEOUT
     confirm = pump(node, link, node.request_send(b"next"),
                    lambda p: p.family is PrimitiveFamily.DATA_TRANSFER, 8)
     assert confirm.payload["success"]
@@ -422,8 +426,7 @@ def test_next_deadline_tracks_the_pending_ack():
     assert node.next_deadline is None
     _, outputs = node.submit([data_frame(0, 1, 0, bytes(10))])
     wire = txs(outputs)[0][2]
-    assert node.next_deadline == (node.now + len(wire) * 8 / node.data_rate_bps
-                                  + node.ack_timeout)
+    assert node.next_deadline == node.now + len(wire) * 8 + ACK_TIMEOUT
 
 
 def test_a_resolved_frame_leaves_no_deadline():
@@ -508,8 +511,7 @@ def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
     taken = 0
     for _ in range(600):
         for (hub, node, link), try_clean in ((fast, True), (slow, False)):
-            if try_clean and send_clean(node, link, payload_len,
-                                        math.nextafter(node.now, math.inf)):
+            if try_clean and send_clean(node, link, payload_len, node.now + 1):
                 taken += 1
             else:
                 send_with_arq(node, data_frame(0, 1, 0, bytes(payload_len)), link)
@@ -542,16 +544,40 @@ def test_send_clean_declines_outside_the_steady_state(spoil):
     hub, node, link = connect(*lossless_pair())
     spoil(hub, node)
     before = state(hub, node)
-    assert not send_clean(node, link, 10, math.nextafter(node.now, math.inf))
+    assert not send_clean(node, link, 10, node.now + 1)
     assert state(hub, node) == before
 
 
-def test_send_clean_takes_no_exchange_starting_at_or_after_until():
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+@pytest.mark.parametrize("k", [0, 1, 2, 300])
+def test_send_clean_takes_no_exchange_starting_at_or_after_until(k, past):
+    # at ber 0 only `until` ends a run, and exchange j starts j exchanges
+    # after the first: one starting at `until` is not taken, one starting a
+    # tick before it is, though it ends after
     hub, node, link = connect(*lossless_pair())
+    exchange = (10 + OVERHEAD_BYTES) * 8 + ACK_BITS
+    start = node.now
     before = state(hub, node)
-    assert send_clean(node, link, 10, node.now) == 0
-    assert state(hub, node) == before
-    assert send_clean(node, link, 10, node.now + 1e-6) == 1   # starts before, ends after
+    taken = k + past
+    assert send_clean(node, link, 10, start + k * exchange + past) == taken
+    assert node.now == start + taken * exchange
+    if not taken:
+        assert state(hub, node) == before
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+def test_send_clean_takes_a_whole_clean_run_only_if_its_last_exchange_starts_before_until(past):
+    # the uplink's first flip lands in the fourth data frame, so the clean
+    # run is three exchanges long; its last one starts at `until`, or a tick
+    # before it
+    data_bits = (10 + OVERHEAD_BYTES) * 8
+    exchange = data_bits + ACK_BITS
+    hub, node, link = connect(*lossless_pair())
+    link.uplink = FrameCorruptor(_Gaps([3 * data_bits], 0.01), 0.01)
+    assert link.clean_run(data_bits) == 3
+    start = node.now
+    assert send_clean(node, link, 10, start + 2 * exchange + past) == 2 + past
+    assert node.now == start + (2 + past) * exchange
 
 
 def test_link_clean_run_consumes_nothing_unless_both_counts_are_zero():
@@ -595,9 +621,8 @@ def test_one_long_send_clean_equals_one_exchange_calls():
     # one call takes a run longer than a 256-sequence cycle; one exchange
     # per call leaves the same devices and the same channel state
     whole, stepped = lossy_pair(seed=7, ber=1e-6), lossy_pair(seed=7, ber=1e-6)
-    longest = _run_until(whole, 20.0, lambda node, until: until)
-    assert _run_until(stepped, 20.0,
-                      lambda node, until: math.nextafter(node.now, math.inf)) == 1
+    longest = _run_until(whole, 20 * SECOND, lambda node, until: until)
+    assert _run_until(stepped, 20 * SECOND, lambda node, until: node.now + 1) == 1
     assert longest > 256
     assert state(*whole[:2]) == state(*stepped[:2])
     a, b = whole[2], stepped[2]
@@ -640,8 +665,8 @@ def test_send_clean_matches_send_with_arq_on_lossy_links():
     seen = Counter()
     for seed, (ber, retries, payload_len) in enumerate(LOSSY_LINKS):
         decided, framed = (lossy_pair(seed, ber, retries) for _ in range(2))
-        seen["cut"] += _carry(decided, payload_len, 30.0, decide=True)
-        _carry(framed, payload_len, 30.0, decide=False)
+        seen["cut"] += _carry(decided, payload_len, 30 * SECOND, decide=True)
+        _carry(framed, payload_len, 30 * SECOND, decide=False)
         _assert_same_devices_and_streams(decided, framed)
         seen.update(decided[1].drops)
         seen["exhausted"] += decided[1].packets_lost
@@ -661,8 +686,8 @@ def test_send_clean_matches_send_with_arq_across_a_sequence_wrap():
         return connect(hub, node, link)
 
     decided, framed = pair(), pair()
-    _carry(decided, 255, 120.0, decide=True)
-    _carry(framed, 255, 120.0, decide=False)
+    _carry(decided, 255, 120 * SECOND, decide=True)
+    _carry(framed, 255, 120 * SECOND, decide=False)
     _assert_same_devices_and_streams(decided, framed)
     assert decided[0].drops["duplicate"] == 1
 
@@ -674,7 +699,7 @@ def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
     decided, framed = lossy_pair(seed, ber), lossy_pair(seed, ber)
     for hub, node, link in (decided, framed):
         hub.last_accepted[node.device_id] = node.next_sequence
-    assert send_clean(decided[1], decided[2], 0, decided[1].now + 1e-6) == 1
+    assert send_clean(decided[1], decided[2], 0, decided[1].now + 1) == 1
     _carry(framed, 0, decided[1].now, decide=False)
     _assert_same_devices_and_streams(decided, framed)
     assert decided[0].drops["duplicate"] >= 1
@@ -710,9 +735,9 @@ def test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path(pattern):
         return hub, node, link
 
     decided, framed = pair(), pair()
-    assert send_clean(decided[1], decided[2], 10, 1.0) == 0
-    _carry(decided, 10, decided[1].now + 1e-6, decide=True)
-    _carry(framed, 10, framed[1].now + 1e-6, decide=False)
+    assert send_clean(decided[1], decided[2], 10, SECOND) == 0
+    _carry(decided, 10, decided[1].now + 1, decide=True)
+    _carry(framed, 10, framed[1].now + 1, decide=False)
     _assert_same_devices_and_streams(decided, framed)
     hub, node = decided[:2]
     assert (node.frames_sent, node.packets_delivered, hub.rx_packets[1]) == (1, 1, 1)
@@ -741,11 +766,10 @@ def idle_pair():
 def test_join_clean_takes_a_join_whose_frames_both_cross_clean():
     # the pair each case below spoils
     hub, node, link = idle_pair()
-    airtime = MGMT_BITS / node.data_rate_bps
     assert join_clean(node, hub, link)
     assert (node.connection, node.hub_id, node.next_deadline) == (Connection.CONNECTED, 0, None)
     assert (hub.registry, node.next_sequence, hub.next_sequence) == ({1}, 1, 1)
-    assert (hub.now, node.now) == (airtime, airtime + airtime)
+    assert (hub.now, node.now) == (MGMT_BITS, 2 * MGMT_BITS)
 
 
 def _hub_traced(hub, node):

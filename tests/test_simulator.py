@@ -105,6 +105,17 @@ def test_link_time_respects_capacity():
         assert link.busy_s <= config.duration_s + 5 * max_exchange
 
 
+def test_traced_times_are_whole_bit_periods():
+    # virtual time counts bit periods, so each traced time is k / rate for
+    # an integer k; the config is the golden `simulate-trace` case's
+    config = ExperimentConfig(node_count=3, duration_s=0.5, seed=88)
+    trace = []
+    run_experiment(config, trace=trace)
+    rate = config.data_rate_bps
+    assert len(trace) > 1000
+    assert [t for t, *_ in trace if round(t * rate) / rate != t] == []
+
+
 def test_per_node_distances():
     config = quick_config(node_count=3, distance_m=[1.0, 5.0, 10.0],
                           duration_s=0.3)

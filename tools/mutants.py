@@ -52,17 +52,17 @@ CATALOGUE = [
     Mutant("join-hub-clock-not-pulled", MAC,
            "    if hub.now < node.now:\n        hub.now = node.now\n", "", JOIN_TWIN),
     Mutant("join-hub-clock-pulled-after-the-assignment", MAC,
-           "    node.now += airtime\n"
+           "    node.now += MGMT_BITS\n"
            "    if hub.now < node.now:\n        hub.now = node.now\n"
            "    # the assignment: the hub registers the node and answers\n"
            "    hub.registry.add(node.device_id)\n"
            "    hub.next_sequence = (hub.next_sequence + 1) & 0xFF\n"
-           "    node.now += airtime\n",
-           "    node.now += airtime\n"
+           "    node.now += MGMT_BITS\n",
+           "    node.now += MGMT_BITS\n"
            "    # the assignment: the hub registers the node and answers\n"
            "    hub.registry.add(node.device_id)\n"
            "    hub.next_sequence = (hub.next_sequence + 1) & 0xFF\n"
-           "    node.now += airtime\n"
+           "    node.now += MGMT_BITS\n"
            "    if hub.now < node.now:\n        hub.now = node.now\n", JOIN_TWIN),
     Mutant("join-hub-sequence-not-taken", MAC,
            "    hub.next_sequence = (hub.next_sequence + 1) & 0xFF\n", "", JOIN_TWIN),
@@ -96,16 +96,26 @@ CATALOGUE = [
            '    if intact > accepted:\n        hub.drops["duplicate"] += intact - accepted\n', "",
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
     Mutant("send-clean-run-drops-the-ack-airtime", MAC,
-           "                now += t_ack\n", "",
+           "now += n * exchange", "now += n * data_bits",
            (TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone",)),
+    Mutant("send-clean-run-pulls-the-hub-clock-to-the-ack-end", MAC,
+           "arrival = now - ACK_BITS", "arrival = now",
+           (TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone",)),
+    Mutant("send-clean-run-takes-an-exchange-starting-at-until", MAC,
+           "(until - now - 1) // exchange + 1", "(until - now) // exchange + 1",
+           (TEST_MAC + "test_send_clean_takes_no_exchange_starting_at_or_after_until",)),
+    Mutant("send-clean-run-taken-whole-when-its-last-exchange-starts-at-until", MAC,
+           "final_start < until", "final_start <= until",
+           (TEST_MAC + "test_send_clean_takes_a_whole_clean_run_only_if_its_last_exchange"
+            "_starts_before_until",)),
     Mutant("send-decided-packet-drops-the-ack-airtime", MAC,
-           "                    t += t_ack\n", "",
+           "                    t += ACK_BITS\n", "",
            (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
     Mutant("send-deadline-one-airtime-short", MAC,
-           "deadline = t + timeout", "deadline = t - t_data + timeout",
+           "deadline = t + ACK_TIMEOUT", "deadline = t - data_bits + ACK_TIMEOUT",
            (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
     Mutant("send-deadline-one-airtime-long", MAC,
-           "deadline = t + timeout", "deadline = t + t_data + timeout",
+           "deadline = t + ACK_TIMEOUT", "deadline = t + data_bits + ACK_TIMEOUT",
            (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
     Mutant("send-last-accepted-stays-at-the-first-packet", MAC,
            "last = (seq + n - 1) & 0xFF", "last = seq",
