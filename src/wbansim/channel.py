@@ -18,12 +18,9 @@ through the analytic payload/FER model at the 10-byte reference payload.
 import bisect
 import functools
 import hashlib
-import itertools
 import math
 import random
 import sys
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .analytics import _check_probability, invert_fer_analytic
@@ -93,34 +90,46 @@ class FrameCorruptor:
     further gaps are drawn until one reaches past the frame end, whose
     remainder carries into the next frame.
 
-    ``clean_run``, ``flips_ahead`` and ``skip`` serve ``mac.send_clean``,
-    whose docstring gives the rule for frames decided by their flip counts.
-    ``flips_ahead`` yields each frame's full flip count; the gaps it draws
-    to look ahead wait in a buffer that ``corrupt`` and ``skip`` take from
-    before they draw again, so every substream draws the same numbers in
-    the same order whether or not anyone looked ahead.  At ``ber`` 0
-    nothing flips and at ``ber`` 1 every bit does; neither draws anything.
-    ``set_ber`` discards the gap and the buffer and draws a fresh gap, which
-    is exact because the law is memoryless.
+    The look-ahead that ``mac.send_clean`` walks is public: ``gap`` is the
+    number of clean bits before the next flip, counted from the next frame's
+    start, and ``ahead`` holds the gaps after that flip, in order, that a
+    look-ahead took from ``draw``.  Looking consumes nothing: a walk reads
+    ``gap``, then ``ahead``, and appends to ``ahead`` only past its end.  A
+    walk commits the frames it decided by setting ``gap`` to the gap after
+    them and deleting the entries of ``ahead`` it used.  ``corrupt`` and
+    ``skip`` take from ``ahead`` before they draw, so every substream draws
+    the same numbers in the same order whether or not anyone looked ahead.
+    At ``ber`` 0 nothing flips and ``gap`` starts at ``sys.maxsize``, past
+    the end of any run; at ``ber`` 1 every bit does and ``gap`` is 0;
+    neither draws anything, and ``draw`` serves neither.  ``set_ber``
+    discards the gap and the look-ahead and draws a fresh gap, which is
+    exact because the law is memoryless.
     """
 
-    __slots__ = ("rng", "_ber", "_log_q", "_gap", "_ahead")
+    __slots__ = ("rng", "_ber", "_log_q", "gap", "ahead")
 
     def __init__(self, rng: random.Random, ber: float):
         self.rng = rng
         self.set_ber(ber)
 
+    @property
+    def ber(self) -> float:
+        """The probability each bit flips; ``set_ber`` changes it."""
+        return self._ber
+
     def set_ber(self, value: float) -> None:
         """Flip each bit from here on with probability `value`."""
         _check_probability("ber", value)
         self._ber = value
-        self._ahead = deque()   # gaps after the next flip, drawn by a look-ahead
+        self.ahead = []
         if 0.0 < value < 1.0:
             self._log_q = math.log1p(-value)
-            self._gap = self._draw()
+            self.gap = self.draw()
+        else:
+            self.gap = 0 if value else sys.maxsize
 
-    def _draw(self) -> int:
-        """Clean bits before the next flip."""
+    def draw(self) -> int:
+        """A fresh gap from the substream: the clean bits before a flip."""
         try:
             return int(math.log1p(-self.rng.random()) / self._log_q)
         except OverflowError:   # a gap past any float, at a sub-1e-307 ber
@@ -132,44 +141,18 @@ class FrameCorruptor:
 
         At ``ber`` 0 the run has no end; it is given as ``sys.maxsize``.
         """
-        ber = self._ber
-        if ber == 0.0:
+        if self._ber == 0.0:
             return sys.maxsize
-        if ber == 1.0:
-            return 0
-        return self._gap // nbits
-
-    def flips_ahead(self, nbits: int) -> Iterator[int]:
-        """Yield the number of flips each next frame of `nbits` bits will
-        carry; consumes nothing.
-
-        The look-ahead holds only until the next ``corrupt``, ``skip`` or
-        ``set_ber``.
-        """
-        ber = self._ber
-        if ber == 0.0 or ber == 1.0:
-            yield from itertools.repeat(nbits if ber else 0)
-        ahead = self._ahead
-        pos, i = self._gap, 0   # next flip from the frame start; ahead[i] follows it
-        while True:
-            count = 0
-            while pos < nbits:
-                count += 1
-                if i == len(ahead):
-                    ahead.append(self._draw())
-                pos += 1 + ahead[i]
-                i += 1
-            yield count
-            pos -= nbits
+        return self.gap // nbits
 
     def skip(self, nbits: int, n: int) -> None:
         """Consume `n` frames of `nbits` bits as ``corrupt`` would, flips
         included, without building them."""
         if 0.0 < self._ber < 1.0:
-            end, pos, ahead = n * nbits, self._gap, self._ahead
+            end, pos, ahead = n * nbits, self.gap, self.ahead
             while pos < end:
-                pos += 1 + (ahead.popleft() if ahead else self._draw())
-            self._gap = pos - end
+                pos += 1 + (ahead.pop(0) if ahead else self.draw())
+            self.gap = pos - end
 
     def corrupt(self, data: bytes) -> bytes:
         ber = self._ber
@@ -178,16 +161,16 @@ class FrameCorruptor:
         if ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
-        pos = self._gap
+        pos = self.gap
         if pos >= nbits:
-            self._gap = pos - nbits
+            self.gap = pos - nbits
             return data
         out = bytearray(data)
-        ahead = self._ahead
+        ahead = self.ahead
         while pos < nbits:
             out[pos >> 3] ^= 0x80 >> (pos & 7)
-            pos += 1 + (ahead.popleft() if ahead else self._draw())
-        self._gap = pos - nbits
+            pos += 1 + (ahead.pop(0) if ahead else self.draw())
+        self.gap = pos - nbits
         return bytes(out)
 
 

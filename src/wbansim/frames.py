@@ -30,6 +30,7 @@ ACK_FRAME_BYTES = OVERHEAD_BYTES + 1   # overhead + 1-byte acked sequence
 ACK_BITS = 8 * ACK_FRAME_BYTES
 MGMT_BITS = 8 * OVERHEAD_BYTES          # a management frame without params
 MAX_PAYLOAD = 255
+MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
 MAX_FRAGMENT_INDEX = 127
 # CRC-16/CCITT has Hamming distance 4 up to the largest frame (Koopman and
 # Chakravarty, DSN 2004): every error of fewer bit flips fails the checksum.
@@ -52,6 +53,27 @@ _TYPE_BY_VALUE = {int(t): t for t in FrameType}
 def compute_crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE of `data` (check value of b"123456789" is 0x29B1)."""
     return binascii.crc_hqx(data, 0xFFFF)
+
+
+def _syndromes() -> tuple[int, ...]:
+    """``x^d mod g(x)`` for every ``d`` below the largest frame's bit count,
+    with ``g(x) = x^16 + x^12 + x^5 + 1``."""
+    table, syndrome = [], 1
+    for _ in range(MAX_FRAME_BYTES * 8):
+        table.append(syndrome)
+        syndrome <<= 1
+        if syndrome >> 16:
+            syndrome ^= 0x11021
+    return tuple(table)
+
+
+# A received frame's syndrome, its computed CRC xor its CRC field, is 0 when
+# it is intact and linear in the error pattern; the 0xFFFF init cancels
+# between frames of equal length (Peterson and Brown, Proc. IRE 1961).  So a
+# flip `d` bits before the frame's end adds CRC_SYNDROMES[d], whatever the
+# frame's length, and an error passes the checksum exactly when the xor of
+# its flips' entries is 0.
+CRC_SYNDROMES = _syndromes()
 
 
 @dataclass

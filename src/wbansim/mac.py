@@ -28,8 +28,8 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 
 ``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
 ``send_with_arq`` and ``establish_connection``: each takes the exchanges
-whose flip counts decide their fate without building frames, and its
-docstring gives the rule.
+whose flips decide their fate without building frames, and its docstring
+gives the rule.
 
 Timing is virtual and counts integer ticks, one bit period each: a frame's
 airtime is ``len(wire) * 8`` ticks.  A driver (the simulator or a test)
@@ -50,12 +50,11 @@ from typing import Optional
 from .channel import ChannelModel, FrameCorruptor
 from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
                      RangeError, TruncatedError)
-from .frames import (ACK_BITS, CRC_HAMMING_DISTANCE, MAX_FRAGMENT_INDEX, MAX_PAYLOAD,
-                     MGMT_BITS, OVERHEAD_BYTES, Frame, FrameType, ack_frame, data_frame,
-                     decode_frame, encode_frame, management_frame)
+from .frames import (ACK_BITS, CRC_SYNDROMES, MAX_FRAGMENT_INDEX, MAX_FRAME_BYTES,
+                     MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, Frame, FrameType, ack_frame,
+                     data_frame, decode_frame, encode_frame, management_frame)
 
 MAX_NODES = 64
-MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
 MAX_FRAGMENTS = MAX_FRAGMENT_INDEX + 1
 DEFAULT_DATA_RATE_BPS = 121_400
 JOIN_MAX_ROUNDS = 63
@@ -510,12 +509,6 @@ class LinkHandle:
     def to_sender(self, wire: bytes) -> bytes:
         return self.downlink.corrupt(wire)
 
-    def clean_run(self, data_bits: int) -> int:
-        """Exchanges ahead whose `data_bits`-bit data frame and ack will both
-        cross with zero flips, up to the first that will not; consumes
-        nothing."""
-        return min(self.uplink.clean_run(data_bits), self.downlink.clean_run(ACK_BITS))
-
 
 def make_link(sender: Device, peer: Device, model: ChannelModel,
               ber: Optional[float] = None) -> LinkHandle:
@@ -593,28 +586,34 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     start before `until`, up to the first whose fate the CRC could leave
     open.
 
-    The channel can count the flips each of a link's next frames will carry
+    The channel can say where the flips of a link's next frames will land
     before any frame exists.  Between idle, untraced, connected devices a
-    packet's fate follows from those counts: a frame with no flip arrives
-    intact, and one with 1 to ``CRC_HAMMING_DISTANCE - 1`` flips fails its
-    checksum, because CRC-16/CCITT catches every such error in any frame
-    this codec builds.  Each attempt then goes as in ``send_with_arq``: a
-    lost data frame or ack ends at the attempt's deadline, the hub accepts
-    an intact data frame or counts it a duplicate, and a packet whose
-    attempts all fail is lost.  A packet with a frame of
-    ``CRC_HAMMING_DISTANCE`` or more flips is left to the frame path.
+    packet's fate follows from them: a frame with no flip arrives intact,
+    and one with flips fails its checksum unless the xor of their
+    ``frames.CRC_SYNDROMES`` entries, the frame's syndrome, is 0.  Each
+    attempt then goes as in ``send_with_arq``: a lost data frame or ack ends
+    at the attempt's deadline, the hub accepts an intact data frame or
+    counts it a duplicate, and a packet whose attempts all fail is lost.  A
+    packet with a frame of flips and a zero syndrome, which the CRC misses
+    and the receiver decodes as some other frame or finds malformed, or with
+    a frame crossing a direction at ``ber`` 1, is left to the frame path.
     Returns how many packets were taken; 0 means nothing changed and the
     caller sends the next packet with ``send_with_arq``, which flips the
-    bits counted here.  `until` is a tick, an int like ``sender.now``.
+    bits looked at here.  `until` is a tick, an int like ``sender.now``.
 
-    Each step, a run of clean exchanges or one packet decided by its flip
-    counts, gives its packets, data frames, intact data frames and acked
-    packets; one block then consumes their bits and changes the counters,
-    drops and sequence numbers as the frame path would, the hub's duplicate
-    rule included.  A clean run takes the exchanges that start before
-    `until` without a loop; the hub clock is pulled forward to the last data
-    arrival.  At ``ber`` 0 only `until` ends a run.  Each link draws from
-    its own substreams, so skipping one link's frames cannot move another's.
+    One loop walks both substreams' look-ahead (``FrameCorruptor.gap`` and
+    ``ahead``) in local variables.  Each step, a run of clean exchanges or
+    one packet decided by its frames' syndromes, gives its packets, data
+    frames, intact data frames and acked packets; one block then changes the
+    counters, drops and sequence numbers as the frame path would, the hub's
+    duplicate rule included.  A clean run takes the exchanges that start
+    before `until` without a loop; the hub clock is pulled forward to the
+    last data arrival.  A decided packet walks its frames' flips, drawing
+    gaps into ``ahead`` only past its end.  At the end each substream's gap
+    is set and the gaps the taken packets used are deleted from ``ahead``;
+    those a packet left to the frame path drew stay there for ``corrupt``.
+    At ``ber`` 0 only `until` ends a run.  Each link draws from its own
+    substreams, so taking one link's frames cannot move another's.
     """
     hub = link.peer
     node_id = sender.device_id
@@ -627,18 +626,29 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             or hub.inbox or node_id not in hub.registry):
         return 0
     uplink, downlink = link.uplink, link.downlink
-    clean_run = link.clean_run
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
     exchange = data_bits + ACK_BITS
+    # a flip at `pos` lies `last - pos` bits before its frame's end
+    data_last, ack_last = data_bits - 1, ACK_BITS - 1
     tries = sender.max_retries + 1
     now = arrival = sender.now
     seq = sender.next_sequence
     last = hub.last_accepted.get(node_id)
     packets = frames = intact = acked = accepted = 0
+    # per direction: clean bits before the next flip from the next frame's
+    # start, and how many gaps of the look-ahead the walk has used
+    up_gap, up_used, up_ahead, up_draw = uplink.gap, 0, uplink.ahead, uplink.draw
+    down_gap, down_used, down_ahead, down_draw = (downlink.gap, 0, downlink.ahead,
+                                                  downlink.draw)
+    # at ber 1 every bit flips, and the frame path carries every frame
+    up_walks, down_walks = uplink.ber != 1.0, downlink.ber != 1.0
     while now < until:
         # each step takes `n` packets in `attempts` data frames, of which
         # `arrived` came through intact and `delivered` packets were acked
-        run = clean_run(data_bits)
+        run = up_gap // data_bits
+        acks = down_gap // ACK_BITS
+        if acks < run:
+            run = acks
         if run:   # one attempt each, data frame and ack intact
             # the run's exchanges that start before `until`: all of them
             # when its last one does, else one division counts them
@@ -646,32 +656,49 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             n = run if final_start < until else (until - now - 1) // exchange + 1
             now += n * exchange
             arrival = now - ACK_BITS
+            up_gap -= n * data_bits
+            down_gap -= n * ACK_BITS
             attempts = arrived = delivered = n
-        else:     # one packet, decided by its frames' flip counts
-            data_flips = uplink.flips_ahead(data_bits)
-            ack_flips = downlink.flips_ahead(ACK_BITS)
-            t, attempts, arrived = now, 0, 0
+        else:     # one packet, decided by its frames' syndromes
+            before = up_gap, up_used, down_gap, down_used
+            t, attempts, arrived, delivered = now, 0, 0, False
             while attempts < tries:
+                syndrome = 0
                 attempts += 1
                 t += data_bits
                 landed = t
                 deadline = t + ACK_TIMEOUT
-                flips = next(data_flips)
-                if not flips:
+                if up_gap >= data_bits:   # the data frame arrives intact
+                    up_gap -= data_bits
                     arrived += 1
                     t += ACK_BITS
-                    flips = next(ack_flips)
-                    if not flips:
+                    if down_gap >= ACK_BITS:   # and so does its ack
+                        down_gap -= ACK_BITS
+                        delivered = True
                         break
-                if flips >= CRC_HAMMING_DISTANCE:
-                    break
+                    if down_walks:   # the ack's flips
+                        while down_gap < ACK_BITS:
+                            syndrome ^= CRC_SYNDROMES[ack_last - down_gap]
+                            if down_used == len(down_ahead):
+                                down_ahead.append(down_draw())
+                            down_gap += 1 + down_ahead[down_used]
+                            down_used += 1
+                        down_gap -= ACK_BITS
+                elif up_walks:   # the data frame's flips
+                    while up_gap < data_bits:
+                        syndrome ^= CRC_SYNDROMES[data_last - up_gap]
+                        if up_used == len(up_ahead):
+                            up_ahead.append(up_draw())
+                        up_gap += 1 + up_ahead[up_used]
+                        up_used += 1
+                    up_gap -= data_bits
+                if not syndrome:
+                    break   # the CRC misses this frame, or its direction is at ber 1
                 t = deadline
-            if flips >= CRC_HAMMING_DISTANCE:
+            if not (delivered or syndrome):
+                up_gap, up_used, down_gap, down_used = before
                 break   # the frame path carries this packet
             n, now, arrival = 1, t, landed
-            delivered = not flips
-        uplink.skip(data_bits, attempts)
-        downlink.skip(ACK_BITS, arrived)
         packets += n
         frames += attempts
         intact += arrived
@@ -682,6 +709,11 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
         seq = (seq + n) & 0xFF
     if not packets:
         return 0
+    # the substreams: the gap after the taken packets, and their gaps used
+    uplink.gap = up_gap
+    del up_ahead[:up_used]
+    downlink.gap = down_gap
+    del down_ahead[:down_used]
     # the sender: per packet, submit, its transmissions and its fate
     sender.next_sequence = seq
     sender.packets_sent += packets

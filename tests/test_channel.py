@@ -2,7 +2,6 @@
 
 import math
 import sys
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -120,21 +119,45 @@ def test_clean_run_and_skip_keep_the_corrupt_sequence():
         out = plain.corrupt(frame)
         assert (bit_count_diff(out, frame) == 0) == (run > 0)
         if run:
-            gap = probed._gap
+            gap = probed.gap
             probed.skip(nbits, 1)
-            assert probed._gap == gap - nbits    # a skip lowers the gap by its bits
+            assert probed.gap == gap - nbits     # a skip lowers the gap by its bits
             for bits in (144, 72):               # which both lengths then see
-                assert probed.clean_run(bits) == probed._gap // bits
+                assert probed.clean_run(bits) == probed.gap // bits
             skipped += 1
         else:
             assert probed.corrupt(frame) == out
     assert 5000 < skipped < 9000
 
 
-def test_flips_ahead_keeps_the_corrupt_sequence():
-    # counts read ahead, then the frames carried through corrupt or skip,
-    # give the bytes of a twin that never looked ahead, with three lengths
-    # on one bit sequence and looks that reach past what is then carried
+def look(corruptor: FrameCorruptor, nbits: int, k: int) -> list[tuple[list[int], int, int]]:
+    """Walk the next `k` frames of `nbits` bits through the public look-ahead,
+    as ``mac.send_clean`` does: per frame, its flip positions, then the gap
+    and the number of ``ahead`` entries used after it."""
+    frames, gap, used, ahead = [], corruptor.gap, 0, corruptor.ahead
+    for _ in range(k):
+        flips = []
+        while gap < nbits:
+            flips.append(gap)
+            if used == len(ahead):
+                ahead.append(corruptor.draw())
+            gap += 1 + ahead[used]
+            used += 1
+        gap -= nbits
+        frames.append((flips, gap, used))
+    return frames
+
+
+def flip_positions(out: bytes, sent: bytes) -> list[int]:
+    return [pos for pos in range(len(sent) * 8)
+            if (out[pos >> 3] ^ sent[pos >> 3]) & 0x80 >> (pos & 7)]
+
+
+def test_looking_ahead_keeps_the_corrupt_sequence():
+    # positions looked ahead, then the frames carried through corrupt or
+    # skip, give the bytes of a twin that never looked ahead, with three
+    # lengths on one bit sequence and looks that reach past what is then
+    # carried: looking consumes nothing
     rng = np.random.default_rng(8)
     probed = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
     plain = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
@@ -142,12 +165,13 @@ def test_flips_ahead_keeps_the_corrupt_sequence():
     for _ in range(3000):
         frame = bytes(int(rng.choice([9, 18, 263])))
         nbits, ahead = len(frame) * 8, int(rng.integers(1, 6))
-        counts = list(islice(probed.flips_ahead(nbits), ahead))
-        assert list(islice(probed.flips_ahead(nbits), ahead)) == counts
-        looked += len(counts)
-        for count in counts[:int(rng.integers(0, len(counts) + 1))]:
+        gap = probed.gap
+        seen = look(probed, nbits, ahead)
+        assert look(probed, nbits, ahead) == seen and probed.gap == gap
+        looked += len(seen)
+        for flips, _, _ in seen[:int(rng.integers(0, len(seen) + 1))]:
             out = plain.corrupt(frame)
-            assert bit_count_diff(out, frame) == count
+            assert flip_positions(out, frame) == flips
             if rng.random() < 0.5:
                 assert probed.corrupt(frame) == out
             else:
@@ -157,7 +181,8 @@ def test_flips_ahead_keeps_the_corrupt_sequence():
     assert 1000 < carried < looked
     # setting ber discards the gaps drawn ahead: the corruptor then equals
     # a fresh one on a generator at the same point of the substream
-    list(islice(probed.flips_ahead(144), 20))
+    look(probed, 144, 20)
+    assert probed.ahead
     fresh_rng = ChannelModel(rng_seed=6).stream("s")
     fresh_rng.setstate(probed.rng.getstate())
     probed.set_ber(fresh_ber := 0.02)
@@ -166,13 +191,36 @@ def test_flips_ahead_keeps_the_corrupt_sequence():
         assert probed.corrupt(bytes(18)) == fresh.corrupt(bytes(18))
 
 
+def test_a_commit_keeps_the_corrupt_sequence():
+    # a walk that looks some frames ahead and commits a prefix of them, by
+    # setting the gap and deleting the gaps it used, leaves the corruptor
+    # where a twin stands that carried those frames through corrupt
+    rng = np.random.default_rng(9)
+    probed = FrameCorruptor(ChannelModel(rng_seed=7).stream("s"), 0.02)
+    plain = FrameCorruptor(ChannelModel(rng_seed=7).stream("s"), 0.02)
+    committed = 0
+    for _ in range(2000):
+        frame = bytes(int(rng.choice([9, 18, 263])))
+        seen = look(probed, len(frame) * 8, int(rng.integers(1, 6)))
+        taken = int(rng.integers(0, len(seen) + 1))
+        if taken:
+            _, probed.gap, used = seen[taken - 1]
+            del probed.ahead[:used]
+        for _ in range(taken):
+            plain.corrupt(frame)
+        committed += taken
+        assert probed.corrupt(frame) == plain.corrupt(frame)
+    assert committed > 1000
+
+
 def test_clean_run_at_the_extreme_rates_draws_nothing():
     for ber, run in ((0.0, sys.maxsize), (1.0, 0)):
         corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
         assert corruptor.clean_run(144) == run
-        assert next(corruptor.flips_ahead(144)) == (144 if ber else 0)
+        assert (corruptor.gap, corruptor.ahead) == (run, [])
         corruptor.skip(144, run)
         assert corruptor.corrupt(bytes(18)) == bytes([0xFF if ber else 0] * 18)
+        assert (corruptor.gap, corruptor.ahead) == (run, [])
         assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
 
 

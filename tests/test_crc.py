@@ -3,7 +3,7 @@
 import random
 
 from wbansim.errors import MalformedError
-from wbansim.frames import (CRC_HAMMING_DISTANCE, MAX_PAYLOAD, OVERHEAD_BYTES,
+from wbansim.frames import (CRC_HAMMING_DISTANCE, CRC_SYNDROMES, MAX_PAYLOAD, OVERHEAD_BYTES,
                             compute_crc16, data_frame, decode_frame, encode_frame)
 
 
@@ -47,7 +47,8 @@ def test_every_error_of_up_to_three_bits_fails_the_checksum():
     # its single-bit syndromes.  On the largest frame (263 bytes, 2104 bits,
     # CRC included): no single-bit syndrome is 0, no two are equal and no
     # two xor to a third, so every 1-, 2- and 3-bit error is caught.  A
-    # shorter frame's single-bit syndromes are the last ones of this frame.
+    # shorter frame's single-bit syndromes are the last ones of this frame,
+    # and ``CRC_SYNDROMES[d]`` is the one of the flip `d` bits before the end.
     wire = encode_frame(data_frame(0, 1, 0, bytes(range(MAX_PAYLOAD))))
     assert len(wire) == MAX_PAYLOAD + OVERHEAD_BYTES
 
@@ -63,6 +64,7 @@ def test_every_error_of_up_to_three_bits_fails_the_checksum():
     nbits = len(wire) * 8
     singles = [syndrome(flip([pos])) for pos in range(nbits)]
     assert syndrome(wire) == 0
+    assert list(CRC_SYNDROMES) == singles[::-1]
     rng = random.Random(4)
     for _ in range(200):   # linearity, checked on random 3-bit errors
         a, b, c = rng.sample(range(nbits), 3)
@@ -73,6 +75,19 @@ def test_every_error_of_up_to_three_bits_fails_the_checksum():
     for i, s in enumerate(singles):
         assert distinct.isdisjoint(map(s.__xor__, singles[i + 1:]))
     assert CRC_HAMMING_DISTANCE == 4
+
+
+def test_a_flips_syndrome_depends_only_on_its_distance_from_the_frame_end():
+    # the 0xFFFF init cancels between frames of equal length, so a management
+    # frame, an ack and a data frame share the table's last entries
+    for payload in (b"", bytes([7]), bytes(range(10))):
+        wire = encode_frame(data_frame(2, 1, 9, payload))
+        nbits = len(wire) * 8
+        value = int.from_bytes(wire, "big")
+        for pos in range(nbits):
+            hit = (value ^ 1 << (nbits - 1 - pos)).to_bytes(len(wire), "big")
+            got = compute_crc16(hit[:-2]) ^ int.from_bytes(hit[-2:], "big")
+            assert got == CRC_SYNDROMES[nbits - 1 - pos]
 
 
 def test_the_generator_pattern_is_a_four_bit_error_the_checksum_misses():

@@ -8,9 +8,9 @@ import pytest
 
 from wbansim.channel import ChannelModel, FrameCorruptor
 from wbansim.errors import EmptySduError, ProtocolError, RangeError
-from wbansim.frames import (ACK_BITS, MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, FrameType,
-                            ack_frame, compute_crc16, data_frame, encode_frame,
-                            management_frame)
+from wbansim.frames import (ACK_BITS, CRC_HAMMING_DISTANCE, MAX_PAYLOAD, MGMT_BITS,
+                            OVERHEAD_BYTES, FrameType, ack_frame, compute_crc16, data_frame,
+                            encode_frame, management_frame)
 from wbansim.mac import (ACK_TIMEOUT, DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, MAX_NODES,
                          REASSEMBLY_TIMEOUT, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
@@ -503,11 +503,22 @@ def lossy_pair(seed, ber, max_retries=3):
     return hub, node, link
 
 
+def _rates(up, down):
+    return pytest.param((up, down), 10, id=f"up{up}-down{down}-10")
+
+
 @pytest.mark.parametrize("ber, payload_len", [(2e-3, 10), (0.0, 10), (1e-3, 0),
-                                              (5e-3, 1), (1.0, 10)])
+                                              (5e-3, 1), (1.0, 10), (0.02, 10), (0.05, 10),
+                                              _rates(0.02, 0.0), _rates(0.0, 0.05),
+                                              _rates(1.0, 0.02), _rates(0.02, 1.0)])
 def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
-    fast = lossy_pair(seed=11, ber=ber)
-    slow = lossy_pair(seed=11, ber=ber)
+    # `ber` is both directions' rate, or the uplink's and the downlink's
+    up, down = ber if isinstance(ber, tuple) else (ber, ber)
+    fast = lossy_pair(seed=11, ber=0.0)
+    slow = lossy_pair(seed=11, ber=0.0)
+    for _, _, link in (fast, slow):
+        link.uplink.set_ber(up)
+        link.downlink.set_ber(down)
     taken = 0
     for _ in range(600):
         for (hub, node, link), try_clean in ((fast, True), (slow, False)):
@@ -516,7 +527,7 @@ def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
             else:
                 send_with_arq(node, data_frame(0, 1, 0, bytes(payload_len)), link)
     assert state(fast[0], fast[1]) == state(slow[0], slow[1])
-    if ber == 1.0:
+    if up == 1.0:
         assert taken == 0
     else:
         assert taken > 200
@@ -574,35 +585,10 @@ def test_send_clean_takes_a_whole_clean_run_only_if_its_last_exchange_starts_bef
     exchange = data_bits + ACK_BITS
     hub, node, link = connect(*lossless_pair())
     link.uplink = FrameCorruptor(_Gaps([3 * data_bits], 0.01), 0.01)
-    assert link.clean_run(data_bits) == 3
+    assert link.uplink.clean_run(data_bits) == 3
     start = node.now
     assert send_clean(node, link, 10, start + 2 * exchange + past) == 2 + past
     assert node.now == start + (2 + past) * exchange
-
-
-def test_link_clean_run_consumes_nothing_unless_both_counts_are_zero():
-    # a twin link walked by the frame path alone sees the same flips: a run
-    # is cut by whichever of the data frame and its ack flips first, and an
-    # ack crosses only after a clean data frame
-    def twin():
-        return make_link(Device(Role.NODE, 1), Device(Role.HUB, 0),
-                         ChannelModel(ber=5e-3, rng_seed=3))
-
-    probed, plain = twin(), twin()
-    frame, ack = bytes(18), bytes(9)
-    taken = 0
-    for _ in range(5000):
-        if probed.clean_run(len(frame) * 8):
-            probed.uplink.skip(len(frame) * 8, 1)
-            probed.downlink.skip(len(ack) * 8, 1)
-            taken += 1
-            assert plain.to_peer(frame) == frame and plain.to_sender(ack) == ack
-            continue
-        arrived = probed.to_peer(frame)
-        assert arrived == plain.to_peer(frame)
-        if arrived == frame:
-            assert probed.to_sender(ack) == plain.to_sender(ack) != ack
-    assert 1000 < taken < 4000
 
 
 def _run_until(pair, until, step_until):
@@ -640,17 +626,25 @@ LOSSY_LINKS = [(2e-3, 3, 10), (2e-3, 0, 10), (1e-2, 1, 10), (1e-2, 3, 0), (5e-2,
 
 def _carry(pair, payload_len, until, decide):
     """Send packets until `until` as ``run_experiment`` does, trying
-    ``send_clean`` first when `decide`; give how many ``send_clean`` calls
-    stopped before `until` at a packet left to the frame path."""
+    ``send_clean`` first when `decide`."""
     hub, node, link = pair
-    cut = 0
     while node.now < until:
-        taken = decide and send_clean(node, link, payload_len, until)
-        if not taken:
+        if not (decide and send_clean(node, link, payload_len, until)):
             send_with_arq(node, data_frame(0, node.device_id, 0, bytes(payload_len)), link)
-        elif node.now < until:
-            cut += 1
-    return cut
+
+
+def _count_heavy_frames(pair, tally):
+    """Add to `tally` each frame that `pair`'s link carries through the frame
+    path with ``CRC_HAMMING_DISTANCE`` or more flips."""
+    link = pair[2]
+    for name, corrupt in (("to_peer", link.uplink.corrupt),
+                          ("to_sender", link.downlink.corrupt)):
+        def carry(wire, corrupt=corrupt):
+            out = corrupt(wire)
+            tally["heavy"] += sum((a ^ b).bit_count() for a, b in zip(out, wire)) \
+                >= CRC_HAMMING_DISTANCE
+            return out
+        setattr(link, name, carry)
 
 
 def _assert_same_devices_and_streams(decided, framed):
@@ -658,22 +652,30 @@ def _assert_same_devices_and_streams(decided, framed):
     for a, b in ((decided[2].uplink, framed[2].uplink),
                  (decided[2].downlink, framed[2].downlink)):
         assert a.clean_run(1) == b.clean_run(1)   # the clean bits before the next flip
-        assert a.rng.random() == b.rng.random()   # and no gap left drawn ahead
+        assert a.ahead == b.ahead                 # the gaps drawn after it
+        assert a.rng.random() == b.rng.random()   # and the generator's place
 
 
 def test_send_clean_matches_send_with_arq_on_lossy_links():
     seen = Counter()
     for seed, (ber, retries, payload_len) in enumerate(LOSSY_LINKS):
         decided, framed = (lossy_pair(seed, ber, retries) for _ in range(2))
-        seen["cut"] += _carry(decided, payload_len, 30 * SECOND, decide=True)
+        # both carry the same frames: those of the frame path alone, less
+        # those of the frame path after send_clean, are the ones it decided
+        on_frame_path, alone = Counter(), Counter()
+        _count_heavy_frames(decided, on_frame_path)
+        _count_heavy_frames(framed, alone)
+        _carry(decided, payload_len, 30 * SECOND, decide=True)
         _carry(framed, payload_len, 30 * SECOND, decide=False)
         _assert_same_devices_and_streams(decided, framed)
+        seen["heavy_decided"] += alone["heavy"] - on_frame_path["heavy"]
         seen.update(decided[1].drops)
         seen["exhausted"] += decided[1].packets_lost
         seen.update({f"hub_{k}": v for k, v in decided[0].drops.items()})
     # every outcome occurred: lost data frames and acks, duplicates,
-    # exhausted packets, and runs stopped at a frame of 4 or more flips
-    assert all(seen[k] for k in ("hub_crc", "crc", "hub_duplicate", "exhausted", "cut"))
+    # exhausted packets, and frames of 4 or more flips decided by syndrome
+    assert all(seen[k] for k in ("hub_crc", "crc", "hub_duplicate", "exhausted",
+                                 "heavy_decided"))
 
 
 def test_send_clean_matches_send_with_arq_across_a_sequence_wrap():
@@ -742,6 +744,39 @@ def test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path(pattern):
     hub, node = decided[:2]
     assert (node.frames_sent, node.packets_delivered, hub.rx_packets[1]) == (1, 1, 1)
     assert hub.drops == Counter()
+
+
+def _g_in_frame(nbits, start):
+    """Stream positions of g(x) times x^16 in the `nbits`-bit frame at `start`."""
+    return [start + nbits - 1 - d for d in reversed(range(nbits)) if 0x11021 << 16 >> d & 1]
+
+
+@pytest.mark.parametrize("direction, flips, taken", [
+    ("downlink", _g_in_frame(ACK_BITS, 0), 0),
+    ("uplink", [40, *_g_in_frame(18 * 8, 18 * 8)], 0),
+    ("uplink", _g_in_frame(18 * 8, 2 * 18 * 8), 2),
+], ids=["first-ack", "second-data-frame-after-a-failed-one", "third-data-frame"])
+def test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet_goes_to_the_frame_path(
+        direction, flips, taken):
+    # g(x) lands in the first packet's first ack, in its second data frame
+    # after a first data frame with one flip, or in the third packet's data
+    # frame after two clean exchanges: send_clean must judge each frame by
+    # its own syndrome, take the packets before it and leave the substreams
+    # where the frame path finds g(x)
+    ber = 0.01
+    gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000, 0]
+
+    def pair():
+        hub, node, link = connect(*lossless_pair())
+        setattr(link, direction, FrameCorruptor(_Gaps(gaps, ber), ber))
+        return hub, node, link
+
+    decided, framed = pair(), pair()
+    assert send_clean(decided[1], decided[2], 10, SECOND) == taken
+    _carry(decided, 10, decided[1].now + 1, decide=True)
+    _carry(framed, 10, decided[1].now, decide=False)
+    _assert_same_devices_and_streams(decided, framed)
+    assert decided[1].packets_sent == taken + 1
 
 
 # ------------------------------------------------------------- clean joins

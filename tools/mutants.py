@@ -46,6 +46,12 @@ CHANNEL = "src/wbansim/channel.py"
 TEST_MAC = "tests/test_mac.py::"
 TEST_CHANNEL = "tests/test_channel.py::"
 JOIN_TWIN = (TEST_MAC + "test_join_clean_then_establish_connection_matches_establish_connection",)
+FORCED_MISS = TEST_MAC + "test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path"
+FORCED_MISS_LATER = (TEST_MAC + "test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet"
+                     "_goes_to_the_frame_path")
+LOSSY_LINKS = TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links"
+FRAME_PATH_ALONE = TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone"
+LOOK_AHEAD = TEST_CHANNEL + "test_looking_ahead_keeps_the_corrupt_sequence"
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -83,24 +89,49 @@ CATALOGUE = [
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
     Mutant("send-failed-attempt-ends-before-its-deadline", MAC,
            "                t = deadline\n", "",
-           (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
-    Mutant("send-hand-off-only-at-exactly-four-flips", MAC,
-           "            if flips >= CRC_HAMMING_DISTANCE:\n                break   # the frame path",
-           "            if flips == CRC_HAMMING_DISTANCE:\n                break   # the frame path",
-           (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
-    Mutant("send-attempt-loop-stops-only-at-exactly-four-flips", MAC,
-           "                if flips >= CRC_HAMMING_DISTANCE:\n                    break\n",
-           "                if flips == CRC_HAMMING_DISTANCE:\n                    break\n",
-           (TEST_MAC + "test_a_data_frame_the_checksum_cannot_judge_goes_to_the_frame_path",)),
+           (LOSSY_LINKS,)),
+    Mutant("send-zero-syndrome-packet-not-handed-off", MAC,
+           "            if not (delivered or syndrome):\n"
+           "                up_gap, up_used, down_gap, down_used = before\n"
+           "                break   # the frame path carries this packet\n", "",
+           (FORCED_MISS,)),
+    Mutant("send-attempt-loop-goes-on-past-a-zero-syndrome", MAC,
+           "                if not syndrome:\n"
+           "                    break   # the CRC misses this frame, or its direction is at ber 1\n",
+           "",
+           (FORCED_MISS,)),
+    Mutant("send-data-frame-decided-by-its-flip-count", MAC,
+           "syndrome ^= CRC_SYNDROMES[data_last - up_gap]", "syndrome += 1",
+           (FORCED_MISS,)),
+    Mutant("send-ack-decided-by-its-flip-count", MAC,
+           "syndrome ^= CRC_SYNDROMES[ack_last - down_gap]", "syndrome += 1",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-syndrome-reset-per-packet-not-per-attempt", MAC,
+           "            while attempts < tries:\n                syndrome = 0\n",
+           "            syndrome = 0\n            while attempts < tries:\n",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-handed-off-packet-keeps-its-walk", MAC,
+           "                up_gap, up_used, down_gap, down_used = before\n", "",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-clean-run-takes-the-longer-direction", MAC,
+           "        if acks < run:", "        if acks > run:", (FRAME_PATH_ALONE,)),
+    Mutant("send-uplink-gap-not-written-back", MAC,
+           "    uplink.gap = up_gap\n", "", (LOSSY_LINKS,)),
+    Mutant("send-downlink-gap-not-written-back", MAC,
+           "    downlink.gap = down_gap\n", "", (LOSSY_LINKS,)),
+    Mutant("send-uplink-used-gaps-not-trimmed", MAC,
+           "    del up_ahead[:up_used]\n", "", (LOSSY_LINKS,)),
+    Mutant("send-downlink-used-gaps-not-trimmed", MAC,
+           "    del down_ahead[:down_used]\n", "", (LOSSY_LINKS,)),
     Mutant("send-duplicate-drop-not-counted", MAC,
            '    if intact > accepted:\n        hub.drops["duplicate"] += intact - accepted\n', "",
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
     Mutant("send-clean-run-drops-the-ack-airtime", MAC,
            "now += n * exchange", "now += n * data_bits",
-           (TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone",)),
+           (FRAME_PATH_ALONE,)),
     Mutant("send-clean-run-pulls-the-hub-clock-to-the-ack-end", MAC,
            "arrival = now - ACK_BITS", "arrival = now",
-           (TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone",)),
+           (FRAME_PATH_ALONE,)),
     Mutant("send-clean-run-takes-an-exchange-starting-at-until", MAC,
            "(until - now - 1) // exchange + 1", "(until - now) // exchange + 1",
            (TEST_MAC + "test_send_clean_takes_no_exchange_starting_at_or_after_until",)),
@@ -110,31 +141,31 @@ CATALOGUE = [
             "_starts_before_until",)),
     Mutant("send-decided-packet-drops-the-ack-airtime", MAC,
            "                    t += ACK_BITS\n", "",
-           (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
+           (LOSSY_LINKS,)),
     Mutant("send-deadline-one-airtime-short", MAC,
            "deadline = t + ACK_TIMEOUT", "deadline = t - data_bits + ACK_TIMEOUT",
-           (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
+           (LOSSY_LINKS,)),
     Mutant("send-deadline-one-airtime-long", MAC,
            "deadline = t + ACK_TIMEOUT", "deadline = t + data_bits + ACK_TIMEOUT",
-           (TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links",)),
+           (LOSSY_LINKS,)),
     Mutant("send-last-accepted-stays-at-the-first-packet", MAC,
            "last = (seq + n - 1) & 0xFF", "last = seq",
            (TEST_MAC + "test_one_long_send_clean_equals_one_exchange_calls",)),
     # FrameCorruptor's look-ahead buffer
     Mutant("set-ber-keeps-gaps-drawn-ahead", CHANNEL,
-           "        self._ahead = deque()",
-           "        if not hasattr(self, '_ahead'):\n            self._ahead = deque()",
-           (TEST_CHANNEL + "test_flips_ahead_keeps_the_corrupt_sequence",)),
+           "        self.ahead = []",
+           "        if not hasattr(self, 'ahead'):\n            self.ahead = []",
+           (LOOK_AHEAD,)),
     Mutant("corrupt-ignores-gaps-drawn-ahead", CHANNEL,
-           "            pos += 1 + (ahead.popleft() if ahead else self._draw())\n"
-           "        self._gap = pos - nbits",
-           "            pos += 1 + self._draw()\n        self._gap = pos - nbits",
-           (TEST_CHANNEL + "test_flips_ahead_keeps_the_corrupt_sequence",)),
+           "            pos += 1 + (ahead.pop(0) if ahead else self.draw())\n"
+           "        self.gap = pos - nbits",
+           "            pos += 1 + self.draw()\n        self.gap = pos - nbits",
+           (LOOK_AHEAD,)),
     Mutant("skip-ignores-gaps-drawn-ahead", CHANNEL,
-           "                pos += 1 + (ahead.popleft() if ahead else self._draw())\n"
-           "            self._gap = pos - end",
-           "                pos += 1 + self._draw()\n            self._gap = pos - end",
-           (TEST_CHANNEL + "test_flips_ahead_keeps_the_corrupt_sequence",)),
+           "                pos += 1 + (ahead.pop(0) if ahead else self.draw())\n"
+           "            self.gap = pos - end",
+           "                pos += 1 + self.draw()\n            self.gap = pos - end",
+           (LOOK_AHEAD,)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
