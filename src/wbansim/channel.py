@@ -96,12 +96,14 @@ class FrameCorruptor:
     look-ahead took from ``draw``.  Looking consumes nothing: a walk reads
     ``gap``, then ``ahead``, and appends to ``ahead`` only past its end.  A
     walk commits the frames it decided by setting ``gap`` to the gap after
-    them and deleting the entries of ``ahead`` it used.  ``corrupt`` and
-    ``skip`` take from ``ahead`` before they draw, so every substream draws
-    the same numbers in the same order whether or not anyone looked ahead.
-    At ``ber`` 0 nothing flips and ``gap`` starts at ``sys.maxsize``, past
-    the end of any run; at ``ber`` 1 every bit does and ``gap`` is 0;
-    neither draws anything, and ``draw`` serves neither.  ``set_ber``
+    them and deleting the entries of ``ahead`` it used; a frame crosses
+    clean exactly when ``gap >= nbits``, and committing it is
+    ``gap -= nbits``.  ``corrupt`` takes from ``ahead`` before it draws, so
+    every substream draws the same numbers in the same order whether or not
+    anyone looked ahead.  At ``ber`` 0 nothing flips: ``gap`` starts at
+    ``sys.maxsize``, far past any run of frames, and counts down like any
+    other gap; at ``ber`` 1 every bit does and ``gap`` stays 0; neither
+    draws anything, and ``draw`` serves neither.  ``set_ber``
     discards the gap and the look-ahead and draws a fresh gap, which is
     exact because the law is memoryless.
     """
@@ -135,30 +137,8 @@ class FrameCorruptor:
         except OverflowError:   # a gap past any float, at a sub-1e-307 ber
             return sys.maxsize
 
-    def clean_run(self, nbits: int) -> int:
-        """Frames of `nbits` bits ahead that will cross with zero flips, up
-        to the next one that will not; consumes nothing.
-
-        At ``ber`` 0 the run has no end; it is given as ``sys.maxsize``.
-        """
-        if self._ber == 0.0:
-            return sys.maxsize
-        return self.gap // nbits
-
-    def skip(self, nbits: int, n: int) -> None:
-        """Consume `n` frames of `nbits` bits as ``corrupt`` would, flips
-        included, without building them."""
-        if 0.0 < self._ber < 1.0:
-            end, pos, ahead = n * nbits, self.gap, self.ahead
-            while pos < end:
-                pos += 1 + (ahead.pop(0) if ahead else self.draw())
-            self.gap = pos - end
-
     def corrupt(self, data: bytes) -> bytes:
-        ber = self._ber
-        if ber == 0.0:
-            return data
-        if ber == 1.0:
+        if self._ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
         pos = self.gap

@@ -28,8 +28,8 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 
 ``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
 ``send_with_arq`` and ``establish_connection``: each takes the exchanges
-whose flips decide their fate without building frames, and its docstring
-gives the rule.
+whose flips decide their fate without building frames; ``_at_rest`` is
+the steady-state rule both apply to both devices.
 
 Timing is virtual and counts integer ticks, one bit period each: a frame's
 airtime is ``len(wire) * 8`` ticks.  A driver (the simulator or a test)
@@ -580,6 +580,20 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
                                confirm.payload["attempts_used"])
 
 
+def _at_rest(device: Device) -> bool:
+    """Whether an arithmetic twin may act for `device`: the one rule that
+    ``send_clean`` and ``join_clean`` apply to both their devices.
+
+    The device is untraced, its inbox is empty, and it holds no armed
+    deadline (no pending frame, no join under way) and no open reassembly.
+    Its next poll then only handles the frame the twin decides: a trace, a
+    waiting frame, an expiring timer or a reassembly gap would each make the
+    frame path do more than the twin accounts for.
+    """
+    return (device.trace is None and not device.inbox
+            and device.next_deadline is None and not device.open_reassemblies)
+
+
 def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                until: int) -> int:
     """Account the packets of one `payload_len`-byte data frame each that
@@ -587,10 +601,10 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     open.
 
     The channel can say where the flips of a link's next frames will land
-    before any frame exists.  Between idle, untraced, connected devices a
-    packet's fate follows from them: a frame with no flip arrives intact,
-    and one with flips fails its checksum unless the xor of their
-    ``frames.CRC_SYNDROMES`` entries, the frame's syndrome, is 0.  Each
+    before any frame exists.  Between connected devices at rest
+    (``_at_rest``) a packet's fate follows from them: a frame with no flip
+    arrives intact, and one with flips fails its checksum unless the xor of
+    their ``frames.CRC_SYNDROMES`` entries, the frame's syndrome, is 0.  Each
     attempt then goes as in ``send_with_arq``: a lost data frame or ack ends
     at the attempt's deadline, the hub accepts an intact data frame or
     counts it a duplicate, and a packet whose attempts all fail is lost.  A
@@ -599,7 +613,8 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     a frame crossing a direction at ``ber`` 1, is left to the frame path.
     Returns how many packets were taken; 0 means nothing changed and the
     caller sends the next packet with ``send_with_arq``, which flips the
-    bits looked at here.  `until` is a tick, an int like ``sender.now``.
+    bits looked at here.  `until` is a tick, an int like ``sender.now``; a
+    `payload_len` outside ``0..MAX_PAYLOAD`` raises RangeError.
 
     One loop walks both substreams' look-ahead (``FrameCorruptor.gap`` and
     ``ahead``) in local variables.  Each step, a run of clean exchanges or
@@ -615,15 +630,15 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     At ``ber`` 0 only `until` ends a run.  Each link draws from its own
     substreams, so taking one link's frames cannot move another's.
     """
+    if not 0 <= payload_len <= MAX_PAYLOAD:
+        raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
     hub = link.peer
     node_id = sender.device_id
     # a connected sender with no armed deadline has no ack pending, and so
     # an empty transmit queue
-    if (sender.trace is not None or hub.trace is not None
+    if (not _at_rest(sender) or not _at_rest(hub)
             or sender.connection is not Connection.CONNECTED
-            or sender.hub_id != hub.device_id
-            or sender.inbox or sender.next_deadline is not None
-            or hub.inbox or node_id not in hub.registry):
+            or sender.hub_id != hub.device_id or node_id not in hub.registry):
         return 0
     uplink, downlink = link.uplink, link.downlink
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
@@ -750,26 +765,24 @@ def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
     """Apply the join handshake of `node` with `hub` when its request and
     assignment will both cross with zero flips; give whether it was taken.
 
-    Between untraced devices, an IDLE node with nothing queued and a hub
-    with no armed deadline, no open reassembly and room for the node, both
-    with empty inboxes, such a join has one outcome: the hub registers the
-    node and the node is CONNECTED.  The devices, clocks and substreams then
-    change as ``pump`` would change them: the node's clock gains two
-    ``MGMT_BITS`` airtimes and the hub clock is pulled forward to the
-    request's arrival.  False means nothing changed and the caller joins
+    Between devices at rest (``_at_rest``), an IDLE node with nothing
+    queued and a hub with room for the node, such a join has one outcome:
+    the hub registers the node and the node is CONNECTED.  The devices,
+    clocks and substreams then change as ``pump`` would change them: the
+    node's clock gains two ``MGMT_BITS`` airtimes, the hub clock is pulled
+    forward to the request's arrival, and each direction's ``gap`` loses
+    one ``MGMT_BITS``.  False means nothing changed and the caller joins
     with ``establish_connection``.
     """
-    # an IDLE node holds no deadline and no pending frame, so sent minus
-    # resolved SDUs is what waits in its queue
-    if (node.trace is not None or hub.trace is not None or link.peer is not hub
+    up, down = link.uplink, link.downlink
+    # an IDLE node holds no pending frame, so sent minus resolved SDUs is
+    # what waits in its queue
+    if (not _at_rest(node) or not _at_rest(hub) or link.peer is not hub
             or node.role is not Role.NODE or node.connection is not Connection.IDLE
-            or node.inbox or node.open_reassemblies
             or node.packets_sent - node.packets_delivered - node.packets_lost
-            or hub.role is not Role.HUB or hub.inbox or hub.next_deadline is not None
-            or hub.open_reassemblies
+            or hub.role is not Role.HUB
             or node.device_id in hub.registry or len(hub.registry) >= MAX_NODES
-            or not (link.uplink.clean_run(MGMT_BITS)
-                    and link.downlink.clean_run(MGMT_BITS))):
+            or not (up.gap >= MGMT_BITS and down.gap >= MGMT_BITS)):
         return False
     # the request: the node's sequence number, its airtime, the hub's arrival
     node.hub_id = hub.device_id
@@ -782,6 +795,6 @@ def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
     hub.next_sequence = (hub.next_sequence + 1) & 0xFF
     node.now += MGMT_BITS
     node.connection = Connection.CONNECTED
-    link.uplink.skip(MGMT_BITS, 1)
-    link.downlink.skip(MGMT_BITS, 1)
+    up.gap -= MGMT_BITS
+    down.gap -= MGMT_BITS
     return True

@@ -102,32 +102,28 @@ def test_batched_corruptor_same_law():
     assert binomial_law_holds(10, "batch")
 
 
-def test_clean_run_and_skip_keep_the_corrupt_sequence():
-    # skipping the clean frames of one corruptor leaves every corrupted frame
-    # of a twin on the same substream unchanged, with two frame lengths
-    # interleaved on one bit sequence
+def test_clean_frames_committed_by_their_bits_keep_the_corrupt_sequence():
+    # a frame crosses clean exactly when the gap covers its bits, and
+    # committing the clean frames of one corruptor by lowering its gap leaves
+    # every corrupted frame of a twin on the same substream unchanged, with
+    # two frame lengths interleaved on one bit sequence
     ber = 4e-3
     frames = (bytes(18), bytes(range(9)))
     probed = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
     plain = FrameCorruptor(ChannelModel(rng_seed=4).stream("s"), ber)
-    skipped = 0
+    committed = 0
     for k in range(10_000):
         frame = frames[k % 3 == 0]
         nbits = len(frame) * 8
-        run = probed.clean_run(nbits)
-        assert probed.clean_run(nbits) == run   # looking consumes nothing
+        clean = probed.gap >= nbits
         out = plain.corrupt(frame)
-        assert (bit_count_diff(out, frame) == 0) == (run > 0)
-        if run:
-            gap = probed.gap
-            probed.skip(nbits, 1)
-            assert probed.gap == gap - nbits     # a skip lowers the gap by its bits
-            for bits in (144, 72):               # which both lengths then see
-                assert probed.clean_run(bits) == probed.gap // bits
-            skipped += 1
+        assert (bit_count_diff(out, frame) == 0) == clean
+        if clean:
+            probed.gap -= nbits
+            committed += 1
         else:
             assert probed.corrupt(frame) == out
-    assert 5000 < skipped < 9000
+    assert 5000 < committed < 9000
 
 
 def look(corruptor: FrameCorruptor, nbits: int, k: int) -> list[tuple[list[int], int, int]]:
@@ -154,10 +150,10 @@ def flip_positions(out: bytes, sent: bytes) -> list[int]:
 
 
 def test_looking_ahead_keeps_the_corrupt_sequence():
-    # positions looked ahead, then the frames carried through corrupt or
-    # skip, give the bytes of a twin that never looked ahead, with three
-    # lengths on one bit sequence and looks that reach past what is then
-    # carried: looking consumes nothing
+    # positions looked ahead, then the frames carried through corrupt or a
+    # commit of one frame's walk, give the bytes of a twin that never looked
+    # ahead, with three lengths on one bit sequence and looks that reach past
+    # what is then carried: looking consumes nothing
     rng = np.random.default_rng(8)
     probed = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
     plain = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
@@ -175,7 +171,8 @@ def test_looking_ahead_keeps_the_corrupt_sequence():
             if rng.random() < 0.5:
                 assert probed.corrupt(frame) == out
             else:
-                probed.skip(nbits, 1)
+                [(_, probed.gap, used)] = look(probed, nbits, 1)
+                del probed.ahead[:used]
             carried += 1
     assert probed.corrupt(bytes(263)) == plain.corrupt(bytes(263))
     assert 1000 < carried < looked
@@ -213,14 +210,13 @@ def test_a_commit_keeps_the_corrupt_sequence():
     assert committed > 1000
 
 
-def test_clean_run_at_the_extreme_rates_draws_nothing():
-    for ber, run in ((0.0, sys.maxsize), (1.0, 0)):
+def test_the_gap_at_the_extreme_rates_draws_nothing():
+    # at ber 0 the gap counts down by each frame's bits, at ber 1 it stays 0
+    for ber, gap, after in ((0.0, sys.maxsize, sys.maxsize - 144), (1.0, 0, 0)):
         corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
-        assert corruptor.clean_run(144) == run
-        assert (corruptor.gap, corruptor.ahead) == (run, [])
-        corruptor.skip(144, run)
+        assert (corruptor.gap, corruptor.ahead) == (gap, [])
         assert corruptor.corrupt(bytes(18)) == bytes([0xFF if ber else 0] * 18)
-        assert (corruptor.gap, corruptor.ahead) == (run, [])
+        assert (corruptor.gap, corruptor.ahead) == (after, [])
         assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
 
 
@@ -228,7 +224,7 @@ def test_a_gap_past_every_float_does_not_overflow():
     # at a ber this small log1p(-u) / log1p(-ber) overflows a float
     corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), 1e-310)
     assert corruptor.corrupt(bytes(18)) == bytes(18)
-    assert corruptor.clean_run(144) > 10**15
+    assert corruptor.gap // 144 > 10**15
 
 
 def test_flip_frequency_is_flat_across_frame_boundaries():

@@ -549,14 +549,40 @@ def _frame_queued(hub, node):
     node.submit([data_frame(0, 1, 0, b"q")])
 
 
+def _hub_frame_pending(hub, node):
+    hub.registry.add(2)
+    hub.submit([data_frame(2, 0, 0, b"d")])
+
+
+def _hub_reassembling(hub, node):
+    hub.reassemble(data_frame(0, 2, 5, b"x", fragment_index=0, last_fragment=False))
+
+
+def _node_reassembling(hub, node):
+    # left over from an earlier SDU or connection: its gap timer runs at the
+    # node's next poll, which the frame path makes when the next frame arrives
+    node.reassemble(data_frame(1, 0, 5, b"x", fragment_index=0, last_fragment=False))
+
+
 @pytest.mark.parametrize("spoil", [_traced, _not_registered, _hub_inbox_busy,
-                                   _frame_queued])
+                                   _frame_queued, _hub_frame_pending, _hub_reassembling,
+                                   _node_reassembling])
 def test_send_clean_declines_outside_the_steady_state(spoil):
     hub, node, link = connect(*lossless_pair())
     spoil(hub, node)
     before = state(hub, node)
     assert not send_clean(node, link, 10, node.now + 1)
     assert state(hub, node) == before
+
+
+@pytest.mark.parametrize("ber", [0.0, 2e-3])
+@pytest.mark.parametrize("payload_len", [MAX_PAYLOAD + 1, 300, -1, -8, -20])
+def test_send_clean_refuses_a_payload_no_frame_can_carry(payload_len, ber):
+    hub, node, link = lossy_pair(seed=3, ber=ber)
+    before = state(hub, node), link.uplink.gap, link.downlink.gap
+    with pytest.raises(RangeError, match="payload_len"):
+        send_clean(node, link, payload_len, node.now + SECOND)
+    assert (state(hub, node), link.uplink.gap, link.downlink.gap) == before
 
 
 @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
@@ -585,7 +611,7 @@ def test_send_clean_takes_a_whole_clean_run_only_if_its_last_exchange_starts_bef
     exchange = data_bits + ACK_BITS
     hub, node, link = connect(*lossless_pair())
     link.uplink = FrameCorruptor(_Gaps([3 * data_bits], 0.01), 0.01)
-    assert link.uplink.clean_run(data_bits) == 3
+    assert link.uplink.gap // data_bits == 3
     start = node.now
     assert send_clean(node, link, 10, start + 2 * exchange + past) == 2 + past
     assert node.now == start + (2 + past) * exchange
@@ -612,9 +638,8 @@ def test_one_long_send_clean_equals_one_exchange_calls():
     assert longest > 256
     assert state(*whole[:2]) == state(*stepped[:2])
     a, b = whole[2], stepped[2]
-    for ca, cb, nbits in ((a.uplink, b.uplink, 18 * 8),
-                          (a.downlink, b.downlink, ACK_BITS)):
-        assert ca.clean_run(nbits) == cb.clean_run(nbits)
+    for ca, cb in ((a.uplink, b.uplink), (a.downlink, b.downlink)):
+        assert ca.gap == cb.gap
         assert ca.rng.random() == cb.rng.random()
 
 
@@ -651,7 +676,7 @@ def _assert_same_devices_and_streams(decided, framed):
     assert state(*decided[:2]) == state(*framed[:2])
     for a, b in ((decided[2].uplink, framed[2].uplink),
                  (decided[2].downlink, framed[2].downlink)):
-        assert a.clean_run(1) == b.clean_run(1)   # the clean bits before the next flip
+        assert a.gap == b.gap                     # the clean bits before the next flip
         assert a.ahead == b.ahead                 # the gaps drawn after it
         assert a.rng.random() == b.rng.random()   # and the generator's place
 
@@ -789,7 +814,7 @@ def join_state(hub, node, link):
     the clean bits before its next flip and its generator's whole state, so
     that no gap is left drawn ahead."""
     devices = [{name: getattr(d, name) for name in JOIN_FIELDS} for d in (hub, node)]
-    streams = [(c.clean_run(1), c.rng.getstate()) for c in (link.uplink, link.downlink)]
+    streams = [(c.gap, c.rng.getstate()) for c in (link.uplink, link.downlink)]
     return devices, streams
 
 
@@ -821,21 +846,6 @@ def _node_registered(hub, node):
 
 def _hub_full(hub, node):
     hub.registry.update(range(100, 100 + MAX_NODES))
-
-
-def _hub_frame_pending(hub, node):
-    hub.registry.add(2)
-    hub.submit([data_frame(2, 0, 0, b"d")])
-
-
-def _hub_reassembling(hub, node):
-    hub.reassemble(data_frame(0, 2, 5, b"x", fragment_index=0, last_fragment=False))
-
-
-def _node_reassembling(hub, node):
-    # left over from an earlier connection: its gap timer runs at the node's
-    # next poll, which the frame path makes when the assignment arrives
-    node.reassemble(data_frame(1, 0, 5, b"x", fragment_index=0, last_fragment=False))
 
 
 # _frame_queued queues an SDU at the IDLE node, which holds it until it connects

@@ -52,6 +52,9 @@ FORCED_MISS_LATER = (TEST_MAC + "test_a_frame_the_checksum_cannot_judge_anywhere
 LOSSY_LINKS = TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links"
 FRAME_PATH_ALONE = TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone"
 LOOK_AHEAD = TEST_CHANNEL + "test_looking_ahead_keeps_the_corrupt_sequence"
+SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
+SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
+JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -72,18 +75,42 @@ CATALOGUE = [
            "    if hub.now < node.now:\n        hub.now = node.now\n", JOIN_TWIN),
     Mutant("join-hub-sequence-not-taken", MAC,
            "    hub.next_sequence = (hub.next_sequence + 1) & 0xFF\n", "", JOIN_TWIN),
-    Mutant("join-downlink-not-skipped", MAC,
-           "    link.downlink.skip(MGMT_BITS, 1)\n", "", JOIN_TWIN),
+    Mutant("join-uplink-gap-not-committed", MAC,
+           "    up.gap -= MGMT_BITS\n", "", JOIN_TWIN),
+    Mutant("join-downlink-gap-not-committed", MAC,
+           "    down.gap -= MGMT_BITS\n", "", JOIN_TWIN),
     Mutant("join-capacity-unchecked", MAC,
-           " or len(hub.registry) >= MAX_NODES", "",
-           (TEST_MAC + "test_join_clean_declines_outside_its_steady_state",)),
-    Mutant("join-node-reassembly-unchecked", MAC,
-           " or node.open_reassemblies", "",
-           (TEST_MAC + "test_join_clean_declines_outside_its_steady_state",)),
+           " or len(hub.registry) >= MAX_NODES", "", (JOIN_DECLINES,)),
+    Mutant("join-node-not-checked-at-rest", MAC,
+           "(not _at_rest(node) or not _at_rest(hub)", "(not _at_rest(hub)",
+           (JOIN_DECLINES,)),
     Mutant("join-clean-check-and-to-or", MAC,
-           "clean_run(MGMT_BITS)\n                    and link.downlink",
-           "clean_run(MGMT_BITS)\n                    or link.downlink", JOIN_TWIN),
+           "up.gap >= MGMT_BITS and down.gap", "up.gap >= MGMT_BITS or down.gap",
+           JOIN_TWIN),
+    # mac._at_rest, the steady-state rule of both twins
+    Mutant("rest-trace-unchecked", MAC,
+           "(device.trace is None and not device.inbox", "(not device.inbox",
+           (SEND_DECLINES, JOIN_DECLINES)),
+    Mutant("rest-inbox-unchecked", MAC,
+           "(device.trace is None and not device.inbox", "(device.trace is None",
+           (SEND_DECLINES, JOIN_DECLINES)),
+    Mutant("rest-deadline-unchecked", MAC,
+           "            and device.next_deadline is None and not device.open_reassemblies)",
+           "            and not device.open_reassemblies)",
+           (SEND_DECLINES, JOIN_DECLINES)),
+    Mutant("rest-reassembly-unchecked", MAC,
+           " and not device.open_reassemblies)", ")",
+           (SEND_DECLINES, JOIN_DECLINES)),
     # mac.send_clean, the arithmetic twin of send_with_arq
+    Mutant("send-payload-len-unbounded", MAC,
+           "    if not 0 <= payload_len <= MAX_PAYLOAD:\n"
+           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n",
+           "", (SEND_REFUSES,)),
+    Mutant("send-payload-len-bound-one-long", MAC,
+           "payload_len <= MAX_PAYLOAD:", "payload_len <= MAX_PAYLOAD + 1:", (SEND_REFUSES,)),
+    Mutant("send-hub-not-checked-at-rest", MAC,
+           "(not _at_rest(sender) or not _at_rest(hub)", "(not _at_rest(sender)",
+           (SEND_DECLINES,)),
     Mutant("send-wrap-duplicate-accepted", MAC,
            "accepted += n - (last == seq)", "accepted += n",
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
@@ -161,11 +188,10 @@ CATALOGUE = [
            "        self.gap = pos - nbits",
            "            pos += 1 + self.draw()\n        self.gap = pos - nbits",
            (LOOK_AHEAD,)),
-    Mutant("skip-ignores-gaps-drawn-ahead", CHANNEL,
-           "                pos += 1 + (ahead.pop(0) if ahead else self.draw())\n"
-           "            self.gap = pos - end",
-           "                pos += 1 + self.draw()\n            self.gap = pos - end",
-           (LOOK_AHEAD,)),
+    Mutant("corrupt-returns-early-at-ber-0", CHANNEL,
+           "        if self._ber == 1.0:\n",
+           "        if self._ber == 0.0:\n            return data\n        if self._ber == 1.0:\n",
+           JOIN_TWIN),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
