@@ -86,9 +86,9 @@ class FrameCorruptor:
     ``floor(log1p(-u) / log1p(-ber))`` from one uniform ``u`` (Devroye,
     *Non-Uniform Random Variate Generation*, 1986), realizes exactly the
     i.i.d. per-bit law at one draw per flipped bit.  A frame the gap covers
-    costs a subtraction; a gap that ends inside a frame flips that bit, and
-    further gaps are drawn until one reaches past the frame end, whose
-    remainder carries into the next frame.
+    crosses unchanged and draws nothing; a gap that ends inside a frame
+    flips that bit, and further gaps are taken until one reaches past the
+    frame end, whose remainder carries into the next frame.
 
     The look-ahead that ``mac.send_clean`` walks is public: ``gap`` is the
     number of clean bits before the next flip, counted from the next frame's
@@ -98,14 +98,16 @@ class FrameCorruptor:
     walk commits the frames it decided by setting ``gap`` to the gap after
     them and deleting the entries of ``ahead`` it used; a frame crosses
     clean exactly when ``gap >= nbits``, and committing it is
-    ``gap -= nbits``.  ``corrupt`` takes from ``ahead`` before it draws, so
-    every substream draws the same numbers in the same order whether or not
-    anyone looked ahead.  At ``ber`` 0 nothing flips: ``gap`` starts at
-    ``sys.maxsize``, far past any run of frames, and counts down like any
-    other gap; at ``ber`` 1 every bit does and ``gap`` stays 0; neither
-    draws anything, and ``draw`` serves neither.  ``set_ber``
-    discards the gap and the look-ahead and draws a fresh gap, which is
-    exact because the law is memoryless.
+    ``gap -= nbits``.  ``corrupt`` is such a walk over one frame: it reads
+    ``ahead`` by index, appends ``draw()`` results only past its end, and
+    deletes the gaps it used once, so every substream draws the same
+    numbers in the same order whether or not anyone looked ahead.  At
+    ``ber`` 0 nothing flips: ``gap`` starts at ``sys.maxsize``, far past
+    any run of frames, and counts down like any other gap; at ``ber`` 1
+    every bit does and ``gap`` stays 0; neither draws anything, and
+    ``draw`` serves neither.  ``set_ber`` discards the gap and the
+    look-ahead and draws a fresh gap, which is exact because the law is
+    memoryless.
     """
 
     __slots__ = ("rng", "_ber", "_log_q", "gap", "ahead")
@@ -141,15 +143,16 @@ class FrameCorruptor:
         if self._ber == 1.0:
             return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
-        pos = self.gap
-        if pos >= nbits:
-            self.gap = pos - nbits
-            return data
         out = bytearray(data)
         ahead = self.ahead
+        pos, used = self.gap, 0
         while pos < nbits:
             out[pos >> 3] ^= 0x80 >> (pos & 7)
-            pos += 1 + (ahead.pop(0) if ahead else self.draw())
+            if used == len(ahead):
+                ahead.append(self.draw())
+            pos += 1 + ahead[used]
+            used += 1
+        del ahead[:used]
         self.gap = pos - nbits
         return bytes(out)
 

@@ -86,18 +86,14 @@ class FrameHeader:
     last_fragment: bool = True
 
     def validate(self) -> None:
-        if (0 <= self.recipient_id <= 255 and 0 <= self.sender_id <= 255
-                and 0 <= self.sequence <= 255
-                and 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX
-                and self.frame_type in _TYPE_BY_VALUE):
-            return
         if self.frame_type not in _TYPE_BY_VALUE:
             raise RangeError(f"unknown frame type {self.frame_type!r}")
         for name in ("recipient_id", "sender_id", "sequence"):
             value = getattr(self, name)
             if not 0 <= value <= 255:
                 raise RangeError(f"{name}={value} does not fit in one byte")
-        raise RangeError(f"fragment_index={self.fragment_index} exceeds 7 bits")
+        if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:
+            raise RangeError(f"fragment_index={self.fragment_index} exceeds 7 bits")
 
 
 @dataclass

@@ -158,7 +158,6 @@ class Device:
         self._pending: Optional[_PendingAck] = None
         self._deadline: Optional[int] = None       # join (CONNECTING) or ack timer
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
-        self._ack_tx_memo: dict = {}               # (sender, seq) -> tx action
 
         # raw tallies; the simulator folds them into per-link counters
         self.frames_sent = 0        # data-frame transmission attempts
@@ -423,13 +422,8 @@ class Device:
             self.drops["access"] += 1
             return
         self.rx_frames[sender] += 1
-        key = (sender, frame.header.sequence)
-        action = self._ack_tx_memo.get(key)
-        if action is None:
-            ack = ack_frame(sender, self.device_id, frame.header.sequence)
-            action = ("tx", ack, encode_frame(ack))
-            self._ack_tx_memo[key] = action
-        outputs.append(action)
+        ack = ack_frame(sender, self.device_id, frame.header.sequence)
+        outputs.append(("tx", ack, encode_frame(ack)))
         if self.last_accepted.get(sender) == frame.header.sequence:
             self.drops["duplicate"] += 1
             return

@@ -46,7 +46,7 @@ from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
                   send_with_arq)
 
 PRESETS = (*PRESET_FER_TARGETS, "explicit")
-MAX_EXCHANGES_PER_NODE = 10**8   # clean exchanges one node could fit in duration_s
+MAX_EXCHANGES_PER_NODE = 10**8   # one node's exchanges in duration_s; one packet's retries
 
 
 @dataclass
@@ -72,8 +72,9 @@ class ExperimentConfig:
             raise ConfigError(f"node_count={self.node_count} outside 1..64")
         if not 0 <= self.payload_len <= MAX_PAYLOAD:
             raise ConfigError(f"payload_len={self.payload_len} outside 0..{MAX_PAYLOAD}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries={self.max_retries} must be >= 0")
+        if not 0 <= self.max_retries <= MAX_EXCHANGES_PER_NODE:
+            raise ConfigError(f"max_retries={self.max_retries} outside "
+                              f"0..{MAX_EXCHANGES_PER_NODE:.0e}")
         for key in ("data_rate_bps", "duration_s"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):

@@ -1,6 +1,7 @@
 """Channel model tests: flip statistics, determinism, calibration."""
 
 import math
+import signal
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from wbansim.analytics import fer_analytic
 from wbansim.channel import (ChannelModel, FrameCorruptor, ber_for_distance,
                              check_distance_map, preset)
 from wbansim.errors import RangeError
+from wbansim.frames import MAX_FRAME_BYTES
 
 
 def bit_count_diff(a: bytes, b: bytes) -> int:
@@ -208,6 +210,31 @@ def test_a_commit_keeps_the_corrupt_sequence():
         committed += taken
         assert probed.corrupt(frame) == plain.corrupt(frame)
     assert committed > 1000
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("corrupt took over 2 s to use the gaps drawn ahead")
+
+
+def test_corrupt_uses_a_long_look_ahead_in_linear_time():
+    # 200 000 gaps drawn ahead, carried through corrupt frame by frame, give
+    # the bytes of a twin that never looked ahead; each frame deletes the
+    # gaps it used once, so using them all takes well under the 2 s bound
+    # (deleting them one by one from the front takes about 4 s)
+    probed = FrameCorruptor(ChannelModel(rng_seed=3).stream("s"), 0.05)
+    plain = FrameCorruptor(ChannelModel(rng_seed=3).stream("s"), 0.05)
+    probed.ahead.extend(probed.draw() for _ in range(200_000))
+    frame, outs = bytes(MAX_FRAME_BYTES), []
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        while probed.ahead:
+            outs.append(probed.corrupt(frame))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outs == [plain.corrupt(frame) for _ in outs]
+    assert probed.gap == plain.gap
 
 
 def test_the_gap_at_the_extreme_rates_draws_nothing():

@@ -373,6 +373,12 @@ BAD_FLAG_VALUES = {
     "sweep-values-empty-list": (["sweep", "--axis", "max_retries", "--values", ","],
                                 "--values"),
     "set-without-equals": (["simulate", "--set", "node_count"], "node_count"),
+    # every attempt of a 255-byte packet fails at this ber, so a packet's
+    # retries, which run past duration_s, would take hours
+    "max-retries-1e9-on-a-lossy-link": (["simulate", "--set", "node_count=1",
+                                         "--set", "preset=explicit", "--set", "ber=0.01",
+                                         "--set", "payload_len=255", "--set", "duration_s=0.01",
+                                         "--set", "max_retries=1000000000"], "max_retries"),
     # with no ber beside it, a distance_map reaches its own checks
     "distance-map-entry-without-colon": (["simulate", "--set", "preset=explicit",
                                           "--set", "distance_map=1-0.001"], "distance_map"),

@@ -119,14 +119,23 @@ def test_unknown_frame_type_is_malformed():
 
 # -------------------------------------------------------------- field range
 
-@pytest.mark.parametrize("header", [
-    FrameHeader(FrameType.DATA, 256, 0, 0),
-    FrameHeader(FrameType.DATA, 0, -1, 0),
-    FrameHeader(FrameType.DATA, 0, 0, 999),
-    FrameHeader(FrameType.DATA, 0, 0, 0, fragment_index=128),
-])
-def test_out_of_range_fields_raise(header):
-    with pytest.raises(RangeError):
+# (header, the start of the RangeError's message): the first field out of
+# range, type first and then in header order, is the one named
+OUT_OF_RANGE = [
+    (FrameHeader(FrameType.DATA, 256, 0, 0), "recipient_id=256"),
+    (FrameHeader(FrameType.DATA, 0, -1, 0), "sender_id=-1"),
+    (FrameHeader(FrameType.DATA, 0, 0, 999), "sequence=999"),
+    (FrameHeader(FrameType.DATA, 0, 0, 0, fragment_index=128), "fragment_index=128"),
+    (FrameHeader(FrameType.DATA, 0, 0, 0, fragment_index=-1), "fragment_index=-1"),
+    (FrameHeader(FrameType.DATA, 0, 300, 300, fragment_index=200), "sender_id=300"),
+    (FrameHeader(7, 300, 0, 0), "unknown frame type"),
+]
+
+
+@pytest.mark.parametrize("header, field", OUT_OF_RANGE,
+                         ids=[f"header{i}" for i in range(len(OUT_OF_RANGE))])
+def test_out_of_range_fields_raise(header, field):
+    with pytest.raises(RangeError, match=field):
         encode_frame(Frame(header, b""))
 
 

@@ -31,6 +31,7 @@ def quick_config(**overrides):
     dict(preset="explicit", distance_map=()),
     dict(distance_map=((1.0, 1e-5), (10.0, 1e-4))),   # the preset has its own table
     dict(preset="explicit", ber=0.01, distance_map=((1.0, 1e-4), (10.0, 1e-3))),
+    dict(max_retries=10**9),   # a packet's retries run past duration_s
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):

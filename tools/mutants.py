@@ -43,6 +43,8 @@ class Mutant:
 
 MAC = "src/wbansim/mac.py"
 CHANNEL = "src/wbansim/channel.py"
+FRAMES = "src/wbansim/frames.py"
+SIMULATOR = "src/wbansim/simulator.py"
 TEST_MAC = "tests/test_mac.py::"
 TEST_CHANNEL = "tests/test_channel.py::"
 JOIN_TWIN = (TEST_MAC + "test_join_clean_then_establish_connection_matches_establish_connection",)
@@ -52,6 +54,7 @@ FORCED_MISS_LATER = (TEST_MAC + "test_a_frame_the_checksum_cannot_judge_anywhere
 LOSSY_LINKS = TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links"
 FRAME_PATH_ALONE = TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone"
 LOOK_AHEAD = TEST_CHANNEL + "test_looking_ahead_keeps_the_corrupt_sequence"
+LONG_LOOK_AHEAD = TEST_CHANNEL + "test_corrupt_uses_a_long_look_ahead_in_linear_time"
 SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
@@ -184,14 +187,24 @@ CATALOGUE = [
            "        if not hasattr(self, 'ahead'):\n            self.ahead = []",
            (LOOK_AHEAD,)),
     Mutant("corrupt-ignores-gaps-drawn-ahead", CHANNEL,
-           "            pos += 1 + (ahead.pop(0) if ahead else self.draw())\n"
-           "        self.gap = pos - nbits",
-           "            pos += 1 + self.draw()\n        self.gap = pos - nbits",
+           "            if used == len(ahead):\n"
+           "                ahead.append(self.draw())\n"
+           "            pos += 1 + ahead[used]\n",
+           "            pos += 1 + self.draw()\n",
            (LOOK_AHEAD,)),
+    Mutant("corrupt-used-gaps-not-trimmed", CHANNEL,
+           "        del ahead[:used]\n", "", (LOOK_AHEAD, LONG_LOOK_AHEAD)),
     Mutant("corrupt-returns-early-at-ber-0", CHANNEL,
            "        if self._ber == 1.0:\n",
            "        if self._ber == 0.0:\n            return data\n        if self._ber == 1.0:\n",
            JOIN_TWIN),
+    # the codec's and the config's range checks
+    Mutant("validate-fragment-index-unchecked", FRAMES,
+           "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
+           ("tests/test_frames.py::test_out_of_range_fields_raise",)),
+    Mutant("config-max-retries-unbounded", SIMULATOR,
+           "not 0 <= self.max_retries <= MAX_EXCHANGES_PER_NODE:", "not 0 <= self.max_retries:",
+           ("tests/test_simulator.py::test_config_validation",)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
