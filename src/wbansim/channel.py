@@ -7,7 +7,8 @@ regardless of how transmissions interleave across links, so adding a node
 to a simulation never perturbs the noise seen by the others.
 Each substream is one Bernoulli(`ber`) bit sequence across every frame it
 carries, drawn as geometric gaps between flips: one uniform draw per
-flipped bit, none for a frame that crosses clean.
+flipped bit, none for a frame that crosses clean.  The extreme rates obey
+the same law: at ``ber`` 0 no gap ends, and at ``ber`` 1 every gap is 0.
 
 The distance calibration maps test distance to bit error rate.  The bundled
 ``wireless`` and ``wired`` presets are calibration artifacts: the targets
@@ -103,34 +104,25 @@ class FrameCorruptor:
     deletes the gaps it used once, so every substream draws the same
     numbers in the same order whether or not anyone looked ahead.  At
     ``ber`` 0 nothing flips: ``gap`` starts at ``sys.maxsize``, far past
-    any run of frames, and counts down like any other gap; at ``ber`` 1
-    every bit does and ``gap`` stays 0; neither draws anything, and
-    ``draw`` serves neither.  ``set_ber`` discards the gap and the
-    look-ahead and draws a fresh gap, which is exact because the law is
-    memoryless.
+    any run of frames, and counts down like any other gap.  At ``ber`` 1
+    ``log1p(-ber)`` is ``-inf``, so every gap drawn is 0: every bit flips,
+    at one draw per bit as at any other rate.  ``set_ber`` discards the
+    gap and the look-ahead and draws a fresh gap, which is exact because
+    the law is memoryless.
     """
 
-    __slots__ = ("rng", "_ber", "_log_q", "gap", "ahead")
+    __slots__ = ("rng", "_log_q", "gap", "ahead")
 
     def __init__(self, rng: random.Random, ber: float):
         self.rng = rng
         self.set_ber(ber)
 
-    @property
-    def ber(self) -> float:
-        """The probability each bit flips; ``set_ber`` changes it."""
-        return self._ber
-
     def set_ber(self, value: float) -> None:
         """Flip each bit from here on with probability `value`."""
         _check_probability("ber", value)
-        self._ber = value
         self.ahead = []
-        if 0.0 < value < 1.0:
-            self._log_q = math.log1p(-value)
-            self.gap = self.draw()
-        else:
-            self.gap = 0 if value else sys.maxsize
+        self._log_q = math.log1p(-value) if value < 1.0 else -math.inf
+        self.gap = self.draw() if value else sys.maxsize
 
     def draw(self) -> int:
         """A fresh gap from the substream: the clean bits before a flip."""
@@ -140,8 +132,6 @@ class FrameCorruptor:
             return sys.maxsize
 
     def corrupt(self, data: bytes) -> bytes:
-        if self._ber == 1.0:
-            return bytes(b ^ 0xFF for b in data)
         nbits = len(data) * 8
         out = bytearray(data)
         ahead = self.ahead

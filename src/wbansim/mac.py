@@ -557,7 +557,8 @@ def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> Transmissio
     """Drive one data frame through the ARQ loop against a live peer.
 
     Success means some attempt's data frame AND its ack both came through
-    uncorrupted.
+    uncorrupted.  Raises ProtocolError when no confirm comes within
+    ``8 * (max_retries + 2)`` rounds, for example behind a long queued SDU.
     """
     if sender.connection is not Connection.CONNECTED:
         raise ProtocolError("sender is not connected")
@@ -603,8 +604,8 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     at the attempt's deadline, the hub accepts an intact data frame or
     counts it a duplicate, and a packet whose attempts all fail is lost.  A
     packet with a frame of flips and a zero syndrome, which the CRC misses
-    and the receiver decodes as some other frame or finds malformed, or with
-    a frame crossing a direction at ``ber`` 1, is left to the frame path.
+    and the receiver decodes as some other frame or finds malformed, is left
+    to the frame path.
     Returns how many packets were taken; 0 means nothing changed and the
     caller sends the next packet with ``send_with_arq``, which flips the
     bits looked at here.  `until` is a tick, an int like ``sender.now``; a
@@ -649,8 +650,6 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     up_gap, up_used, up_ahead, up_draw = uplink.gap, 0, uplink.ahead, uplink.draw
     down_gap, down_used, down_ahead, down_draw = (downlink.gap, 0, downlink.ahead,
                                                   downlink.draw)
-    # at ber 1 every bit flips, and the frame path carries every frame
-    up_walks, down_walks = uplink.ber != 1.0, downlink.ber != 1.0
     while now < until:
         # each step takes `n` packets in `attempts` data frames, of which
         # `arrived` came through intact and `delivered` packets were acked
@@ -685,15 +684,15 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                         down_gap -= ACK_BITS
                         delivered = True
                         break
-                    if down_walks:   # the ack's flips
-                        while down_gap < ACK_BITS:
-                            syndrome ^= CRC_SYNDROMES[ack_last - down_gap]
-                            if down_used == len(down_ahead):
-                                down_ahead.append(down_draw())
-                            down_gap += 1 + down_ahead[down_used]
-                            down_used += 1
-                        down_gap -= ACK_BITS
-                elif up_walks:   # the data frame's flips
+                    # the ack's flips
+                    while down_gap < ACK_BITS:
+                        syndrome ^= CRC_SYNDROMES[ack_last - down_gap]
+                        if down_used == len(down_ahead):
+                            down_ahead.append(down_draw())
+                        down_gap += 1 + down_ahead[down_used]
+                        down_used += 1
+                    down_gap -= ACK_BITS
+                else:   # the data frame's flips
                     while up_gap < data_bits:
                         syndrome ^= CRC_SYNDROMES[data_last - up_gap]
                         if up_used == len(up_ahead):
@@ -702,7 +701,7 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                         up_used += 1
                     up_gap -= data_bits
                 if not syndrome:
-                    break   # the CRC misses this frame, or its direction is at ber 1
+                    break   # the CRC misses this frame
                 t = deadline
             if not (delivered or syndrome):
                 up_gap, up_used, down_gap, down_used = before

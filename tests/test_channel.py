@@ -237,14 +237,22 @@ def test_corrupt_uses_a_long_look_ahead_in_linear_time():
     assert probed.gap == plain.gap
 
 
-def test_the_gap_at_the_extreme_rates_draws_nothing():
-    # at ber 0 the gap counts down by each frame's bits, at ber 1 it stays 0
-    for ber, gap, after in ((0.0, sys.maxsize, sys.maxsize - 144), (1.0, 0, 0)):
-        corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), ber)
-        assert (corruptor.gap, corruptor.ahead) == (gap, [])
-        assert corruptor.corrupt(bytes(18)) == bytes([0xFF if ber else 0] * 18)
-        assert (corruptor.gap, corruptor.ahead) == (after, [])
-        assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
+def test_ber_0_draws_nothing_and_ber_1_flips_every_bit_at_one_draw_each():
+    # at ber 0 the gap counts down by each frame's bits and nothing is drawn
+    corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), 0.0)
+    assert (corruptor.gap, corruptor.ahead) == (sys.maxsize, [])
+    assert corruptor.corrupt(bytes(18)) == bytes(18)
+    assert (corruptor.gap, corruptor.ahead) == (sys.maxsize - 144, [])
+    assert corruptor.rng.random() == ChannelModel(rng_seed=1).stream("s").random()
+    # at ber 1 every gap is 0: the initial gap, then one draw per flipped bit
+    corruptor = FrameCorruptor(ChannelModel(rng_seed=1).stream("s"), 1.0)
+    assert (corruptor.gap, corruptor.ahead) == (0, [])
+    assert corruptor.corrupt(bytes(18)) == bytes([0xFF] * 18)
+    assert (corruptor.gap, corruptor.ahead) == (0, [])
+    replay = ChannelModel(rng_seed=1).stream("s")
+    for _ in range(1 + 144):
+        replay.random()
+    assert corruptor.rng.random() == replay.random()
 
 
 def test_a_gap_past_every_float_does_not_overflow():

@@ -11,7 +11,7 @@ import pytest
 
 import wbansim
 from wbansim.cli import MAX_RANGE_VALUES, main, parse_values
-from wbansim.errors import ConfigError
+from wbansim.errors import ConfigError, ProtocolError
 
 FAST = ["--set", "duration_s=0.2", "--set", "node_count=2"]
 
@@ -151,6 +151,15 @@ def test_a_config_file_line_without_equals_exits_2_naming_it(tmp_path, capsys):
     conf.write_text("node_count 3\n")
     assert main(["simulate", str(conf), "-o", str(tmp_path / "x.csv")]) == 2
     assert "node_count 3" in capsys.readouterr().err
+
+
+def test_a_library_error_in_a_subcommand_exits_2_naming_its_type(tmp_path, capsys,
+                                                                 monkeypatch):
+    def fail(args):
+        raise ProtocolError("no confirm")
+    monkeypatch.setattr(wbansim.cli, "cmd_simulate", fail)
+    assert main(["simulate", "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: ProtocolError: no confirm\n"
 
 
 def test_distance_map_needs_the_explicit_preset(tmp_path, capsys):

@@ -249,3 +249,16 @@ def test_sequence_wrap_config_reaches_a_clean_duplicate():
 def test_a_lossy_no_retry_config_fails_its_join():
     # keeps the join-failure branch of the differential test covered
     assert "failed to join" in links_or_error(FAST_VS_FRAME_PATH["lossy-no-retry-seed-1"])
+
+
+def test_a_join_failure_from_a_distance_names_the_distance():
+    # at ber 0.5 from the calibration table no handshake gets through
+    config = ExperimentConfig(node_count=1, preset="explicit", distance_map=((1.0, 0.5),))
+    assert links_or_error(config) == ("node 1 failed to join the hub within 63 handshake "
+                                      "rounds at link ber=0.5 (from distance_m=2.0)")
+
+
+def test_a_run_too_short_for_any_frame_has_a_zero_attempt_failure_rate():
+    result = run_experiment(ExperimentConfig(duration_s=1e-9))
+    assert result.totals.s_frm == 0
+    assert result.attempt_failure_rate == 0.0

@@ -45,6 +45,7 @@ MAC = "src/wbansim/mac.py"
 CHANNEL = "src/wbansim/channel.py"
 FRAMES = "src/wbansim/frames.py"
 SIMULATOR = "src/wbansim/simulator.py"
+CLI = "src/wbansim/cli.py"
 TEST_MAC = "tests/test_mac.py::"
 TEST_CHANNEL = "tests/test_channel.py::"
 JOIN_TWIN = (TEST_MAC + "test_join_clean_then_establish_connection_matches_establish_connection",)
@@ -55,6 +56,8 @@ LOSSY_LINKS = TEST_MAC + "test_send_clean_matches_send_with_arq_on_lossy_links"
 FRAME_PATH_ALONE = TEST_MAC + "test_send_clean_then_frame_path_matches_frame_path_alone"
 LOOK_AHEAD = TEST_CHANNEL + "test_looking_ahead_keeps_the_corrupt_sequence"
 LONG_LOOK_AHEAD = TEST_CHANNEL + "test_corrupt_uses_a_long_look_ahead_in_linear_time"
+EXTREME_RATES = (TEST_CHANNEL + "test_ber_0_draws_nothing_and_ber_1_flips_every_bit_at_one"
+                 "_draw_each")
 SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
@@ -127,7 +130,7 @@ CATALOGUE = [
            (FORCED_MISS,)),
     Mutant("send-attempt-loop-goes-on-past-a-zero-syndrome", MAC,
            "                if not syndrome:\n"
-           "                    break   # the CRC misses this frame, or its direction is at ber 1\n",
+           "                    break   # the CRC misses this frame\n",
            "",
            (FORCED_MISS,)),
     Mutant("send-data-frame-decided-by-its-flip-count", MAC,
@@ -195,9 +198,11 @@ CATALOGUE = [
     Mutant("corrupt-used-gaps-not-trimmed", CHANNEL,
            "        del ahead[:used]\n", "", (LOOK_AHEAD, LONG_LOOK_AHEAD)),
     Mutant("corrupt-returns-early-at-ber-0", CHANNEL,
-           "        if self._ber == 1.0:\n",
-           "        if self._ber == 0.0:\n            return data\n        if self._ber == 1.0:\n",
+           "        nbits = len(data) * 8\n",
+           "        if not self._log_q:\n            return data\n        nbits = len(data) * 8\n",
            JOIN_TWIN),
+    Mutant("ber-1-draws-gaps-at-a-finite-rate", CHANNEL,
+           "-math.inf", "math.log1p(-0.5)", (EXTREME_RATES,)),
     # the codec's and the config's range checks
     Mutant("validate-fragment-index-unchecked", FRAMES,
            "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
@@ -205,6 +210,24 @@ CATALOGUE = [
     Mutant("config-max-retries-unbounded", SIMULATOR,
            "not 0 <= self.max_retries <= MAX_EXCHANGES_PER_NODE:", "not 0 <= self.max_retries:",
            ("tests/test_simulator.py::test_config_validation",)),
+    # error paths: a run's failures and their messages
+    Mutant("arq-unresolved-exchange-not-raised", MAC,
+           "    if confirm is None:\n        raise ProtocolError(\"ARQ exchange did not resolve\")\n",
+           "", (TEST_MAC + "test_arq_raises_when_no_confirm_comes_within_its_rounds",)),
+    Mutant("join-failure-from-a-distance-names-the-ber", SIMULATOR,
+           "            source = (f\"ber={config.ber}\" if config.ber is not None\n"
+           "                      else f\"distance_m={distances[i]}\")\n",
+           "            source = f\"ber={config.ber}\"\n",
+           ("tests/test_simulator.py::test_a_join_failure_from_a_distance_names_the_distance",)),
+    Mutant("attempt-failure-rate-divides-by-zero-frames", SIMULATOR,
+           "        if total.s_frm == 0:\n            return 0.0\n", "",
+           ("tests/test_simulator.py::test_a_run_too_short_for_any_frame_has_a_zero"
+            "_attempt_failure_rate",)),
+    Mutant("cli-library-error-escapes-main", CLI,
+           "    except WbanError as exc:\n"
+           "        print(f\"error: {type(exc).__name__}: {exc}\", file=sys.stderr)\n"
+           "        return EXIT_USAGE\n", "",
+           ("tests/test_cli.py::test_a_library_error_in_a_subcommand_exits_2_naming_its_type",)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
