@@ -8,6 +8,7 @@ logs along the way.  Run me:  python demos/02_two_device_exchange.py
 from wbansim import ChannelModel, data_frame
 from wbansim.mac import (Device, Role, establish_connection, make_link,
                          send_with_arq)
+from wbansim.simulator import DEFAULT_DATA_RATE_BPS
 
 trace = []
 hub = Device(Role.HUB, 0, trace=trace)
@@ -18,7 +19,7 @@ model = ChannelModel(ber=8e-4, rng_seed=20260809)
 link = make_link(node, hub, model)
 
 print("=== handshake ===")
-establish_connection(node, hub, link)
+establish_connection(node, link)
 print(f"node 5 state: {node.connection.name}; hub registry: {sorted(hub.registry)}")
 
 print()
@@ -38,5 +39,6 @@ print(f"hub accepted packets   : {hub.rx_packets[5]}")
 
 print()
 print("=== first primitive trace lines (time device family kind) ===")
+# trace times are ticks, one bit period each at the default data rate
 for entry in trace[:8]:
-    print(f"{entry[0]:.6f} {entry[1]} {entry[2]} {entry[3]}")
+    print(f"{entry[0] / DEFAULT_DATA_RATE_BPS:.6f} {entry[1]} {entry[2]} {entry[3]}")

@@ -106,23 +106,18 @@ class FrameCorruptor:
     ``ber`` 0 nothing flips: ``gap`` starts at ``sys.maxsize``, far past
     any run of frames, and counts down like any other gap.  At ``ber`` 1
     ``log1p(-ber)`` is ``-inf``, so every gap drawn is 0: every bit flips,
-    at one draw per bit as at any other rate.  ``set_ber`` discards the
-    gap and the look-ahead and draws a fresh gap, which is exact because
-    the law is memoryless.
+    at one draw per bit as at any other rate.  The rate is fixed at
+    construction.
     """
 
     __slots__ = ("rng", "_log_q", "gap", "ahead")
 
     def __init__(self, rng: random.Random, ber: float):
+        _check_probability("ber", ber)
         self.rng = rng
-        self.set_ber(ber)
-
-    def set_ber(self, value: float) -> None:
-        """Flip each bit from here on with probability `value`."""
-        _check_probability("ber", value)
         self.ahead = []
-        self._log_q = math.log1p(-value) if value < 1.0 else -math.inf
-        self.gap = self.draw() if value else sys.maxsize
+        self._log_q = math.log1p(-ber) if ber < 1.0 else -math.inf
+        self.gap = self.draw() if ber else sys.maxsize
 
     def draw(self) -> int:
         """A fresh gap from the substream: the clean bits before a flip."""

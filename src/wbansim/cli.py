@@ -227,7 +227,7 @@ def cmd_simulate(args) -> int:
     write_manifest(out, "simulate", asdict(config), config.seed)
     if args.trace:
         Path(args.trace).write_text(
-            "".join(f"{t:.9f} {dev} {family} {kind}\n"
+            "".join(f"{t / config.data_rate_bps:.9f} {dev} {family} {kind}\n"
                     for t, dev, family, kind in trace))
     total = result.totals
     print(f"simulate: {len(result.links)} links, fer={total.fer:.6g} per={total.per:.6g}")

@@ -38,8 +38,8 @@ deadline: the join timer while CONNECTING, or the ack timer of its pending
 frame, which a node gives up when it leaves and a hub gives up when its
 recipient leaves.  ``ACK_TIMEOUT`` is the airtime of one maximum-size frame
 plus a 2x guard, the smallest value that can never expire on an exchange
-that is still in flight.  Seconds appear only at the edges: a trace time
-and the simulator's ``busy_s`` are ticks divided by ``data_rate_bps``.
+that is still in flight.  Trace times are ticks too: seconds appear only
+where the simulator and the CLI divide ticks by ``data_rate_bps``.
 """
 
 from collections import Counter, deque
@@ -56,7 +56,6 @@ from .frames import (ACK_BITS, CRC_SYNDROMES, MAX_FRAGMENT_INDEX, MAX_FRAME_BYTE
 
 MAX_NODES = 64
 MAX_FRAGMENTS = MAX_FRAGMENT_INDEX + 1
-DEFAULT_DATA_RATE_BPS = 121_400
 JOIN_MAX_ROUNDS = 63
 # timers, in ticks
 ACK_TIMEOUT = 3 * MAX_FRAME_BYTES * 8
@@ -136,14 +135,12 @@ class Device:
     """One hub or node: state, counters, and the three-way poll dispatch."""
 
     def __init__(self, role: Role, device_id: int, *, max_retries: int = 3,
-                 data_rate_bps: float = DEFAULT_DATA_RATE_BPS,
                  trace: Optional[list] = None):
         if not 0 <= device_id <= 255:
             raise RangeError(f"device_id={device_id} does not fit in one byte")
         self.role = role
         self.device_id = device_id
         self.max_retries = max_retries
-        self.data_rate_bps = data_rate_bps
         self.trace = trace
 
         self.now = 0                               # ticks
@@ -250,8 +247,7 @@ class Device:
 
     def _record(self, family: PrimitiveFamily, kind: PrimitiveKind) -> None:
         if self.trace is not None:
-            self.trace.append((self.now / self.data_rate_bps, self.device_id,
-                               family.name, kind.name))
+            self.trace.append((self.now, self.device_id, family.name, kind.name))
 
     def _emit(self, outputs: list, primitive: Primitive) -> None:
         self._record(primitive.family, primitive.kind)
@@ -492,11 +488,6 @@ class LinkHandle:
     uplink: FrameCorruptor    # sender -> peer
     downlink: FrameCorruptor  # peer -> sender
 
-    def set_ber(self, value: float) -> None:
-        """Give both directions the bit error rate `value`."""
-        self.uplink.set_ber(value)
-        self.downlink.set_ber(value)
-
     def to_peer(self, wire: bytes) -> bytes:
         return self.uplink.corrupt(wire)
 
@@ -521,11 +512,9 @@ def pump(sender: Device, link: LinkHandle, outputs: list, done,
     polls the peer once per frame, ferries the peer's replies back, then
     polls the sender, first jumping the clock to its next deadline when its
     inbox is empty.  Airtime of both directions is charged to the sender's
-    clock; the peer's clock is pulled forward to match.  So a tick is one
-    bit period at the sender's rate, which matters when the two devices were
-    given different rates.  Returns the first sender indication `done`
-    accepts, or None when the sender has nothing left to wait for or
-    `max_rounds` run out.
+    clock; the peer's clock is pulled forward to match.  Returns the first
+    sender indication `done` accepts, or None when the sender has nothing
+    left to wait for or `max_rounds` run out.
     """
     peer = link.peer
     for _ in range(max_rounds):
@@ -747,16 +736,16 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     return packets
 
 
-def establish_connection(node: Device, hub: Device, link: LinkHandle) -> bool:
-    """Run the join handshake over the (possibly lossy) link."""
-    pump(node, link, node.request_connect(hub.device_id),
+def establish_connection(node: Device, link: LinkHandle) -> bool:
+    """Run the join handshake of `node` with ``link.peer`` over the link."""
+    pump(node, link, node.request_connect(link.peer.device_id),
          lambda p: p.family is PrimitiveFamily.MANAGEMENT, JOIN_MAX_ROUNDS)
     return node.connection is Connection.CONNECTED
 
 
-def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
-    """Apply the join handshake of `node` with `hub` when its request and
-    assignment will both cross with zero flips; give whether it was taken.
+def join_clean(node: Device, link: LinkHandle) -> bool:
+    """Apply the join handshake of `node` with ``link.peer`` when its request
+    and assignment will both cross with zero flips; give whether it was taken.
 
     Between devices at rest (``_at_rest``), an IDLE node with nothing
     queued and a hub with room for the node, such a join has one outcome:
@@ -767,10 +756,10 @@ def join_clean(node: Device, hub: Device, link: LinkHandle) -> bool:
     one ``MGMT_BITS``.  False means nothing changed and the caller joins
     with ``establish_connection``.
     """
-    up, down = link.uplink, link.downlink
+    hub, up, down = link.peer, link.uplink, link.downlink
     # an IDLE node holds no pending frame, so sent minus resolved SDUs is
     # what waits in its queue
-    if (not _at_rest(node) or not _at_rest(hub) or link.peer is not hub
+    if (not _at_rest(node) or not _at_rest(hub)
             or node.role is not Role.NODE or node.connection is not Connection.IDLE
             or node.packets_sent - node.packets_delivered - node.packets_lost
             or hub.role is not Role.HUB

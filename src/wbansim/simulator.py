@@ -41,11 +41,11 @@ from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
                       check_distance_map, preset)
 from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, data_frame
-from .mac import (DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, Device, Role,
-                  establish_connection, join_clean, make_link, send_clean,
-                  send_with_arq)
+from .mac import (JOIN_MAX_ROUNDS, MAX_NODES, Device, Role, establish_connection,
+                  join_clean, make_link, send_clean, send_with_arq)
 
 PRESETS = (*PRESET_FER_TARGETS, "explicit")
+DEFAULT_DATA_RATE_BPS = 121_400
 MAX_EXCHANGES_PER_NODE = 10**8   # one node's exchanges in duration_s; one packet's retries
 
 
@@ -68,8 +68,8 @@ class ExperimentConfig:
         return [float(d) for d in self.distance_m]
 
     def validate(self) -> None:
-        if not 1 <= self.node_count <= 64:
-            raise ConfigError(f"node_count={self.node_count} outside 1..64")
+        if not 1 <= self.node_count <= MAX_NODES:
+            raise ConfigError(f"node_count={self.node_count} outside 1..{MAX_NODES}")
         if not 0 <= self.payload_len <= MAX_PAYLOAD:
             raise ConfigError(f"payload_len={self.payload_len} outside 0..{MAX_PAYLOAD}")
         if not 0 <= self.max_retries <= MAX_EXCHANGES_PER_NODE:
@@ -183,7 +183,9 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig,
                    trace: Optional[list] = None) -> ExperimentResult:
-    """Execute one timed experiment; fully reproducible from config.seed."""
+    """Execute one timed experiment; fully reproducible from config.seed.
+
+    `trace` receives one ``(tick, device_id, family, kind)`` per primitive."""
     config.validate()
     if config.preset == "explicit":
         model = ChannelModel(rng_seed=config.seed, distance_map=config.distance_map)
@@ -191,17 +193,16 @@ def run_experiment(config: ExperimentConfig,
         model = preset(config.preset, rng_seed=config.seed)
     distances = config.distances()
 
-    hub = Device(Role.HUB, 0, data_rate_bps=config.data_rate_bps, trace=trace)
+    hub = Device(Role.HUB, 0, trace=trace)
     nodes = []
     links = []
     bers = []
     for i in range(config.node_count):
-        node = Device(Role.NODE, i + 1, max_retries=config.max_retries,
-                      data_rate_bps=config.data_rate_bps, trace=trace)
+        node = Device(Role.NODE, i + 1, max_retries=config.max_retries, trace=trace)
         # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
         ber = config.ber if config.ber is not None else ber_for_distance(distances[i], model)
         link = make_link(node, hub, model, ber=ber)
-        if not (join_clean(node, hub, link) or establish_connection(node, hub, link)):
+        if not (join_clean(node, link) or establish_connection(node, link)):
             source = (f"ber={config.ber}" if config.ber is not None
                       else f"distance_m={distances[i]}")
             raise ConfigError(

@@ -178,16 +178,6 @@ def test_looking_ahead_keeps_the_corrupt_sequence():
             carried += 1
     assert probed.corrupt(bytes(263)) == plain.corrupt(bytes(263))
     assert 1000 < carried < looked
-    # setting ber discards the gaps drawn ahead: the corruptor then equals
-    # a fresh one on a generator at the same point of the substream
-    look(probed, 144, 20)
-    assert probed.ahead
-    fresh_rng = ChannelModel(rng_seed=6).stream("s")
-    fresh_rng.setstate(probed.rng.getstate())
-    probed.set_ber(fresh_ber := 0.02)
-    fresh = FrameCorruptor(fresh_rng, fresh_ber)
-    for _ in range(200):
-        assert probed.corrupt(bytes(18)) == fresh.corrupt(bytes(18))
 
 
 def test_a_commit_keeps_the_corrupt_sequence():

@@ -11,13 +11,14 @@ from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (ACK_BITS, CRC_HAMMING_DISTANCE, CRC_SYNDROMES, MAX_PAYLOAD,
                             MGMT_BITS, OVERHEAD_BYTES, FrameType, ack_frame, compute_crc16,
                             data_frame, encode_frame, management_frame)
-from wbansim.mac import (ACK_TIMEOUT, DEFAULT_DATA_RATE_BPS, JOIN_MAX_ROUNDS, MAX_NODES,
+from wbansim.mac import (ACK_TIMEOUT, JOIN_MAX_ROUNDS, MAX_NODES,
                          REASSEMBLY_TIMEOUT, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, join_clean, make_link,
                          pump, send_clean, send_with_arq)
+from wbansim.simulator import DEFAULT_DATA_RATE_BPS
 
-SECOND = DEFAULT_DATA_RATE_BPS   # ticks: bit periods at the devices' default rate
+SECOND = DEFAULT_DATA_RATE_BPS   # ticks: bit periods at the default rate
 
 
 def lossless_pair(max_retries=3, seed=0):
@@ -28,8 +29,15 @@ def lossless_pair(max_retries=3, seed=0):
 
 
 def connect(hub, node, link):
-    assert establish_connection(node, hub, link)
+    assert establish_connection(node, link)
     return hub, node, link
+
+
+def set_ber(link, ber):
+    """Flip each bit of both directions with probability `ber` from here on:
+    fresh corruptors on the link's generators, where they stand."""
+    link.uplink = FrameCorruptor(link.uplink.rng, ber)
+    link.downlink = FrameCorruptor(link.downlink.rng, ber)
 
 
 def txs(outputs):
@@ -67,7 +75,7 @@ def test_hub_registers_and_assigns():
 
 def test_full_handshake_reaches_connected():
     hub, node, link = lossless_pair()
-    assert establish_connection(node, hub, link)
+    assert establish_connection(node, link)
     assert node.connection is Connection.CONNECTED
     assert node.device_id in hub.registry
 
@@ -78,7 +86,7 @@ def test_hub_capacity_rejection():
         hub.registry.add(i + 1)
     node = Device(Role.NODE, 70)
     link = make_link(node, hub, ChannelModel(ber=0.0, rng_seed=1))
-    assert not establish_connection(node, hub, link)
+    assert not establish_connection(node, link)
     assert node.connection is Connection.IDLE
     assert 70 not in hub.registry
     assert hub.drops["capacity"] == 1
@@ -173,14 +181,14 @@ def test_handshake_survives_lost_request():
     original = link.to_peer
     link.to_peer = lambda wire: (b"\x00" * len(wire)
                                  if next(loss_plan, False) else wire)
-    assert establish_connection(node, hub, link)
+    assert establish_connection(node, link)
     assert node.connection is Connection.CONNECTED
 
 
 def test_join_over_dead_link_gives_up_within_round_bound():
     hub, node, link = lossless_pair()
-    link.set_ber(1.0)
-    assert not establish_connection(node, hub, link)
+    set_ber(link, 1.0)
+    assert not establish_connection(node, link)
     assert node.connection is Connection.CONNECTING
     assert not hub.registry
     # the retry timer re-sent the request, at most once per pump round
@@ -331,7 +339,7 @@ def test_arq_perfect_channel_single_attempt():
 
 def test_arq_dead_channel_exhausts_retries():
     hub, node, link = connect(*lossless_pair(max_retries=3))
-    link.set_ber(1.0)
+    set_ber(link, 1.0)
     outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
     assert not outcome.success
     assert outcome.attempts_used == 4
@@ -340,7 +348,7 @@ def test_arq_dead_channel_exhausts_retries():
 
 def test_exhausted_fragment_drops_the_rest_of_its_sdu():
     hub, node, link = connect(*lossless_pair(max_retries=3))
-    link.set_ber(1.0)
+    set_ber(link, 1.0)
     pump(node, link, node.request_send(bytes(600)), lambda p: False, 100)
     assert node.frames_sent == node.max_retries + 1
     assert node.next_deadline is None
@@ -350,7 +358,7 @@ def test_exhausted_fragment_drops_the_rest_of_its_sdu():
 def test_arq_attempt_bound_various_limits():
     for retries in (0, 1, 2, 5):
         hub, node, link = connect(*lossless_pair(max_retries=retries))
-        link.set_ber(1.0)
+        set_ber(link, 1.0)
         outcome = send_with_arq(node, data_frame(0, 1, 0, b"x"), link)
         assert outcome.attempts_used == retries + 1
 
@@ -406,7 +414,7 @@ def test_arq_empirical_attempt_failure_matches_exchange_model():
     # the actual 9-byte ack (72 bits)
     p_ber = 2e-3
     hub, node, link = connect(*lossless_pair(max_retries=3, seed=7))
-    link.set_ber(p_ber)
+    set_ber(link, p_ber)
     packets = 4000
     attempts = 0
     delivered = 0
@@ -442,7 +450,7 @@ def test_a_resolved_frame_leaves_no_deadline():
     hub, node, link = connect(*lossless_pair())
     assert send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
     assert node.next_deadline is None
-    link.set_ber(1.0)
+    set_ber(link, 1.0)
     assert not send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
     assert node.next_deadline is None
 
@@ -508,7 +516,7 @@ def state(*devices):
 
 def lossy_pair(seed, ber, max_retries=3):
     hub, node, link = connect(*lossless_pair(max_retries, seed))
-    link.set_ber(ber)
+    set_ber(link, ber)
     return hub, node, link
 
 
@@ -526,8 +534,8 @@ def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
     fast = lossy_pair(seed=11, ber=0.0)
     slow = lossy_pair(seed=11, ber=0.0)
     for _, _, link in (fast, slow):
-        link.uplink.set_ber(up)
-        link.downlink.set_ber(down)
+        link.uplink = FrameCorruptor(link.uplink.rng, up)
+        link.downlink = FrameCorruptor(link.downlink.rng, down)
     taken = 0
     for _ in range(600):
         for (hub, node, link), try_clean in ((fast, True), (slow, False)):
@@ -792,8 +800,9 @@ def test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet_goes_to_the_fram
     # g(x) lands in the first packet's first ack, in its second data frame
     # after a first data frame with one flip, or in the third packet's data
     # frame after two clean exchanges: send_clean must judge each frame by
-    # its own syndrome, take the packets before it and leave the substreams
-    # where the frame path finds g(x)
+    # its own syndrome, take the packets before it, leaving both devices as
+    # the frame path leaves them after those packets, and leave the
+    # substreams where the frame path finds g(x)
     ber = 0.01
     gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000, 0]
 
@@ -804,6 +813,9 @@ def test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet_goes_to_the_fram
 
     decided, framed = pair(), pair()
     assert send_clean(decided[1], decided[2], 10, SECOND) == taken
+    for _ in range(taken):
+        send_with_arq(framed[1], data_frame(0, 1, 0, bytes(10)), framed[2])
+    assert state(*decided[:2]) == state(*framed[:2])
     _carry(decided, 10, decided[1].now + 1, decide=True)
     _carry(framed, 10, decided[1].now, decide=False)
     _assert_same_devices_and_streams(decided, framed)
@@ -851,7 +863,7 @@ def idle_pair():
 def test_join_clean_takes_a_join_whose_frames_both_cross_clean():
     # the pair each case below spoils
     hub, node, link = idle_pair()
-    assert join_clean(node, hub, link)
+    assert join_clean(node, link)
     assert (node.connection, node.hub_id, node.next_deadline) == (Connection.CONNECTED, 0, None)
     assert (hub.registry, node.next_sequence, hub.next_sequence) == ({1}, 1, 1)
     assert (hub.now, node.now) == (MGMT_BITS, 2 * MGMT_BITS)
@@ -882,7 +894,7 @@ def test_join_clean_declines_outside_its_steady_state(spoil):
     hub, node, link = idle_pair()
     spoil(hub, node)
     before = join_state(hub, node, link)
-    assert not join_clean(node, hub, link)
+    assert not join_clean(node, link)
     assert join_state(hub, node, link) == before
 
 
@@ -900,11 +912,11 @@ def test_join_clean_then_establish_connection_matches_establish_connection(ber):
     for seed in range(40):
         twin, framed = star(seed), star(seed)
         for (node, link), (other, other_link) in zip(twin[1], framed[1]):
-            taken = join_clean(node, twin[0], link)
+            taken = join_clean(node, link)
             seen[taken] += 1
             if not taken:
-                establish_connection(node, twin[0], link)
-            establish_connection(other, framed[0], other_link)
+                establish_connection(node, link)
+            establish_connection(other, other_link)
             assert join_state(twin[0], node, link) == join_state(framed[0], other, other_link)
     if ber in (2e-3, 0.02):
         assert seen[True] and seen[False]   # both ways of joining occurred
@@ -1019,7 +1031,7 @@ def test_primitive_trace_records_family_and_kind():
     hub = Device(Role.HUB, 0, trace=trace)
     node = Device(Role.NODE, 1, trace=trace)
     link = make_link(node, hub, ChannelModel(ber=0.0, rng_seed=4))
-    establish_connection(node, hub, link)
+    establish_connection(node, link)
     send_with_arq(node, data_frame(0, 1, 0, b"t"), link)
     families = {entry[2] for entry in trace}
     assert "MANAGEMENT" in families

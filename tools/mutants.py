@@ -146,6 +146,11 @@ CATALOGUE = [
     Mutant("send-handed-off-packet-keeps-its-walk", MAC,
            "                up_gap, up_used, down_gap, down_used = before\n", "",
            (FORCED_MISS_LATER,)),
+    Mutant("send-handed-off-packet-pulls-the-hub-clock", MAC,
+           "                up_gap, up_used, down_gap, down_used = before\n",
+           "                up_gap, up_used, down_gap, down_used = before\n"
+           "                arrival = landed\n",
+           (FORCED_MISS_LATER,)),
     Mutant("send-clean-run-takes-the-longer-direction", MAC,
            "        if acks < run:", "        if acks > run:", (FRAME_PATH_ALONE,)),
     Mutant("send-uplink-gap-not-written-back", MAC,
@@ -185,10 +190,6 @@ CATALOGUE = [
            "last = (seq + n - 1) & 0xFF", "last = seq",
            (TEST_MAC + "test_one_long_send_clean_equals_one_exchange_calls",)),
     # FrameCorruptor's look-ahead buffer
-    Mutant("set-ber-keeps-gaps-drawn-ahead", CHANNEL,
-           "        self.ahead = []",
-           "        if not hasattr(self, 'ahead'):\n            self.ahead = []",
-           (LOOK_AHEAD,)),
     Mutant("corrupt-ignores-gaps-drawn-ahead", CHANNEL,
            "            if used == len(ahead):\n"
            "                ahead.append(self.draw())\n"
@@ -207,6 +208,9 @@ CATALOGUE = [
     Mutant("validate-fragment-index-unchecked", FRAMES,
            "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
            ("tests/test_frames.py::test_out_of_range_fields_raise",)),
+    Mutant("config-node-count-bound-one-long", SIMULATOR,
+           "self.node_count <= MAX_NODES:", "self.node_count <= MAX_NODES + 1:",
+           ("tests/test_simulator.py::test_config_validation",)),
     Mutant("config-max-retries-unbounded", SIMULATOR,
            "not 0 <= self.max_retries <= MAX_EXCHANGES_PER_NODE:", "not 0 <= self.max_retries:",
            ("tests/test_simulator.py::test_config_validation",)),
@@ -228,6 +232,13 @@ CATALOGUE = [
            "        print(f\"error: {type(exc).__name__}: {exc}\", file=sys.stderr)\n"
            "        return EXIT_USAGE\n", "",
            ("tests/test_cli.py::test_a_library_error_in_a_subcommand_exits_2_naming_its_type",)),
+    # the connection drivers and the trace file
+    Mutant("join-requests-its-own-id", MAC,
+           "node.request_connect(link.peer.device_id)", "node.request_connect(node.device_id)",
+           (TEST_MAC + "test_full_handshake_reaches_connected",)),
+    Mutant("trace-file-written-in-ticks", CLI,
+           "{t / config.data_rate_bps:.9f}", "{t:.9f}",
+           ("tests/test_golden.py::test_cli_outputs_are_byte_identical",)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
