@@ -23,9 +23,11 @@ descent itself uses the error-rate orientation above, which is the form
 whose interior minimum exists.
 
 Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p),
-log1p(-p)) once into an `_Exact` or `_Verbatim` kernel and descends on its
-unchecked methods; the public formula functions are checked wrappers over
-the same kernels, so each formula is written once.
+log1p(-p)) once into an `_Exact` or `_Verbatim` kernel; the public formula
+functions are checked wrappers over its unchecked methods.  `_descend`
+writes the gradient and the objective out again over local copies of the
+constants, in the same float operations, so that its loop makes no Python
+call; the tests hold the two forms equal bit for bit.
 """
 
 import math
@@ -41,6 +43,7 @@ DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
 SHRINK = 0.5            # barrier weight factor per outer iteration
 INNER_CAP = 200         # descent steps per inner solve
+HALVINGS = 60           # backtracking halvings per descent step
 # Starting payloads: no frame carries more than MAX_PAYLOAD bytes, and below
 # MIN_START the square in the barrier term epsilon/payload^2 is subnormal,
 # where it loses its digits and soon divides by zero.
@@ -181,7 +184,8 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     multiplied by `SHRINK` before each inner solve; iteration stops when
     successive outer iterates move less than `tolerance`.  Exceeding
     `max_iterations` total descent steps returns the best iterate with a
-    diagnostic instead of raising.
+    diagnostic instead of raising.  So does a flat start: one whose FER
+    rounds to 1, which the descent never leaves.
     """
     if not 0.0 < p_ber < 1.0:
         raise RangeError(f"p_ber={p_ber} must lie strictly inside (0,1)")
@@ -199,53 +203,62 @@ def optimize_payload(p_ber: float, payload_0: float = 15.0,
     while steps < max_iterations:
         outer += 1
         eps *= SHRINK
-        x_new, steps = _descend(kernel, x, eps, steps, max_iterations)
-        trace.append(TracePoint(outer, x_new, eps, kernel.objective(x_new, eps)))
+        x_new, fx, steps = _descend(kernel, x, eps, steps, max_iterations)
+        trace.append(TracePoint(outer, x_new, eps, fx))
         converged = abs(x_new - x) < tolerance
         x = x_new
         if converged:
             break
 
-    candidates = _integer_candidates(x, p_ber)
-    return OptimizeResult(
-        payload_opt=x,
-        fer_opt=fer_analytic(x, p_ber),
-        converged=converged,
-        iterations=steps,
-        trace=trace,
-        candidates=candidates,
-        diagnostic=None if converged else
-        f"stopped after {steps} descent steps without meeting tolerance={tolerance}",
-    )
+    fer_opt = fer_analytic(x, p_ber)
+    diagnostic = None if converged else \
+        f"stopped after {steps} descent steps without meeting tolerance={tolerance}"
+    if x == payload_0 and fer_opt == 1.0:
+        # no candidate's objective is below one that rounds to 1, so the
+        # descent never moved: its stop is no sign of a minimum
+        converged = False
+        diagnostic = (f"the analytic FER at payload_0={payload_0} rounds to 1 at "
+                      f"p_ber={p_ber}, and the descent never left it")
+    return OptimizeResult(payload_opt=x, fer_opt=fer_opt, converged=converged,
+                          iterations=steps, trace=trace,
+                          candidates=_integer_candidates(x, p_ber), diagnostic=diagnostic)
 
 
 def _descend(kernel, x: float, eps: float, steps: int,
-             max_iterations: int) -> tuple[float, int]:
+             max_iterations: int) -> tuple[float, float, int]:
     """Backtracking gradient descent to the inner minimum for fixed eps.
-    x only moves to a candidate > 0, keeping the kernel in its domain."""
-    objective = kernel.objective
+    x only moves to a candidate > 0, keeping the kernel in its domain.
+    An accepted candidate's objective is the next step's `fx`."""
+    exact = isinstance(kernel, _Exact)
+    clean, log_clean, expm1, overhead = kernel.clean, kernel.log_clean, math.expm1, _OVERHEAD
+    # the verbatim kernel's formulas read neither of these
+    l_ack, log1p_clean = (kernel.l_ack, kernel.log1p_clean) if exact else (0.0, 0.0)
+    fx = kernel.objective(x, eps)
     for _ in range(INNER_CAP):
         if steps >= max_iterations:
             break
-        g = kernel.gradient(x, eps)
+        g = (-8.0 * log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x)
+             - eps / x ** 2)
         steps += 1
         if g == 0.0:
             break
         # first candidate moves a quarter of the way to the boundary at most
         alpha = 0.25 * x / abs(g)
-        fx = objective(x, eps)
-        for _ in range(60):
+        for _ in range(HALVINGS):
             candidate = x - alpha * g
-            if candidate > 0 and objective(candidate, eps) < fx:
-                break
+            if candidate > 0:
+                fc = (-expm1((8.0 * (candidate + overhead) + l_ack) * log1p_clean) if exact
+                      else -8.0 * clean ** candidate) + eps / candidate
+                if fc < fx:
+                    break
             alpha *= 0.5
         else:
             break
         stalled = abs(candidate - x) < 1e-12 * max(1.0, x)
-        x = candidate
+        x, fx = candidate, fc
         if stalled:
             break
-    return x, steps
+    return x, fx, steps
 
 
 def _integer_candidates(x: float, p_ber: float) -> list[IntegerCandidate]:

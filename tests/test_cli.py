@@ -428,6 +428,16 @@ def test_optimize_non_convergence_exit_3_trace_still_written(tmp_path):
     assert out.exists()
 
 
+def test_optimize_flat_start_exits_3_naming_the_rate_and_start(tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--p-ber", "0.2", "-o", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "p_ber=0.2" in err and "payload_0=15.0" in err
+    _, rows = read_rows(out)
+    assert [row[1] for row in rows] == ["15.0", "15.0"]
+
+
 def test_optimize_verbatim_flag(tmp_path, capsys):
     out = tmp_path / "opt.csv"
     code = main(["optimize", "--p-ber", "1e-3", "--verbatim-gradient",

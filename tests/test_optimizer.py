@@ -1,14 +1,19 @@
 """Barrier optimizer tests: formula evaluators, gradients, descent."""
 
+import inspect
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wbansim import optimizer
 from wbansim.analytics import ack_length_term, data_length, fer_analytic
 from wbansim.errors import DomainError, RangeError
-from wbansim.optimizer import (DEFAULT_MAX_ITERATIONS, MAX_START, MIN_START,
+from wbansim.optimizer import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, INNER_CAP,
+                               MAX_START, MIN_START,
                                barrier_gradient, barrier_objective,
                                epsilon_schedule, epsilon_schedule_exact,
                                grid_search_fer, optimize_payload,
@@ -256,3 +261,158 @@ def test_exact_schedule_matches_at_small_rates():
     a = epsilon_schedule(x, 1e-7)
     b = epsilon_schedule_exact(x, 1e-7)
     assert a == pytest.approx(b, rel=1e-4)
+
+
+# A flat start: at p_ber 0.2 the analytic FER at payload 15 rounds to 1.0, so
+# no candidate's objective is strictly lower and the descent never moves,
+# though fer_analytic(0, 0.2) is below 1.
+def test_a_flat_start_is_not_reported_as_converged():
+    assert fer_analytic(15.0, 0.2) == 1.0 > fer_analytic(0, 0.2)
+    result = optimize_payload(0.2)
+    assert [pt.payload for pt in result.trace] == [15.0, 15.0]
+    assert not result.converged
+    assert "p_ber=0.2" in result.diagnostic and "payload_0=15.0" in result.diagnostic
+
+
+# ------------------------------------------------- the descent's line search
+
+def oracle_descend(kernel, x, eps, steps, max_iterations, exits):
+    """`_descend` as it was before its loop wrote the kernel's formulas out,
+    tallying in `exits` each way out of its loops."""
+    objective = kernel.objective
+    for _ in range(INNER_CAP):
+        if steps >= max_iterations:
+            exits["step cap"] += 1
+            break
+        g = kernel.gradient(x, eps)
+        steps += 1
+        if g == 0.0:
+            exits["g == 0"] += 1
+            break
+        # first candidate moves a quarter of the way to the boundary at most
+        alpha = 0.25 * x / abs(g)
+        fx = objective(x, eps)
+        for _ in range(60):
+            candidate = x - alpha * g
+            exits["candidate <= 0"] += not candidate > 0
+            if candidate > 0 and objective(candidate, eps) < fx:
+                break
+            alpha *= 0.5
+        else:
+            exits["halvings run out"] += 1
+            break
+        stalled = abs(candidate - x) < 1e-12 * max(1.0, x)
+        x = candidate
+        if stalled:
+            exits["stall"] += 1
+            break
+    return x, steps
+
+
+# 50 log-spaced rates over 1e-6..0.1, and two where the exact gradient at
+# payload 255 is subnormal (a first step of inf, every candidate -inf) or 0
+GRID_BERS = [10 ** (-6 + 5 * k / 49) for k in range(50)] + [0.28, 0.3]
+GRID = [(p_ber, start, max_iterations, verbatim)
+        for p_ber in GRID_BERS for start in (MIN_START, 1.0, 15.0, 255.0)
+        for max_iterations in (1, 40, DEFAULT_MAX_ITERATIONS) for verbatim in (False, True)]
+
+
+def solve(p_ber, start, max_iterations, verbatim):
+    return optimize_payload(p_ber, payload_0=start, max_iterations=max_iterations,
+                            verbatim_gradient=verbatim)
+
+
+@pytest.fixture(scope="module")
+def oracle_grid():
+    exits = Counter()
+
+    def descend(kernel, x, eps, steps, max_iterations):
+        x, steps = oracle_descend(kernel, x, eps, steps, max_iterations, exits)
+        return x, kernel.objective(x, eps), steps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_descend", descend)
+        results = {case: solve(*case) for case in GRID}
+    return results, exits
+
+
+def test_the_descent_matches_the_oracle_on_a_grid(oracle_grid):
+    results, _ = oracle_grid
+    for case in GRID:
+        result, expected = solve(*case), results[case]
+        # repr compares every float bit for bit, nan and -0.0 included
+        assert repr(result) == repr(expected), case
+        # converged follows the tolerance unless the start is flat; a start
+        # at MIN_START never moves, and stays converged below FER 1
+        trace = result.trace
+        flat = result.payload_opt == case[1] and result.fer_opt == 1.0
+        assert result.converged == (not flat and len(trace) > 1 and abs(
+            trace[-1].payload - trace[-2].payload) < DEFAULT_TOLERANCE), case
+
+
+def test_the_grid_reaches_every_way_out_of_the_descent(oracle_grid):
+    _, exits = oracle_grid
+    for way_out in ("step cap", "g == 0", "halvings run out", "stall", "candidate <= 0"):
+        assert exits[way_out] > 0, way_out
+
+
+def test_the_line_search_writes_out_the_kernels_formulas():
+    # a tracer reads each gradient and each candidate's objective that the
+    # line search computes, and each must equal the kernel's own bit for bit
+    code = optimizer._descend.__code__
+    source, first = inspect.getsourcelines(optimizer._descend)
+    line = {text.strip(): first + i for i, text in enumerate(source)}
+    after_g, after_fc = line["steps += 1"], line["if fc < fx:"]
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in (after_g, after_fc):
+            v = frame.f_locals
+            seen.append((v["kernel"].gradient, v["x"], v["eps"], v["g"])
+                        if frame.f_lineno == after_g else
+                        (v["kernel"].objective, v["candidate"], v["eps"], v["fc"]))
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        for p_ber in GRID_BERS[::4] + [0.28, 0.3]:
+            for start in (MIN_START, 1.0, 15.0, 255.0):
+                for verbatim in (False, True):
+                    solve(p_ber, start, 40, verbatim)
+    finally:
+        sys.settrace(before)
+    formulas = Counter(f.__name__ for f, *_ in seen)
+    assert formulas["gradient"] > 1000 and formulas["objective"] > 1000
+    for formula, x, eps, value in seen:
+        assert value.hex() == formula(x, eps).hex(), (formula, x, eps)
+
+
+def test_the_line_search_makes_no_python_call_per_candidate():
+    code = optimizer._descend.__code__
+    calls, candidates = [], 0
+
+    def profile(frame, event, arg):
+        nonlocal candidates
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is code and arg is math.expm1:
+            candidates += 1
+
+    def profiled(p_ber):
+        nonlocal candidates
+        calls.clear()
+        candidates = 0
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return optimize_payload(p_ber)
+        finally:
+            sys.setprofile(before)
+
+    # one Python call per inner solve: the objective at its start point
+    result = profiled(1e-3)
+    assert result.iterations > 100 and calls == ["objective"] * (len(result.trace) - 1)
+    # the flat start's one step tries all 60 halvings, one expm1 each
+    profiled(0.2)
+    assert calls == ["objective"] and candidates == 60

@@ -46,6 +46,7 @@ CHANNEL = "src/wbansim/channel.py"
 FRAMES = "src/wbansim/frames.py"
 SIMULATOR = "src/wbansim/simulator.py"
 CLI = "src/wbansim/cli.py"
+OPTIMIZER = "src/wbansim/optimizer.py"
 TEST_MAC = "tests/test_mac.py::"
 TEST_CHANNEL = "tests/test_channel.py::"
 JOIN_TWIN = (TEST_MAC + "test_join_clean_then_establish_connection_matches_establish_connection",)
@@ -61,6 +62,8 @@ EXTREME_RATES = (TEST_CHANNEL + "test_ber_0_draws_nothing_and_ber_1_flips_every_
 SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
+TEST_OPTIMIZER = "tests/test_optimizer.py::"
+OPTIMIZER_ORACLE = (TEST_OPTIMIZER + "test_the_descent_matches_the_oracle_on_a_grid",)
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -204,6 +207,25 @@ CATALOGUE = [
            JOIN_TWIN),
     Mutant("ber-1-draws-gaps-at-a-finite-rate", CHANNEL,
            "-math.inf", "math.log1p(-0.5)", (EXTREME_RATES,)),
+    # optimizer._descend, the barrier descent's line search
+    Mutant("line-search-barrier-at-x-not-at-the-candidate", OPTIMIZER,
+           "+ eps / candidate", "+ eps / x", OPTIMIZER_ORACLE),
+    Mutant("line-search-takes-a-candidate-at-or-below-0", OPTIMIZER,
+           "            if candidate > 0:\n", "            if True:\n", OPTIMIZER_ORACLE),
+    Mutant("line-search-verbatim-gradient-given-the-exact-exponent", OPTIMIZER,
+           "l_ack if exact else x)", "l_ack)", OPTIMIZER_ORACLE),
+    Mutant("line-search-gradient-reassociated", OPTIMIZER,
+           "(-8.0 * log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x)\n",
+           "(-8.0 * (log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x))\n",
+           (TEST_OPTIMIZER + "test_the_line_search_writes_out_the_kernels_formulas",)),
+    Mutant("line-search-one-halving-too-many", OPTIMIZER,
+           "range(HALVINGS)", "range(HALVINGS + 1)",
+           (TEST_OPTIMIZER + "test_the_line_search_makes_no_python_call_per_candidate",)),
+    Mutant("line-search-accepted-objective-not-carried", OPTIMIZER,
+           "x, fx = candidate, fc", "x = candidate", OPTIMIZER_ORACLE),
+    Mutant("optimize-flat-start-reported-as-converged", OPTIMIZER,
+           "    if x == payload_0 and fer_opt == 1.0:\n", "    if False:\n",
+           (TEST_OPTIMIZER + "test_a_flat_start_is_not_reported_as_converged",)),
     # the codec's and the config's range checks
     Mutant("validate-fragment-index-unchecked", FRAMES,
            "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
