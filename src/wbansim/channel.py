@@ -94,8 +94,9 @@ class FrameCorruptor:
     The look-ahead that ``mac.send_clean`` walks is public: ``gap`` is the
     number of clean bits before the next flip, counted from the next frame's
     start, and ``ahead`` holds the gaps after that flip, in order, that a
-    look-ahead took from ``draw``.  Looking consumes nothing: a walk reads
-    ``gap``, then ``ahead``, and appends to ``ahead`` only past its end.  A
+    look-ahead drew from ``rng`` by ``draw``'s inversion over ``log_q``
+    (``log1p(-ber)``).  Looking consumes nothing: a walk reads ``gap``, then
+    ``ahead``, and appends to ``ahead`` only past its end.  A
     walk commits the frames it decided by setting ``gap`` to the gap after
     them and deleting the entries of ``ahead`` it used; a frame crosses
     clean exactly when ``gap >= nbits``, and committing it is
@@ -118,6 +119,11 @@ class FrameCorruptor:
         self.ahead = []
         self._log_q = math.log1p(-ber) if ber < 1.0 else -math.inf
         self.gap = self.draw() if ber else sys.maxsize
+
+    @property
+    def log_q(self) -> float:
+        """``log1p(-ber)``, the inversion's denominator: ``-inf`` at ``ber`` 1."""
+        return self._log_q
 
     def draw(self) -> int:
         """A fresh gap from the substream: the clean bits before a flip."""

@@ -42,6 +42,8 @@ that is still in flight.  Trace times are ticks too: seconds appear only
 where the simulator and the CLI divide ticks by ``data_rate_bps``.
 """
 
+import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -601,18 +603,21 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     `payload_len` outside ``0..MAX_PAYLOAD`` raises RangeError.
 
     One loop walks both substreams' look-ahead (``FrameCorruptor.gap`` and
-    ``ahead``) in local variables.  Each step, a run of clean exchanges or
-    one packet decided by its frames' syndromes, gives its packets, data
-    frames, intact data frames and acked packets; one block then changes the
-    counters, drops and sequence numbers as the frame path would, the hub's
-    duplicate rule included.  A clean run takes the exchanges that start
-    before `until` without a loop; the hub clock is pulled forward to the
-    last data arrival.  A decided packet walks its frames' flips, drawing
-    gaps into ``ahead`` only past its end.  At the end each substream's gap
-    is set and the gaps the taken packets used are deleted from ``ahead``;
-    those a packet left to the frame path drew stay there for ``corrupt``.
-    At ``ber`` 0 only `until` ends a run.  Each link draws from its own
-    substreams, so taking one link's frames cannot move another's.
+    ``ahead``) in local variables.  Each step is a run of clean exchanges,
+    taken without a loop up to `until`, or one packet decided by its frames'
+    syndromes.  Both add to the packets, the sequence numbers and the
+    packets the hub accepts; a decided packet adds its deficits too: its
+    retries, its corrupted data frames and whether it was lost.  The hub
+    clock is pulled forward to the last data arrival.  Past the end of
+    ``ahead`` a decided packet draws each gap inline, by ``draw``'s
+    inversion over the substream's ``rng`` and ``log_q``, and appends it.
+    After the loop one block derives the data frames, the intact ones and
+    the acked packets, and changes the counters, drops and sequence numbers
+    as the frame path would.  Each substream's gap is set and the gaps the
+    taken packets used are deleted from ``ahead``; those a packet left to
+    the frame path drew stay there for ``corrupt``.  At ``ber`` 0 only
+    `until` ends a run.  Each link draws from its own substreams, so taking
+    one link's frames cannot move another's.
     """
     if not 0 <= payload_len <= MAX_PAYLOAD:
         raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
@@ -625,25 +630,27 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             or sender.hub_id != hub.device_id or node_id not in hub.registry):
         return 0
     uplink, downlink = link.uplink, link.downlink
+    # the module globals the loop reads, as locals
+    ack_bits, timeout, syndromes, log1p = ACK_BITS, ACK_TIMEOUT, CRC_SYNDROMES, math.log1p
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
-    exchange = data_bits + ACK_BITS
+    exchange = data_bits + ack_bits
     # a flip at `pos` lies `last - pos` bits before its frame's end
-    data_last, ack_last = data_bits - 1, ACK_BITS - 1
+    data_last, ack_last = data_bits - 1, ack_bits - 1
     tries = sender.max_retries + 1
     now = arrival = sender.now
     seq = sender.next_sequence
     last = hub.last_accepted.get(node_id)
-    packets = frames = intact = acked = accepted = 0
+    packets = accepted = retries = corrupted = lost = 0
     # per direction: clean bits before the next flip from the next frame's
-    # start, and how many gaps of the look-ahead the walk has used
-    up_gap, up_used, up_ahead, up_draw = uplink.gap, 0, uplink.ahead, uplink.draw
-    down_gap, down_used, down_ahead, down_draw = (downlink.gap, 0, downlink.ahead,
-                                                  downlink.draw)
+    # start, how many gaps of the look-ahead the walk has used, and the
+    # look-ahead's length
+    up_gap, up_used, up_ahead = uplink.gap, 0, uplink.ahead
+    up_len, up_random, up_logq = len(up_ahead), uplink.rng.random, uplink.log_q
+    down_gap, down_used, down_ahead = downlink.gap, 0, downlink.ahead
+    down_len, down_random, down_logq = len(down_ahead), downlink.rng.random, downlink.log_q
     while now < until:
-        # each step takes `n` packets in `attempts` data frames, of which
-        # `arrived` came through intact and `delivered` packets were acked
         run = up_gap // data_bits
-        acks = down_gap // ACK_BITS
+        acks = down_gap // ack_bits
         if acks < run:
             run = acks
         if run:   # one attempt each, data frame and ack intact
@@ -652,58 +659,72 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             final_start = now + (run - 1) * exchange
             n = run if final_start < until else (until - now - 1) // exchange + 1
             now += n * exchange
-            arrival = now - ACK_BITS
+            arrival = now - ack_bits
             up_gap -= n * data_bits
-            down_gap -= n * ACK_BITS
-            attempts = arrived = delivered = n
-        else:     # one packet, decided by its frames' syndromes
-            before = up_gap, up_used, down_gap, down_used
-            t, attempts, arrived, delivered = now, 0, 0, False
-            while attempts < tries:
-                syndrome = 0
-                attempts += 1
-                t += data_bits
-                landed = t
-                deadline = t + ACK_TIMEOUT
-                if up_gap >= data_bits:   # the data frame arrives intact
-                    up_gap -= data_bits
-                    arrived += 1
-                    t += ACK_BITS
-                    if down_gap >= ACK_BITS:   # and so does its ack
-                        down_gap -= ACK_BITS
-                        delivered = True
-                        break
-                    # the ack's flips
-                    while down_gap < ACK_BITS:
-                        syndrome ^= CRC_SYNDROMES[ack_last - down_gap]
-                        if down_used == len(down_ahead):
-                            down_ahead.append(down_draw())
-                        down_gap += 1 + down_ahead[down_used]
-                        down_used += 1
-                    down_gap -= ACK_BITS
-                else:   # the data frame's flips
-                    while up_gap < data_bits:
-                        syndrome ^= CRC_SYNDROMES[data_last - up_gap]
-                        if up_used == len(up_ahead):
-                            up_ahead.append(up_draw())
-                        up_gap += 1 + up_ahead[up_used]
-                        up_used += 1
-                    up_gap -= data_bits
-                if not syndrome:
-                    break   # the CRC misses this frame
-                t = deadline
-            if not (delivered or syndrome):
-                up_gap, up_used, down_gap, down_used = before
-                break   # the frame path carries this packet
-            n, now, arrival = 1, t, landed
-        packets += n
-        frames += attempts
-        intact += arrived
-        acked += delivered
-        if arrived:   # the hub's duplicate rule: only the first can repeat `last`
+            down_gap -= n * ack_bits
+            packets += n
+            # the hub's duplicate rule: only the first can repeat `last`
             accepted += n - (last == seq)
             last = (seq + n - 1) & 0xFF
-        seq = (seq + n) & 0xFF
+            seq = (seq + n) & 0xFF
+            continue
+        # one packet, decided by its frames' syndromes, in `attempts` data
+        # frames of which `arrived` came through intact
+        before = up_gap, up_used, down_gap, down_used
+        t, attempts, arrived, delivered = now, 0, 0, False
+        while attempts < tries:
+            syndrome = 0
+            attempts += 1
+            t += data_bits
+            landed = t
+            deadline = t + timeout
+            if up_gap >= data_bits:   # the data frame arrives intact
+                up_gap -= data_bits
+                arrived += 1
+                t += ack_bits
+                if down_gap >= ack_bits:   # and so does its ack
+                    down_gap -= ack_bits
+                    delivered = True
+                    break
+                # the ack's flips
+                while down_gap < ack_bits:
+                    syndrome ^= syndromes[ack_last - down_gap]
+                    if down_used == down_len:   # draw's inversion, inline
+                        try:
+                            down_ahead.append(int(log1p(-down_random()) / down_logq))
+                        except OverflowError:   # a gap past any float
+                            down_ahead.append(sys.maxsize)
+                        down_len += 1
+                    down_gap += 1 + down_ahead[down_used]
+                    down_used += 1
+                down_gap -= ack_bits
+            else:   # the data frame's flips
+                while up_gap < data_bits:
+                    syndrome ^= syndromes[data_last - up_gap]
+                    if up_used == up_len:   # draw's inversion, inline
+                        try:
+                            up_ahead.append(int(log1p(-up_random()) / up_logq))
+                        except OverflowError:   # a gap past any float
+                            up_ahead.append(sys.maxsize)
+                        up_len += 1
+                    up_gap += 1 + up_ahead[up_used]
+                    up_used += 1
+                up_gap -= data_bits
+            if not syndrome:
+                break   # the CRC misses this frame
+            t = deadline
+        if not (delivered or syndrome):
+            up_gap, up_used, down_gap, down_used = before
+            break   # the frame path carries this packet
+        now, arrival = t, landed
+        packets += 1
+        retries += attempts - 1
+        corrupted += attempts - arrived
+        lost += not delivered
+        if arrived:
+            accepted += last != seq
+            last = seq
+        seq = (seq + 1) & 0xFF
     if not packets:
         return 0
     # the substreams: the gap after the taken packets, and their gaps used
@@ -711,13 +732,17 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     del up_ahead[:up_used]
     downlink.gap = down_gap
     del down_ahead[:down_used]
+    # what the deficits leave: data frames, intact ones and acked packets
+    frames = packets + retries
+    intact = frames - corrupted
+    acked = packets - lost
     # the sender: per packet, submit, its transmissions and its fate
     sender.next_sequence = seq
     sender.packets_sent += packets
     sender.frames_sent += frames
     sender.packets_delivered += acked
     sender.now = now
-    sender.packets_lost += packets - acked
+    sender.packets_lost += lost
     # Counter keys appear only when counted, as on the frame path
     if intact > acked:   # intact data frames whose ack was lost
         sender.drops["crc"] += intact - acked

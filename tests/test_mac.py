@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -745,6 +746,92 @@ def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
     _assert_same_devices_and_streams(decided, framed)
     assert decided[0].drops["duplicate"] >= 1
     assert bool(decided[1].drops["crc"]) == (ber > 0)   # an ack was lost
+
+
+class _Recorded(list):
+    """A look-ahead that keeps every gap appended to it, used or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.appended = []
+
+    def append(self, gap):
+        self.appended.append(gap)
+        super().append(gap)
+
+
+def _recorded_pair(ber, rng_seed):
+    """A connected pair whose link runs at `ber` both ways on fresh substreams
+    with recording look-aheads, and a twin corruptor per direction on a
+    same-seeded generator."""
+    hub, node, link = connect(*lossless_pair())
+    twins = []
+    for name in ("uplink", "downlink"):
+        corruptor = FrameCorruptor(ChannelModel(rng_seed=rng_seed).stream(name), ber)
+        corruptor.ahead = _Recorded()
+        setattr(link, name, corruptor)
+        twins.append(FrameCorruptor(ChannelModel(rng_seed=rng_seed).stream(name), ber))
+    return hub, node, link, twins
+
+
+@pytest.mark.parametrize("ber", [2e-3, 5e-3, 0.015])
+def test_send_clean_draws_every_gap_as_draw_does(ber):
+    # the walk's inline inversion: every gap it appends to either
+    # direction's look-ahead, those it used and those left there, is the
+    # next draw() of a twin on a same-seeded generator, the same int
+    hub, node, link, twins = _recorded_pair(ber, rng_seed=7)
+    while node.now < 60 * SECOND:
+        assert send_clean(node, link, 10, 60 * SECOND)   # no frame path at all
+    for corruptor, twin in zip((link.uplink, link.downlink), twins):
+        gaps = corruptor.ahead.appended
+        assert len(gaps) > 100 and all(type(gap) is int for gap in gaps)
+        assert gaps == [twin.draw() for _ in gaps]
+
+
+def test_send_clean_falls_back_to_maxsize_where_draw_does():
+    # at a subnormal ber log_q is subnormal too: a gap past any float makes
+    # int() overflow, and the walk appends sys.maxsize, as draw returns it.
+    # Planted flips spoil the first data frame and the second attempt's ack;
+    # the third attempt crosses clean, and so does every packet after it
+    ber, data_bits = 5e-324, (10 + OVERHEAD_BYTES) * 8
+    hub, node, link, twins = _recorded_pair(ber, rng_seed=1)
+    link.uplink.gap, link.downlink.gap = 5, 3
+    taken = send_clean(node, link, 10, node.now + SECOND)
+    assert taken > 100
+    for corruptor, twin in zip((link.uplink, link.downlink), twins):
+        assert corruptor.ahead.appended == [twin.draw()] == [sys.maxsize]
+        assert corruptor.ahead == []
+    assert link.uplink.gap == 5 + 1 + sys.maxsize - (taken + 2) * data_bits
+    assert link.downlink.gap == 3 + 1 + sys.maxsize - (taken + 1) * ACK_BITS
+    assert (node.frames_sent, node.packets_delivered, node.drops["crc"]) == (
+        taken + 2, taken, 1)
+    assert hub.drops["crc"] == 1 and hub.drops["duplicate"] == 1
+
+
+def test_the_walk_makes_no_python_call_per_flip():
+    # a profiler sees each Python function send_clean calls, and each gap
+    # it draws as one call of math.log1p
+    code = send_clean.__code__
+    calls, draws = [], 0
+
+    def profile(frame, event, arg):
+        nonlocal draws
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and frame.f_code is code and arg is math.log1p:
+            draws += 1
+
+    hub, node, link = lossy_pair(seed=2, ber=0.015)
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        taken = send_clean(node, link, 10, node.now + 20 * SECOND)
+    finally:
+        sys.setprofile(before)
+    assert taken > 100 and draws > 500
+    # the checks before the walk, and the new Counter keys after it
+    assert calls[:4] == ["_at_rest", "_at_rest", "log_q", "log_q"]
+    assert set(calls[4:]) == {"__missing__"} and len(calls) < 10
 
 
 class _Gaps:

@@ -223,6 +223,10 @@ FAST_VS_FRAME_PATH = {
         duration_s=60.0, seed=seed) for seed in (1, 2, 3, 5)},
     "lossy-no-retry-ber-0.01": quick_config(node_count=1, preset="explicit", ber=0.01,
                                             max_retries=0, duration_s=60.0, seed=1),
+    # data frames carry about 2.2 flips each, so most packets are decided
+    # by their syndromes over several walked flips
+    "high-ber-4-nodes": quick_config(node_count=4, preset="explicit", ber=0.015,
+                                     payload_len=10, max_retries=3, duration_s=20.0, seed=3),
 }
 
 
@@ -243,6 +247,14 @@ def test_clean_exchange_path_matches_frame_path(name):
 def test_sequence_wrap_config_reaches_a_clean_duplicate():
     links = run_experiment(FAST_VS_FRAME_PATH["sequence-wrap-clean"]).links
     assert [link.counters.r_frm - link.counters.r_pkt for link in links] == [0, 1, 0]
+
+
+def test_the_high_ber_config_keeps_its_counters():
+    result = run_experiment(FAST_VS_FRAME_PATH["high-ber-4-nodes"])
+    t = result.totals
+    assert (t.s_frm, t.r_frm, t.s_pkt, t.r_pkt) == (1542, 178, 413, 157)
+    assert [(link.delivered, link.lost) for link in result.links] == [
+        (15, 90), (20, 85), (11, 86), (20, 86)]
 
 
 def test_a_lossy_no_retry_config_fails_its_join():

@@ -62,6 +62,9 @@ EXTREME_RATES = (TEST_CHANNEL + "test_ber_0_draws_nothing_and_ber_1_flips_every_
 SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
+DRAWS_AS_DRAW = TEST_MAC + "test_send_clean_draws_every_gap_as_draw_does"
+MAXSIZE_FALLBACK = TEST_MAC + "test_send_clean_falls_back_to_maxsize_where_draw_does"
+NO_CALL_PER_FLIP = TEST_MAC + "test_the_walk_makes_no_python_call_per_flip"
 TEST_OPTIMIZER = "tests/test_optimizer.py::"
 OPTIMIZER_ORACLE = (TEST_OPTIMIZER + "test_the_descent_matches_the_oracle_on_a_grid",)
 
@@ -124,35 +127,35 @@ CATALOGUE = [
            "accepted += n - (last == seq)", "accepted += n",
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
     Mutant("send-failed-attempt-ends-before-its-deadline", MAC,
-           "                t = deadline\n", "",
+           "            t = deadline\n", "",
            (LOSSY_LINKS,)),
     Mutant("send-zero-syndrome-packet-not-handed-off", MAC,
-           "            if not (delivered or syndrome):\n"
-           "                up_gap, up_used, down_gap, down_used = before\n"
-           "                break   # the frame path carries this packet\n", "",
+           "        if not (delivered or syndrome):\n"
+           "            up_gap, up_used, down_gap, down_used = before\n"
+           "            break   # the frame path carries this packet\n", "",
            (FORCED_MISS,)),
     Mutant("send-attempt-loop-goes-on-past-a-zero-syndrome", MAC,
-           "                if not syndrome:\n"
-           "                    break   # the CRC misses this frame\n",
+           "            if not syndrome:\n"
+           "                break   # the CRC misses this frame\n",
            "",
            (FORCED_MISS,)),
     Mutant("send-data-frame-decided-by-its-flip-count", MAC,
-           "syndrome ^= CRC_SYNDROMES[data_last - up_gap]", "syndrome += 1",
+           "syndrome ^= syndromes[data_last - up_gap]", "syndrome += 1",
            (FORCED_MISS,)),
     Mutant("send-ack-decided-by-its-flip-count", MAC,
-           "syndrome ^= CRC_SYNDROMES[ack_last - down_gap]", "syndrome += 1",
+           "syndrome ^= syndromes[ack_last - down_gap]", "syndrome += 1",
            (FORCED_MISS_LATER,)),
     Mutant("send-syndrome-reset-per-packet-not-per-attempt", MAC,
-           "            while attempts < tries:\n                syndrome = 0\n",
-           "            syndrome = 0\n            while attempts < tries:\n",
+           "        while attempts < tries:\n            syndrome = 0\n",
+           "        syndrome = 0\n        while attempts < tries:\n",
            (FORCED_MISS_LATER,)),
     Mutant("send-handed-off-packet-keeps-its-walk", MAC,
-           "                up_gap, up_used, down_gap, down_used = before\n", "",
+           "            up_gap, up_used, down_gap, down_used = before\n", "",
            (FORCED_MISS_LATER,)),
     Mutant("send-handed-off-packet-pulls-the-hub-clock", MAC,
-           "                up_gap, up_used, down_gap, down_used = before\n",
-           "                up_gap, up_used, down_gap, down_used = before\n"
-           "                arrival = landed\n",
+           "            up_gap, up_used, down_gap, down_used = before\n",
+           "            up_gap, up_used, down_gap, down_used = before\n"
+           "            arrival = landed\n",
            (FORCED_MISS_LATER,)),
     Mutant("send-clean-run-takes-the-longer-direction", MAC,
            "        if acks < run:", "        if acks > run:", (FRAME_PATH_ALONE,)),
@@ -171,7 +174,7 @@ CATALOGUE = [
            "now += n * exchange", "now += n * data_bits",
            (FRAME_PATH_ALONE,)),
     Mutant("send-clean-run-pulls-the-hub-clock-to-the-ack-end", MAC,
-           "arrival = now - ACK_BITS", "arrival = now",
+           "arrival = now - ack_bits", "arrival = now",
            (FRAME_PATH_ALONE,)),
     Mutant("send-clean-run-takes-an-exchange-starting-at-until", MAC,
            "(until - now - 1) // exchange + 1", "(until - now) // exchange + 1",
@@ -181,17 +184,52 @@ CATALOGUE = [
            (TEST_MAC + "test_send_clean_takes_a_whole_clean_run_only_if_its_last_exchange"
             "_starts_before_until",)),
     Mutant("send-decided-packet-drops-the-ack-airtime", MAC,
-           "                    t += ACK_BITS\n", "",
+           "                t += ack_bits\n", "",
            (LOSSY_LINKS,)),
     Mutant("send-deadline-one-airtime-short", MAC,
-           "deadline = t + ACK_TIMEOUT", "deadline = t - data_bits + ACK_TIMEOUT",
+           "deadline = t + timeout", "deadline = t - data_bits + timeout",
            (LOSSY_LINKS,)),
     Mutant("send-deadline-one-airtime-long", MAC,
-           "deadline = t + ACK_TIMEOUT", "deadline = t + data_bits + ACK_TIMEOUT",
+           "deadline = t + timeout", "deadline = t + data_bits + timeout",
            (LOSSY_LINKS,)),
     Mutant("send-last-accepted-stays-at-the-first-packet", MAC,
            "last = (seq + n - 1) & 0xFF", "last = seq",
            (TEST_MAC + "test_one_long_send_clean_equals_one_exchange_calls",)),
+    Mutant("send-decided-wrap-duplicate-accepted", MAC,
+           "accepted += last != seq", "accepted += 1",
+           (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
+    Mutant("send-retries-deficit-one-long", MAC,
+           "retries += attempts - 1", "retries += attempts", (LOSSY_LINKS,)),
+    Mutant("send-corrupted-deficit-counts-the-intact-frames", MAC,
+           "corrupted += attempts - arrived", "corrupted += arrived", (LOSSY_LINKS,)),
+    Mutant("send-lost-deficit-counts-the-delivered", MAC,
+           "lost += not delivered", "lost += delivered", (LOSSY_LINKS,)),
+    # send_clean's inline draws
+    Mutant("send-uplink-overflow-fallback-dropped", MAC,
+           "                        try:\n"
+           "                            up_ahead.append(int(log1p(-up_random()) / up_logq))\n"
+           "                        except OverflowError:   # a gap past any float\n"
+           "                            up_ahead.append(sys.maxsize)\n",
+           "                        up_ahead.append(int(log1p(-up_random()) / up_logq))\n",
+           (MAXSIZE_FALLBACK,)),
+    Mutant("send-downlink-overflow-fallback-dropped", MAC,
+           "                        try:\n"
+           "                            down_ahead.append(int(log1p(-down_random()) / down_logq))\n"
+           "                        except OverflowError:   # a gap past any float\n"
+           "                            down_ahead.append(sys.maxsize)\n",
+           "                        down_ahead.append(int(log1p(-down_random()) / down_logq))\n",
+           (MAXSIZE_FALLBACK,)),
+    Mutant("send-uplink-walk-draws-from-the-downlink-generator", MAC,
+           "len(up_ahead), uplink.rng.random", "len(up_ahead), downlink.rng.random",
+           (DRAWS_AS_DRAW, LOSSY_LINKS)),
+    Mutant("send-uplink-walk-calls-draw", MAC,
+           "up_ahead.append(int(log1p(-up_random()) / up_logq))", "up_ahead.append(uplink.draw())",
+           (NO_CALL_PER_FLIP,)),
+    Mutant("send-uplink-look-ahead-length-not-kept", MAC,
+           "                        up_len += 1\n", "", (LOSSY_LINKS,)),
+    Mutant("send-uplink-look-ahead-taken-as-empty", MAC,
+           "len(up_ahead), uplink.rng.random", "0, uplink.rng.random",
+           (LOSSY_LINKS, FORCED_MISS_LATER)),
     # FrameCorruptor's look-ahead buffer
     Mutant("corrupt-ignores-gaps-drawn-ahead", CHANNEL,
            "            if used == len(ahead):\n"
