@@ -2,6 +2,10 @@
 
 Randomness comes from MT19937 substreams (the stdlib's ``random.Random``),
 one per stream id, each keyed by a SHA-256 of ``(rng_seed, stream_id)``.
+The digest comes from the interpreter's builtin ``_sha256`` module, as
+``random`` takes SHA-512 from ``_sha512``, so wbansim never loads OpenSSL
+through ``hashlib``; ``hashlib.sha256``, which gives the same digest, is
+imported only where the builtin is missing.
 Distinct stream ids are statistically independent and reproducible
 regardless of how transmissions interleave across links, so adding a node
 to a simulation never perturbs the noise seen by the others.
@@ -18,11 +22,15 @@ through the analytic payload/FER model at the 10-byte reference payload.
 
 import bisect
 import functools
-import hashlib
 import math
 import random
 import sys
 from dataclasses import dataclass
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .analytics import _check_probability, invert_fer_analytic
 from .errors import RangeError
@@ -35,6 +43,12 @@ PRESET_FER_TARGETS = {
     "wireless": ((1.0, 0.00475), (2.0, 0.005), (4.0, 0.0056), (5.0, 0.012), (10.0, 0.025)),
     "wired": ((1.0, 0.0026), (2.0, 0.0030), (4.0, 0.0034), (5.0, 0.0040), (10.0, 0.0050)),
 }
+
+
+def key_digest(seed: int, stream_id) -> bytes:
+    """The 32-byte SHA-256 of ``repr((seed, stream_id))``: the key of a
+    channel substream and of a sweep point's derived seed."""
+    return sha256(repr((seed, stream_id)).encode()).digest()
 
 
 def check_distance_map(table) -> tuple[tuple[float, float], ...]:
@@ -72,7 +86,7 @@ class ChannelModel:
         """Fresh generator at the start of the (rng_seed, stream_id)
         substream, for any repr-stable id; asking twice for one id gives two
         generators that draw the same numbers."""
-        digest = hashlib.sha256(repr((self.rng_seed, stream_id)).encode()).digest()
+        digest = key_digest(self.rng_seed, stream_id)
         return random.Random(int.from_bytes(digest, "big"))
 
 

@@ -30,7 +30,6 @@ hub clock, which no outcome reads, may run ahead of the other links while
 one link takes a long run.
 """
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -38,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 from . import analytics
 from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
-                      check_distance_map, preset)
+                      check_distance_map, key_digest, preset)
 from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, data_frame
 from .mac import (JOIN_MAX_ROUNDS, MAX_NODES, Device, Role, establish_connection,
@@ -270,8 +269,7 @@ class SweepRow:
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable per-run seed; independent streams for each sweep point."""
-    digest = hashlib.sha256(repr((int(base_seed), index)).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(key_digest(int(base_seed), index)[:8], "big")
 
 
 def sweep(base: ExperimentConfig, axis: str, values: Sequence) -> list[SweepRow]:

@@ -1,5 +1,7 @@
 """Channel model tests: flip statistics, determinism, calibration."""
 
+import hashlib
+import importlib.util
 import math
 import signal
 import sys
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wbansim.channel
 from wbansim.analytics import fer_analytic
 from wbansim.channel import (ChannelModel, FrameCorruptor, ber_for_distance,
-                             check_distance_map, preset)
+                             check_distance_map, key_digest, preset)
 from wbansim.errors import RangeError
 from wbansim.frames import MAX_FRAME_BYTES
 
@@ -62,6 +65,45 @@ def test_distinct_streams_differ():
     model = ChannelModel(ber=0.5, rng_seed=7)
     data = bytes(64)
     assert transmit(data, model, "a") != transmit(data, model, "b")
+
+
+KEY_SEEDS = (0, 1, 2**64, 12345678901234567890123456)
+KEY_IDS = (0, 7, (0, 1), (1, 0), (0, 63), "s", "positions")
+
+
+def test_substream_keys_are_pinned():
+    from wbansim.simulator import derive_seed
+    for seed in KEY_SEEDS:
+        for stream_id in KEY_IDS:
+            key = repr((seed, stream_id)).encode()
+            assert key_digest(seed, stream_id) == hashlib.sha256(key).digest()
+    # first draws and derived seeds as they were under hashlib.sha256
+    first_draws = [(0, 0, 0.3782245459892333), (1, (1, 0), 0.06174426244120845),
+                   (2**64, "s", 0.49172513252117367),
+                   (12345678901234567890123456, (0, 63), 0.36714417894245166)]
+    for seed, stream_id, draw in first_draws:
+        assert ChannelModel(rng_seed=seed).stream(stream_id).random() == draw
+    derived = [(0, 0, 11328772439404994428), (1, 1, 15000183751391786203),
+               (2**64, 4, 17797016065475860126),
+               (12345678901234567890123456, 2, 310330577854471684)]
+    for seed, index, value in derived:
+        assert derive_seed(seed, index) == value
+
+
+def test_without_the_builtin_sha256_streams_key_through_hashlib(monkeypatch):
+    # a second copy of the module, loaded where `import _sha256` fails
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("wbansim._channel_without_sha256",
+                                                  wbansim.channel.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback.sha256 is hashlib.sha256
+    for seed in KEY_SEEDS:
+        for stream_id in KEY_IDS:
+            draws = fallback.ChannelModel(rng_seed=seed).stream(stream_id)
+            twin = ChannelModel(rng_seed=seed).stream(stream_id)
+            assert [draws.random() for _ in range(3)] == [twin.random() for _ in range(3)]
 
 
 def test_stream_independence_chi_square():

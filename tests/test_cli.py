@@ -513,3 +513,15 @@ def test_every_command_runs_without_numpy(tmp_path):
                       "from wbansim.cli import main\n"
                       f"print([main(args) for args in {NUMPY_FREE_COMMANDS!r}])", tmp_path)
     assert done.stdout.splitlines()[-1:] == ["[0, 0, 0, 0]"], done.stderr
+
+
+def test_no_command_loads_hashlib(tmp_path):
+    # substream keys hash with the builtin _sha256, so OpenSSL stays unloaded
+    from wbansim.frames import data_frame, encode_frame
+    commands = [*NUMPY_FREE_COMMANDS, ["analyze", "payload", "-o", "payload.csv"],
+                ["codec", "dump", encode_frame(data_frame(2, 1, 7, b"hi")).hex()]]
+    done = run_python("import sys\nfrom wbansim.cli import main\n"
+                      f"codes = [main(args) for args in {commands!r}]\n"
+                      "print(codes, [m for m in ('hashlib', '_hashlib') if m in sys.modules])",
+                      tmp_path)
+    assert done.stdout.splitlines()[-1:] == ["[0, 0, 0, 0, 0, 0] []"], done.stderr

@@ -65,6 +65,7 @@ JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
 DRAWS_AS_DRAW = TEST_MAC + "test_send_clean_draws_every_gap_as_draw_does"
 MAXSIZE_FALLBACK = TEST_MAC + "test_send_clean_falls_back_to_maxsize_where_draw_does"
 NO_CALL_PER_FLIP = TEST_MAC + "test_the_walk_makes_no_python_call_per_flip"
+KEYS_PINNED = (TEST_CHANNEL + "test_substream_keys_are_pinned",)
 TEST_OPTIMIZER = "tests/test_optimizer.py::"
 OPTIMIZER_ORACLE = (TEST_OPTIMIZER + "test_the_descent_matches_the_oracle_on_a_grid",)
 
@@ -299,6 +300,20 @@ CATALOGUE = [
     Mutant("trace-file-written-in-ticks", CLI,
            "{t / config.data_rate_bps:.9f}", "{t:.9f}",
            ("tests/test_golden.py::test_cli_outputs_are_byte_identical",)),
+    # the substream keys: one SHA-256, from the builtin module first
+    Mutant("stream-keyed-by-the-first-8-bytes-of-the-digest", CHANNEL,
+           'int.from_bytes(digest, "big")', 'int.from_bytes(digest[:8], "big")', KEYS_PINNED),
+    Mutant("derive-seed-takes-the-whole-digest", SIMULATOR,
+           "key_digest(int(base_seed), index)[:8]", "key_digest(int(base_seed), index)",
+           KEYS_PINNED),
+    Mutant("key-hashes-the-id-before-the-seed", CHANNEL,
+           "repr((seed, stream_id)).encode()", "repr((stream_id, seed)).encode()", KEYS_PINNED),
+    Mutant("key-digest-from-hashlib-first", CHANNEL,
+           "    from _sha256 import sha256\n", "    from hashlib import sha256\n",
+           ("tests/test_cli.py::test_no_command_loads_hashlib",)),
+    Mutant("key-fallback-imports-a-different-hash", CHANNEL,
+           "    from hashlib import sha256\n", "    from hashlib import sha3_256 as sha256\n",
+           (TEST_CHANNEL + "test_without_the_builtin_sha256_streams_key_through_hashlib",)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
