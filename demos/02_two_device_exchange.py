@@ -15,8 +15,7 @@ hub = Device(Role.HUB, 0, trace=trace)
 node = Device(Role.NODE, 5, max_retries=3, trace=trace)
 
 # a harsh channel so retries actually happen: ~17% of exchanges fail
-model = ChannelModel(ber=8e-4, rng_seed=20260809)
-link = make_link(node, hub, model)
+link = make_link(node, hub, ChannelModel(rng_seed=20260809), 8e-4)
 
 print("=== handshake ===")
 establish_connection(node, link)

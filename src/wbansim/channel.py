@@ -71,14 +71,13 @@ def check_distance_map(table) -> tuple[tuple[float, float], ...]:
 
 @dataclass
 class ChannelModel:
-    """Bit-flip channel: error rate, RNG seed, optional distance calibration."""
+    """Bit-flip channel: an RNG seed and an optional distance calibration.
+    It holds no error rate: ``make_link`` takes each link's."""
 
-    ber: float = 0.0
     rng_seed: int = 0
     distance_map: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        _check_probability("ber", self.ber)
         if self.distance_map is not None:
             self.distance_map = check_distance_map(self.distance_map)
 
@@ -196,4 +195,4 @@ def _calibration_table(name: str) -> tuple[tuple[float, float], ...]:
 def preset(name: str, rng_seed: int = 0) -> ChannelModel:
     """Calibrated channel preset: ``wireless`` or ``wired``."""
     table = _calibration_table(name)
-    return ChannelModel(ber=table[0][1], rng_seed=rng_seed, distance_map=table)
+    return ChannelModel(rng_seed=rng_seed, distance_map=table)

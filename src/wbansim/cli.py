@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="barrier search for payload")
     p_opt.add_argument("--p-ber", dest="p_ber", type=float, required=True)
-    p_opt.add_argument("--start", type=float, default=15.0)
+    p_opt.add_argument("--start", type=float, default=optimizer.DEFAULT_START)
     p_opt.add_argument("--tolerance", type=float, default=optimizer.DEFAULT_TOLERANCE)
     p_opt.add_argument("--max-iterations", type=int,
                        default=optimizer.DEFAULT_MAX_ITERATIONS)

@@ -15,8 +15,8 @@ Wire format (all frames):
 
 A data frame therefore carries exactly 8 bytes of overhead around its
 payload.  An Ack frame has a fixed 1-byte body (the acknowledged sequence
-number) and encodes to exactly 9 bytes.  Management frames carry their
-connection parameters in `body`.
+number) and encodes to exactly 9 bytes.  Management frames are built with
+an empty body, though ``decode_frame`` accepts one that arrives with a body.
 """
 
 import binascii
@@ -28,7 +28,7 @@ from .errors import CrcError, MalformedError, RangeError, TruncatedError
 OVERHEAD_BYTES = 8        # header (6) + CRC (2)
 ACK_FRAME_BYTES = OVERHEAD_BYTES + 1   # overhead + 1-byte acked sequence
 ACK_BITS = 8 * ACK_FRAME_BYTES
-MGMT_BITS = 8 * OVERHEAD_BYTES          # a management frame without params
+MGMT_BITS = 8 * OVERHEAD_BYTES          # a management frame: no body
 MAX_PAYLOAD = 255
 MAX_FRAME_BYTES = MAX_PAYLOAD + OVERHEAD_BYTES
 MAX_FRAGMENT_INDEX = 127
@@ -121,9 +121,8 @@ def ack_frame(recipient: int, sender: int, acked_sequence: int) -> Frame:
 
 
 def management_frame(frame_type: FrameType, recipient: int, sender: int,
-                     sequence: int, params: bytes = b"") -> Frame:
-    header = FrameHeader(frame_type, recipient, sender, sequence)
-    return Frame(header, bytes(params))
+                     sequence: int) -> Frame:
+    return Frame(FrameHeader(frame_type, recipient, sender, sequence))
 
 
 def encode_frame(frame: Frame) -> bytes:

@@ -120,17 +120,15 @@ def ack_timeout_for_rate(data_rate_bps: float) -> float:
     return ACK_TIMEOUT / data_rate_bps
 
 
-def fragment_sdu(sdu: bytes, max_payload: int) -> list[bytes]:
-    """Split `sdu` into consecutive chunks of at most `max_payload` bytes.
+def fragment_sdu(sdu: bytes) -> list[bytes]:
+    """Split `sdu` into consecutive chunks of at most `MAX_PAYLOAD` bytes.
 
     Concatenating the result reproduces `sdu` exactly; the final chunk is
     the only one allowed to be short.
     """
-    if max_payload < 1:
-        raise RangeError(f"max_payload={max_payload} must be >= 1")
     if len(sdu) == 0:
         raise EmptySduError("cannot fragment an empty service data unit")
-    return [bytes(sdu[i:i + max_payload]) for i in range(0, len(sdu), max_payload)]
+    return [bytes(sdu[i:i + MAX_PAYLOAD]) for i in range(0, len(sdu), MAX_PAYLOAD)]
 
 
 class Device:
@@ -201,7 +199,7 @@ class Device:
         self._record(PrimitiveFamily.DATA_SERVICE, PrimitiveKind.REQUEST)
         if self.hub_id is None:
             raise ProtocolError("no hub association; connect before sending data")
-        chunks = fragment_sdu(sdu, MAX_PAYLOAD)
+        chunks = fragment_sdu(sdu)
         if len(chunks) > MAX_FRAGMENTS:
             raise RangeError(
                 f"SDU needs {len(chunks)} fragments; the header carries at most {MAX_FRAGMENTS}")
@@ -497,13 +495,11 @@ class LinkHandle:
         return self.downlink.corrupt(wire)
 
 
-def make_link(sender: Device, peer: Device, model: ChannelModel,
-              ber: Optional[float] = None) -> LinkHandle:
-    effective = model.ber if ber is None else ber
+def make_link(sender: Device, peer: Device, model: ChannelModel, ber: float) -> LinkHandle:
     return LinkHandle(
         peer,
-        FrameCorruptor(model.stream((sender.device_id, peer.device_id)), effective),
-        FrameCorruptor(model.stream((peer.device_id, sender.device_id)), effective))
+        FrameCorruptor(model.stream((sender.device_id, peer.device_id)), ber),
+        FrameCorruptor(model.stream((peer.device_id, sender.device_id)), ber))
 
 
 def pump(sender: Device, link: LinkHandle, outputs: list, done,

@@ -39,6 +39,7 @@ from .analytics import _OVERHEAD, _any_flip, ack_length_term, fer_analytic
 from .errors import DomainError, RangeError
 from .frames import MAX_PAYLOAD
 
+DEFAULT_START = 15.0
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
 SHRINK = 0.5            # barrier weight factor per outer iteration
@@ -174,7 +175,7 @@ class OptimizeResult:
         return min(self.candidates, key=lambda c: c.fer)
 
 
-def optimize_payload(p_ber: float, payload_0: float = 15.0,
+def optimize_payload(p_ber: float, payload_0: float = DEFAULT_START,
                      tolerance: float = DEFAULT_TOLERANCE,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS,
                      verbatim_gradient: bool = False) -> OptimizeResult:

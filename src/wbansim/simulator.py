@@ -200,7 +200,7 @@ def run_experiment(config: ExperimentConfig,
         node = Device(Role.NODE, i + 1, max_retries=config.max_retries, trace=trace)
         # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
         ber = config.ber if config.ber is not None else ber_for_distance(distances[i], model)
-        link = make_link(node, hub, model, ber=ber)
+        link = make_link(node, hub, model, ber)
         if not (join_clean(node, link) or establish_connection(node, link)):
             source = (f"ber={config.ber}" if config.ber is not None
                       else f"distance_m={distances[i]}")

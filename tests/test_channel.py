@@ -16,55 +16,56 @@ from wbansim.channel import (ChannelModel, FrameCorruptor, ber_for_distance,
                              check_distance_map, key_digest, preset)
 from wbansim.errors import RangeError
 from wbansim.frames import MAX_FRAME_BYTES
+from wbansim.mac import Device, Role, make_link
 
 
 def bit_count_diff(a: bytes, b: bytes) -> int:
     return sum((x ^ y).bit_count() for x, y in zip(a, b))
 
 
-def transmit(data: bytes, model: ChannelModel, stream_id) -> bytes:
-    """Send `data` once through a fresh corruptor on the given substream."""
-    return FrameCorruptor(model.stream(stream_id), model.ber).corrupt(data)
+def transmit(data: bytes, model: ChannelModel, stream_id, ber: float) -> bytes:
+    """Send `data` once at `ber` through a fresh corruptor on the given substream."""
+    return FrameCorruptor(model.stream(stream_id), ber).corrupt(data)
 
 
 def test_ber_zero_is_identity():
-    model = ChannelModel(ber=0.0, rng_seed=1)
+    model = ChannelModel(rng_seed=1)
     data = bytes(range(256))
-    assert transmit(data, model, "s") == data
+    assert transmit(data, model, "s", 0.0) == data
 
 
 def test_ber_one_is_complement():
-    model = ChannelModel(ber=1.0, rng_seed=1)
+    model = ChannelModel(rng_seed=1)
     data = bytes(range(256))
-    assert transmit(data, model, "s") == bytes(b ^ 0xFF for b in data)
+    assert transmit(data, model, "s", 1.0) == bytes(b ^ 0xFF for b in data)
 
 
 def test_output_length_preserved():
-    model = ChannelModel(ber=0.3, rng_seed=5)
+    model = ChannelModel(rng_seed=5)
     for n in (0, 1, 9, 18, 263):
-        assert len(transmit(bytes(n), model, "len")) == n
+        assert len(transmit(bytes(n), model, "len", 0.3)) == n
 
 
 def test_flip_fraction_at_half():
     # 10^6 bits at ber 0.5: fraction within 3 sigma = 3*0.0005 of 0.5
-    model = ChannelModel(ber=0.5, rng_seed=42)
+    model = ChannelModel(rng_seed=42)
     data = bytes(125_000)
-    out = transmit(data, model, "half")
+    out = transmit(data, model, "half", 0.5)
     fraction = bit_count_diff(data, out) / 1e6
     assert abs(fraction - 0.5) < 3 * 0.0005
 
 
 def test_determinism_same_seed_same_stream():
     data = bytes(64)
-    first = transmit(data, ChannelModel(ber=0.1, rng_seed=7), "x")
-    second = transmit(data, ChannelModel(ber=0.1, rng_seed=7), "x")
+    first = transmit(data, ChannelModel(rng_seed=7), "x", 0.1)
+    second = transmit(data, ChannelModel(rng_seed=7), "x", 0.1)
     assert first == second
 
 
 def test_distinct_streams_differ():
-    model = ChannelModel(ber=0.5, rng_seed=7)
+    model = ChannelModel(rng_seed=7)
     data = bytes(64)
-    assert transmit(data, model, "a") != transmit(data, model, "b")
+    assert transmit(data, model, "a", 0.5) != transmit(data, model, "b", 0.5)
 
 
 KEY_SEEDS = (0, 1, 2**64, 12345678901234567890123456)
@@ -108,11 +109,11 @@ def test_without_the_builtin_sha256_streams_key_through_hashlib(monkeypatch):
 
 def test_stream_independence_chi_square():
     # flips on two streams, ber 0.5: 2x2 contingency, df=1, crit 6.63 (1%)
-    model = ChannelModel(ber=0.5, rng_seed=123)
+    model = ChannelModel(rng_seed=123)
     n = 40_000
     data = bytes(n // 8)
-    flips_a = np.frombuffer(transmit(data, model, "a"), dtype=np.uint8)
-    flips_b = np.frombuffer(transmit(data, model, "b"), dtype=np.uint8)
+    flips_a = np.frombuffer(transmit(data, model, "a", 0.5), dtype=np.uint8)
+    flips_b = np.frombuffer(transmit(data, model, "b", 0.5), dtype=np.uint8)
     bits_a = np.unpackbits(flips_a).astype(bool)
     bits_b = np.unpackbits(flips_b).astype(bool)
     table = np.array([[np.sum(bits_a & bits_b), np.sum(bits_a & ~bits_b)],
@@ -130,7 +131,7 @@ def binomial_law_holds(seed: int, stream_id: str) -> bool:
     ber = 2e-3
     nframes = 20_000
     frame = bytes(18)
-    model = ChannelModel(ber=ber, rng_seed=seed)
+    model = ChannelModel(rng_seed=seed)
     corruptor = FrameCorruptor(model.stream(stream_id), ber)
     corrupted = sum(corruptor.corrupt(frame) != frame for _ in range(nframes))
     p = 1.0 - (1.0 - ber) ** 144
@@ -333,20 +334,17 @@ def test_preset_caches_its_table_not_its_model():
 # -------------------------------------------------------------- calibration
 
 def test_interpolation_hits_calibration_points():
-    model = ChannelModel(ber=0.0, rng_seed=0,
-                         distance_map=((1.0, 1e-5), (2.0, 3e-5), (4.0, 9e-5)))
+    model = ChannelModel(distance_map=((1.0, 1e-5), (2.0, 3e-5), (4.0, 9e-5)))
     assert ber_for_distance(2.0, model) == pytest.approx(3e-5)
 
 
 def test_interpolation_midpoint_is_mean():
-    model = ChannelModel(ber=0.0, rng_seed=0,
-                         distance_map=((1.0, 1e-5), (3.0, 3e-5)))
+    model = ChannelModel(distance_map=((1.0, 1e-5), (3.0, 3e-5)))
     assert ber_for_distance(2.0, model) == pytest.approx(2e-5)
 
 
 def test_interpolation_clamps_at_endpoints():
-    model = ChannelModel(ber=0.0, rng_seed=0,
-                         distance_map=((1.0, 1e-5), (3.0, 3e-5)))
+    model = ChannelModel(distance_map=((1.0, 1e-5), (3.0, 3e-5)))
     assert ber_for_distance(0.5, model) == pytest.approx(1e-5)
     assert ber_for_distance(50.0, model) == pytest.approx(3e-5)
 
@@ -445,10 +443,11 @@ def test_wired_calibration_anchors_reference_fer():
 
 
 def test_bad_ber_rejected():
+    # a rate is given only where a link or a corruptor is made
     with pytest.raises(RangeError):
-        ChannelModel(ber=1.5)
+        make_link(Device(Role.NODE, 1), Device(Role.HUB, 0), ChannelModel(), 1.5)
     with pytest.raises(RangeError):
-        ChannelModel(ber=-0.1)
+        FrameCorruptor(ChannelModel().stream("s"), -0.1)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, config handling, manifests."""
 
+import inspect
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wbansim
-from wbansim.cli import MAX_RANGE_VALUES, main, parse_values
+from wbansim.cli import MAX_RANGE_VALUES, build_parser, main, parse_values
 from wbansim.errors import ConfigError, ProtocolError
 
 FAST = ["--set", "duration_s=0.2", "--set", "node_count=2"]
@@ -326,6 +327,14 @@ def test_optimize_writes_trace_and_summary(tmp_path, capsys):
     assert len(rows) > 2
     text = capsys.readouterr().out
     assert "optimum payload" in text and "integer candidates" in text
+
+
+def test_optimize_flags_default_to_the_librarys_defaults():
+    args = build_parser().parse_args(["optimize", "--p-ber", "1e-3"])
+    defaults = inspect.signature(wbansim.optimize_payload).parameters
+    assert (args.start, args.tolerance, args.max_iterations) == tuple(
+        defaults[name].default for name in ("payload_0", "tolerance", "max_iterations"))
+    assert args.start == wbansim.optimizer.DEFAULT_START == 15.0
 
 
 def test_optimize_out_of_range_exits_2(tmp_path):

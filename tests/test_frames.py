@@ -24,8 +24,9 @@ def random_frame(rng: random.Random, max_payload: int = 30) -> Frame:
         return ack_frame(recipient, sender, seq)
     ftype = (FrameType.MGMT_REQUEST, FrameType.MGMT_ASSIGNMENT,
              FrameType.MGMT_DISCONNECT)[kind - 2]
-    return management_frame(ftype, recipient, sender, seq,
-                            rng.randbytes(rng.randrange(0, 4)))
+    # management_frame builds an empty body; the decoder accepts one with a body
+    return Frame(FrameHeader(ftype, recipient, sender, seq),
+                 rng.randbytes(rng.randrange(0, 4)))
 
 
 # -------------------------------------------------------------- length laws

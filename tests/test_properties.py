@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from wbansim.simulator import ExperimentConfig
 
-from test_simulator import links_or_error
+from test_simulator import frame_path_links, links_or_error
 
 
 @st.composite
@@ -34,9 +34,11 @@ def small_configs(draw):
         distance_map=distance_map)
 
 
-# A traced run takes the frame path for every exchange, so it is the oracle
-# for the clean runs an untraced run accounts in one step.
+# The frame path alone is the oracle for the packets and joins an untraced
+# run takes in arithmetic, and a traced run must equal it too.
 @settings(max_examples=60, deadline=None)
 @given(small_configs())
 def test_untraced_links_equal_traced_links(config):
-    assert links_or_error(config) == links_or_error(config, trace=[])
+    links = links_or_error(config)
+    assert links == frame_path_links(config)
+    assert links == links_or_error(config, trace=[])

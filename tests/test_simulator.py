@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from wbansim import simulator
 from wbansim.analytics import (data_length, fer_analytic,
                                frame_corruption_probability)
 from wbansim.errors import ConfigError
@@ -191,8 +192,8 @@ def test_config_replacement_does_not_mutate_base():
 
 # ----------------------------------------------------- clean-exchange path
 
-# A traced run takes the frame path for every exchange, so it is the oracle
-# for the arithmetic path an untraced run takes on clean exchanges.
+# `frame_path_links` runs every join and packet through the frame path, so it
+# is the oracle for the ones an untraced run takes in arithmetic.
 FAST_VS_FRAME_PATH = {
     "payload-0": quick_config(node_count=3, payload_len=0, duration_s=1.0, seed=3),
     "ber-0": quick_config(preset="explicit", ber=0.0, seed=4),
@@ -238,10 +239,26 @@ def links_or_error(config, trace=None):
         return str(exc)
 
 
+def frame_path_links(config, trace=None):
+    """`links_or_error` with both twins declining: `send_clean` takes no
+    packet and `join_clean` no join, so all of them go through the frame path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "send_clean", lambda *args: 0)
+        patch.setattr(simulator, "join_clean", lambda *args: False)
+        return links_or_error(config, trace)
+
+
 @pytest.mark.parametrize("name", sorted(FAST_VS_FRAME_PATH))
 def test_clean_exchange_path_matches_frame_path(name):
     config = FAST_VS_FRAME_PATH[name]
-    assert links_or_error(config) == links_or_error(config, trace=[])
+    assert links_or_error(config) == frame_path_links(config)
+
+
+def test_a_traced_run_matches_the_frame_path_line_for_line():
+    config = FAST_VS_FRAME_PATH["criterion-8"]
+    traced, framed = [], []
+    assert links_or_error(config, traced) == frame_path_links(config, framed)
+    assert len(traced) > 1000 and traced == framed
 
 
 def test_sequence_wrap_config_reaches_a_clean_duplicate():

@@ -314,6 +314,22 @@ CATALOGUE = [
     Mutant("key-fallback-imports-a-different-hash", CHANNEL,
            "    from hashlib import sha256\n", "    from hashlib import sha3_256 as sha256\n",
            (TEST_CHANNEL + "test_without_the_builtin_sha256_streams_key_through_hashlib",)),
+    # a link's rate is given where the link is made; fragments are cut at MAX_PAYLOAD
+    Mutant("make-link-downlink-keyed-by-the-uplink-id", MAC,
+           "FrameCorruptor(model.stream((peer.device_id, sender.device_id)), ber))",
+           "FrameCorruptor(model.stream((sender.device_id, peer.device_id)), ber))",
+           (TEST_MAC + "test_a_link_draws_each_direction_at_its_rate_from_its_own_substream",)),
+    Mutant("corruptor-rate-unchecked", CHANNEL,
+           '        _check_probability("ber", ber)\n', "",
+           (TEST_CHANNEL + "test_bad_ber_rejected",)),
+    Mutant("fragment-cut-one-byte-short", MAC,
+           "sdu[i:i + MAX_PAYLOAD]) for i in range(0, len(sdu), MAX_PAYLOAD)]",
+           "sdu[i:i + MAX_PAYLOAD - 1]) for i in range(0, len(sdu), MAX_PAYLOAD - 1)]",
+           (TEST_MAC + "test_fragment_arithmetic_split",)),
+    Mutant("preset-drops-its-table", CHANNEL,
+           "ChannelModel(rng_seed=rng_seed, distance_map=table)",
+           "ChannelModel(rng_seed=rng_seed)",
+           (TEST_CHANNEL + "test_wired_calibration_anchors_reference_fer",)),
     # Device
     Mutant("poll-step-checks-timers-only-on-an-empty-inbox", MAC,
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
