@@ -106,22 +106,19 @@ class FrameCorruptor:
 
     The look-ahead that ``mac.send_clean`` walks is public: ``gap`` is the
     number of clean bits before the next flip, counted from the next frame's
-    start, and ``ahead`` holds the gaps after that flip, in order, that a
-    look-ahead drew from ``rng`` by ``draw``'s inversion over ``log_q``
-    (``log1p(-ber)``).  Looking consumes nothing: a walk reads ``gap``, then
-    ``ahead``, and appends to ``ahead`` only past its end.  A
-    walk commits the frames it decided by setting ``gap`` to the gap after
-    them and deleting the entries of ``ahead`` it used; a frame crosses
-    clean exactly when ``gap >= nbits``, and committing it is
-    ``gap -= nbits``.  ``corrupt`` is such a walk over one frame: it reads
-    ``ahead`` by index, appends ``draw()`` results only past its end, and
-    deletes the gaps it used once, so every substream draws the same
-    numbers in the same order whether or not anyone looked ahead.  At
-    ``ber`` 0 nothing flips: ``gap`` starts at ``sys.maxsize``, far past
-    any run of frames, and counts down like any other gap.  At ``ber`` 1
-    ``log1p(-ber)`` is ``-inf``, so every gap drawn is 0: every bit flips,
-    at one draw per bit as at any other rate.  The rate is fixed at
-    construction.
+    start, and ``ahead`` holds gaps that a walk drew past that flip and
+    handed back, the next one last.  ``draw`` pops ``ahead`` before it draws
+    from ``rng``, so it is the one home of the substream's next gap, and
+    ``corrupt`` takes each gap through it.  A walk commits the frames it
+    decided by setting ``gap`` to the gap after them; a frame crosses clean
+    exactly when ``gap >= nbits``, and committing it is ``gap -= nbits``.  A
+    walk that leaves its frames to ``corrupt`` restores ``gap`` and hands
+    its gaps back, reversed, onto ``ahead``, so every substream carries the
+    same bits whether or not anyone looked ahead.  At ``ber`` 0 nothing
+    flips: ``gap`` starts at ``sys.maxsize``, far past any run of frames,
+    and counts down like any other gap.  At ``ber`` 1 ``log1p(-ber)`` is
+    ``-inf``, so every gap drawn is 0: every bit flips, at one draw per bit
+    as at any other rate.  The rate is fixed at construction.
     """
 
     __slots__ = ("rng", "_log_q", "gap", "ahead")
@@ -139,7 +136,11 @@ class FrameCorruptor:
         return self._log_q
 
     def draw(self) -> int:
-        """A fresh gap from the substream: the clean bits before a flip."""
+        """The substream's next gap, the clean bits before a flip: the last
+        one handed back to ``ahead``, else a fresh one drawn by inversion
+        over ``log_q``."""
+        if self.ahead:
+            return self.ahead.pop()
         try:
             return int(math.log1p(-self.rng.random()) / self._log_q)
         except OverflowError:   # a gap past any float, at a sub-1e-307 ber
@@ -148,15 +149,10 @@ class FrameCorruptor:
     def corrupt(self, data: bytes) -> bytes:
         nbits = len(data) * 8
         out = bytearray(data)
-        ahead = self.ahead
-        pos, used = self.gap, 0
+        pos = self.gap
         while pos < nbits:
             out[pos >> 3] ^= 0x80 >> (pos & 7)
-            if used == len(ahead):
-                ahead.append(self.draw())
-            pos += 1 + ahead[used]
-            used += 1
-        del ahead[:used]
+            pos += 1 + self.draw()
         self.gap = pos - nbits
         return bytes(out)
 

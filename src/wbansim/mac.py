@@ -593,25 +593,27 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     packet with a frame of flips and a zero syndrome, which the CRC misses
     and the receiver decodes as some other frame or finds malformed, is left
     to the frame path.
-    Returns how many packets were taken; 0 means nothing changed and the
-    caller sends the next packet with ``send_with_arq``, which flips the
-    bits looked at here.  `until` is a tick, an int like ``sender.now``; a
-    `payload_len` outside ``0..MAX_PAYLOAD`` raises RangeError.
+    Returns how many packets were taken.  At 0 the devices are unchanged
+    and the caller sends the next packet with ``send_with_arq``, which flips
+    the bits looked at here: a packet left to the frame path hands the gaps
+    it drew back to ``ahead``, where ``corrupt`` takes them before it draws.
+    While either direction holds such gaps it declines.  `until` is a tick,
+    an int like ``sender.now``; a `payload_len` outside ``0..MAX_PAYLOAD``
+    raises RangeError.
 
-    One loop walks both substreams' look-ahead (``FrameCorruptor.gap`` and
-    ``ahead``) in local variables.  Each step is a run of clean exchanges,
-    taken without a loop up to `until`, or one packet decided by its frames'
+    One loop walks both substreams (``FrameCorruptor.gap`` and fresh draws)
+    in local variables.  Each step is a run of clean exchanges, taken
+    without a loop up to `until`, or one packet decided by its frames'
     syndromes.  Both add to the packets, the sequence numbers and the
     packets the hub accepts; a decided packet adds its deficits too: its
     retries, its corrupted data frames and whether it was lost.  The hub
-    clock is pulled forward to the last data arrival.  Past the end of
-    ``ahead`` a decided packet draws each gap inline, by ``draw``'s
-    inversion over the substream's ``rng`` and ``log_q``, and appends it.
-    After the loop one block derives the data frames, the intact ones and
-    the acked packets, and changes the counters, drops and sequence numbers
-    as the frame path would.  Each substream's gap is set and the gaps the
-    taken packets used are deleted from ``ahead``; those a packet left to
-    the frame path drew stay there for ``corrupt``.  At ``ber`` 0 only
+    clock is pulled forward to the last data arrival.  A decided packet
+    draws each gap inline, by ``draw``'s inversion over the substream's
+    ``rng`` and ``log_q``, and keeps the gaps it drew until its fate is
+    known.  After the loop one block derives the data frames, the intact
+    ones and the acked packets, and changes the counters, drops and
+    sequence numbers as the frame path would, and each substream's gap is
+    set to the gap after the taken packets.  At ``ber`` 0 only
     `until` ends a run.  Each link draws from its own substreams, so taking
     one link's frames cannot move another's.
     """
@@ -619,13 +621,14 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
         raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
     hub = link.peer
     node_id = sender.device_id
+    uplink, downlink = link.uplink, link.downlink
     # a connected sender with no armed deadline has no ack pending, and so
     # an empty transmit queue
     if (not _at_rest(sender) or not _at_rest(hub)
             or sender.connection is not Connection.CONNECTED
-            or sender.hub_id != hub.device_id or node_id not in hub.registry):
+            or sender.hub_id != hub.device_id or node_id not in hub.registry
+            or uplink.ahead or downlink.ahead):
         return 0
-    uplink, downlink = link.uplink, link.downlink
     # the module globals the loop reads, as locals
     ack_bits, timeout, syndromes, log1p = ACK_BITS, ACK_TIMEOUT, CRC_SYNDROMES, math.log1p
     data_bits = (payload_len + OVERHEAD_BYTES) * 8
@@ -638,12 +641,9 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     last = hub.last_accepted.get(node_id)
     packets = accepted = retries = corrupted = lost = 0
     # per direction: clean bits before the next flip from the next frame's
-    # start, how many gaps of the look-ahead the walk has used, and the
-    # look-ahead's length
-    up_gap, up_used, up_ahead = uplink.gap, 0, uplink.ahead
-    up_len, up_random, up_logq = len(up_ahead), uplink.rng.random, uplink.log_q
-    down_gap, down_used, down_ahead = downlink.gap, 0, downlink.ahead
-    down_len, down_random, down_logq = len(down_ahead), downlink.rng.random, downlink.log_q
+    # start, and what draw's inversion reads
+    up_gap, up_random, up_logq = uplink.gap, uplink.rng.random, uplink.log_q
+    down_gap, down_random, down_logq = downlink.gap, downlink.rng.random, downlink.log_q
     while now < until:
         run = up_gap // data_bits
         acks = down_gap // ack_bits
@@ -665,8 +665,9 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
             seq = (seq + n) & 0xFF
             continue
         # one packet, decided by its frames' syndromes, in `attempts` data
-        # frames of which `arrived` came through intact
-        before = up_gap, up_used, down_gap, down_used
+        # frames of which `arrived` came through intact, and the gaps it drew
+        before = up_gap, down_gap
+        up_took, down_took = [], []
         t, attempts, arrived, delivered = now, 0, 0, False
         while attempts < tries:
             syndrome = 0
@@ -685,33 +686,31 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                 # the ack's flips
                 while down_gap < ack_bits:
                     syndrome ^= syndromes[ack_last - down_gap]
-                    if down_used == down_len:   # draw's inversion, inline
-                        try:
-                            down_ahead.append(int(log1p(-down_random()) / down_logq))
-                        except OverflowError:   # a gap past any float
-                            down_ahead.append(sys.maxsize)
-                        down_len += 1
-                    down_gap += 1 + down_ahead[down_used]
-                    down_used += 1
+                    try:   # draw's inversion, inline
+                        gap = int(log1p(-down_random()) / down_logq)
+                    except OverflowError:   # a gap past any float
+                        gap = sys.maxsize
+                    down_took.append(gap)
+                    down_gap += 1 + gap
                 down_gap -= ack_bits
             else:   # the data frame's flips
                 while up_gap < data_bits:
                     syndrome ^= syndromes[data_last - up_gap]
-                    if up_used == up_len:   # draw's inversion, inline
-                        try:
-                            up_ahead.append(int(log1p(-up_random()) / up_logq))
-                        except OverflowError:   # a gap past any float
-                            up_ahead.append(sys.maxsize)
-                        up_len += 1
-                    up_gap += 1 + up_ahead[up_used]
-                    up_used += 1
+                    try:   # draw's inversion, inline
+                        gap = int(log1p(-up_random()) / up_logq)
+                    except OverflowError:   # a gap past any float
+                        gap = sys.maxsize
+                    up_took.append(gap)
+                    up_gap += 1 + gap
                 up_gap -= data_bits
             if not syndrome:
                 break   # the CRC misses this frame
             t = deadline
-        if not (delivered or syndrome):
-            up_gap, up_used, down_gap, down_used = before
-            break   # the frame path carries this packet
+        if not (delivered or syndrome):   # the frame path carries this packet
+            up_gap, down_gap = before
+            uplink.ahead.extend(reversed(up_took))
+            downlink.ahead.extend(reversed(down_took))
+            break
         now, arrival = t, landed
         packets += 1
         retries += attempts - 1
@@ -723,11 +722,9 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
         seq = (seq + 1) & 0xFF
     if not packets:
         return 0
-    # the substreams: the gap after the taken packets, and their gaps used
+    # the substreams: the gap after the taken packets
     uplink.gap = up_gap
-    del up_ahead[:up_used]
     downlink.gap = down_gap
-    del down_ahead[:down_used]
     # what the deficits leave: data frames, intact ones and acked packets
     frames = packets + retries
     intact = frames - corrupted

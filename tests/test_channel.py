@@ -171,22 +171,26 @@ def test_clean_frames_committed_by_their_bits_keep_the_corrupt_sequence():
     assert 5000 < committed < 9000
 
 
-def look(corruptor: FrameCorruptor, nbits: int, k: int) -> list[tuple[list[int], int, int]]:
-    """Walk the next `k` frames of `nbits` bits through the public look-ahead,
-    as ``mac.send_clean`` does: per frame, its flip positions, then the gap
-    and the number of ``ahead`` entries used after it."""
-    frames, gap, used, ahead = [], corruptor.gap, 0, corruptor.ahead
+def look(corruptor: FrameCorruptor, nbits: int, k: int,
+         taken: int = 0) -> list[tuple[list[int], int]]:
+    """Walk the next `k` frames of `nbits` bits as ``mac.send_clean`` does,
+    taking each gap through ``draw()``, and commit the first `taken`: set
+    ``gap`` to the gap after them and hand back, reversed, the gaps drawn
+    past them.  Gives per frame its flip positions and the gap after it."""
+    frames, gap, took = [], corruptor.gap, []
     for _ in range(k):
         flips = []
         while gap < nbits:
             flips.append(gap)
-            if used == len(ahead):
-                ahead.append(corruptor.draw())
-            gap += 1 + ahead[used]
-            used += 1
+            took.append(corruptor.draw())
+            gap += 1 + took[-1]
         gap -= nbits
-        frames.append((flips, gap, used))
-    return frames
+        frames.append((flips, gap, len(took)))
+    kept = 0
+    if taken:
+        _, corruptor.gap, kept = frames[taken - 1]
+    corruptor.ahead.extend(reversed(took[kept:]))
+    return [frame[:2] for frame in frames]
 
 
 def flip_positions(out: bytes, sent: bytes) -> list[int]:
@@ -196,9 +200,10 @@ def flip_positions(out: bytes, sent: bytes) -> list[int]:
 
 def test_looking_ahead_keeps_the_corrupt_sequence():
     # positions looked ahead, then the frames carried through corrupt or a
-    # commit of one frame's walk, give the bytes of a twin that never looked
-    # ahead, with three lengths on one bit sequence and looks that reach past
-    # what is then carried: looking consumes nothing
+    # commit of one frame's walk, give the bytes and the gap of a twin that
+    # never looked ahead, with three lengths on one bit sequence and looks
+    # that reach past what is then carried: a look that hands back every gap
+    # it drew consumes nothing
     rng = np.random.default_rng(8)
     probed = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
     plain = FrameCorruptor(ChannelModel(rng_seed=6).stream("s"), 0.01)
@@ -210,53 +215,54 @@ def test_looking_ahead_keeps_the_corrupt_sequence():
         seen = look(probed, nbits, ahead)
         assert look(probed, nbits, ahead) == seen and probed.gap == gap
         looked += len(seen)
-        for flips, _, _ in seen[:int(rng.integers(0, len(seen) + 1))]:
+        for flips, _ in seen[:int(rng.integers(0, len(seen) + 1))]:
             out = plain.corrupt(frame)
             assert flip_positions(out, frame) == flips
             if rng.random() < 0.5:
                 assert probed.corrupt(frame) == out
             else:
-                [(_, probed.gap, used)] = look(probed, nbits, 1)
-                del probed.ahead[:used]
+                assert look(probed, nbits, 1, taken=1) == [(flips, plain.gap)]
+            assert probed.gap == plain.gap
             carried += 1
     assert probed.corrupt(bytes(263)) == plain.corrupt(bytes(263))
+    assert probed.gap == plain.gap
     assert 1000 < carried < looked
 
 
 def test_a_commit_keeps_the_corrupt_sequence():
     # a walk that looks some frames ahead and commits a prefix of them, by
-    # setting the gap and deleting the gaps it used, leaves the corruptor
-    # where a twin stands that carried those frames through corrupt
+    # setting the gap and handing back the gaps drawn past it, leaves the
+    # corruptor where a twin stands that carried those frames through corrupt
     rng = np.random.default_rng(9)
     probed = FrameCorruptor(ChannelModel(rng_seed=7).stream("s"), 0.02)
     plain = FrameCorruptor(ChannelModel(rng_seed=7).stream("s"), 0.02)
     committed = 0
     for _ in range(2000):
         frame = bytes(int(rng.choice([9, 18, 263])))
-        seen = look(probed, len(frame) * 8, int(rng.integers(1, 6)))
-        taken = int(rng.integers(0, len(seen) + 1))
-        if taken:
-            _, probed.gap, used = seen[taken - 1]
-            del probed.ahead[:used]
+        k = int(rng.integers(1, 6))
+        taken = int(rng.integers(0, k + 1))
+        look(probed, len(frame) * 8, k, taken)
         for _ in range(taken):
             plain.corrupt(frame)
         committed += taken
+        assert probed.gap == plain.gap
         assert probed.corrupt(frame) == plain.corrupt(frame)
     assert committed > 1000
 
 
 def _too_slow(signum, frame):
-    raise TimeoutError("corrupt took over 2 s to use the gaps drawn ahead")
+    raise TimeoutError("corrupt took over 2 s to use the gaps handed back")
 
 
 def test_corrupt_uses_a_long_look_ahead_in_linear_time():
-    # 200 000 gaps drawn ahead, carried through corrupt frame by frame, give
-    # the bytes of a twin that never looked ahead; each frame deletes the
-    # gaps it used once, so using them all takes well under the 2 s bound
-    # (deleting them one by one from the front takes about 4 s)
+    # 200 000 gaps drawn outside the look-ahead and handed back reversed,
+    # carried through corrupt frame by frame, give the bytes of a twin that
+    # never looked ahead; each gap is popped off the end of ``ahead``, so
+    # using them all takes well under the 2 s bound
     probed = FrameCorruptor(ChannelModel(rng_seed=3).stream("s"), 0.05)
     plain = FrameCorruptor(ChannelModel(rng_seed=3).stream("s"), 0.05)
-    probed.ahead.extend(probed.draw() for _ in range(200_000))
+    gaps = [probed.draw() for _ in range(200_000)]
+    probed.ahead.extend(reversed(gaps))
     frame, outs = bytes(MAX_FRAME_BYTES), []
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.setitimer(signal.ITIMER_REAL, 2.0)

@@ -753,58 +753,49 @@ def test_send_clean_counts_a_wrapped_sequence_as_a_duplicate(ber, seed):
     assert bool(decided[1].drops["crc"]) == (ber > 0)   # an ack was lost
 
 
-class _Recorded(list):
-    """A look-ahead that keeps every gap appended to it, used or not."""
-
-    def __init__(self):
-        super().__init__()
-        self.appended = []
-
-    def append(self, gap):
-        self.appended.append(gap)
-        super().append(gap)
-
-
-def _recorded_pair(ber, rng_seed):
-    """A connected pair whose link runs at `ber` both ways on fresh substreams
-    with recording look-aheads, and a twin corruptor per direction on a
-    same-seeded generator."""
+def _twin_pair(ber, rng_seed):
+    """A connected pair whose link runs at `ber` both ways on fresh substreams,
+    and a twin corruptor per direction on a same-seeded generator."""
     hub, node, link = connect(*lossless_pair())
     twins = []
     for name in ("uplink", "downlink"):
-        corruptor = FrameCorruptor(ChannelModel(rng_seed=rng_seed).stream(name), ber)
-        corruptor.ahead = _Recorded()
-        setattr(link, name, corruptor)
+        setattr(link, name, FrameCorruptor(ChannelModel(rng_seed=rng_seed).stream(name), ber))
         twins.append(FrameCorruptor(ChannelModel(rng_seed=rng_seed).stream(name), ber))
     return hub, node, link, twins
 
 
 @pytest.mark.parametrize("ber", [2e-3, 5e-3, 0.015])
 def test_send_clean_draws_every_gap_as_draw_does(ber):
-    # the walk's inline inversion: every gap it appends to either
-    # direction's look-ahead, those it used and those left there, is the
-    # next draw() of a twin on a same-seeded generator, the same int
-    hub, node, link, twins = _recorded_pair(ber, rng_seed=7)
+    # the walk's inline inversion: after 60 s taken with no frame path, each
+    # direction stands where a twin on a same-seeded generator stands that
+    # corrupted the same frames, with draw's gaps: the same int gap before
+    # the next flip, the same generator state, and no gap handed back
+    hub, node, link, (up, down) = _twin_pair(ber, rng_seed=7)
     while node.now < 60 * SECOND:
         assert send_clean(node, link, 10, 60 * SECOND)   # no frame path at all
-    for corruptor, twin in zip((link.uplink, link.downlink), twins):
-        gaps = corruptor.ahead.appended
-        assert len(gaps) > 100 and all(type(gap) is int for gap in gaps)
-        assert gaps == [twin.draw() for _ in gaps]
+    for _ in range(node.frames_sent):
+        up.corrupt(bytes(10 + OVERHEAD_BYTES))
+    for _ in range(hub.rx_frames[node.device_id]):
+        down.corrupt(bytes(ACK_BITS // 8))
+    assert node.frames_sent > node.packets_sent > 100
+    assert hub.rx_frames[node.device_id] > node.packets_delivered
+    for corruptor, twin in ((link.uplink, up), (link.downlink, down)):
+        assert type(corruptor.gap) is int and corruptor.gap == twin.gap
+        assert corruptor.rng.getstate() == twin.rng.getstate()
+        assert corruptor.ahead == twin.ahead == []
 
 
 def test_send_clean_falls_back_to_maxsize_where_draw_does():
     # at a subnormal ber log_q is subnormal too: a gap past any float makes
-    # int() overflow, and the walk appends sys.maxsize, as draw returns it.
+    # int() overflow, and the walk takes sys.maxsize, as draw returns it.
     # Planted flips spoil the first data frame and the second attempt's ack;
     # the third attempt crosses clean, and so does every packet after it
     ber, data_bits = 5e-324, (10 + OVERHEAD_BYTES) * 8
-    hub, node, link, twins = _recorded_pair(ber, rng_seed=1)
+    hub, node, link, _ = _twin_pair(ber, rng_seed=1)
     link.uplink.gap, link.downlink.gap = 5, 3
     taken = send_clean(node, link, 10, node.now + SECOND)
     assert taken > 100
-    for corruptor, twin in zip((link.uplink, link.downlink), twins):
-        assert corruptor.ahead.appended == [twin.draw()] == [sys.maxsize]
+    for corruptor in (link.uplink, link.downlink):
         assert corruptor.ahead == []
     assert link.uplink.gap == 5 + 1 + sys.maxsize - (taken + 2) * data_bits
     assert link.downlink.gap == 3 + 1 + sys.maxsize - (taken + 1) * ACK_BITS
@@ -886,15 +877,18 @@ def _g_in_frame(nbits, start):
     ("downlink", _g_in_frame(ACK_BITS, 0), 0),
     ("uplink", [40, *_g_in_frame(18 * 8, 18 * 8)], 0),
     ("uplink", _g_in_frame(18 * 8, 2 * 18 * 8), 2),
-], ids=["first-ack", "second-data-frame-after-a-failed-one", "third-data-frame"])
+    ("uplink", [40, *_g_in_frame(18 * 8, 2 * 18 * 8)], 1),
+], ids=["first-ack", "second-data-frame-after-a-failed-one", "third-data-frame",
+        "data-frame-after-a-decided-packet"])
 def test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet_goes_to_the_frame_path(
         direction, flips, taken):
     # g(x) lands in the first packet's first ack, in its second data frame
-    # after a first data frame with one flip, or in the third packet's data
-    # frame after two clean exchanges: send_clean must judge each frame by
-    # its own syndrome, take the packets before it, leaving both devices as
-    # the frame path leaves them after those packets, and leave the
-    # substreams where the frame path finds g(x)
+    # after a first data frame with one flip, in the third packet's data
+    # frame after two clean exchanges, or in the second packet's data frame
+    # after a first packet decided in two attempts: send_clean must judge
+    # each frame by its own syndrome, take the packets before it, leaving
+    # both devices as the frame path leaves them after those packets, and
+    # leave the substreams where the frame path finds g(x)
     ber = 0.01
     gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000, 0]
 

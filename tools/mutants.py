@@ -131,9 +131,11 @@ CATALOGUE = [
            "            t = deadline\n", "",
            (LOSSY_LINKS,)),
     Mutant("send-zero-syndrome-packet-not-handed-off", MAC,
-           "        if not (delivered or syndrome):\n"
-           "            up_gap, up_used, down_gap, down_used = before\n"
-           "            break   # the frame path carries this packet\n", "",
+           "        if not (delivered or syndrome):   # the frame path carries this packet\n"
+           "            up_gap, down_gap = before\n"
+           "            uplink.ahead.extend(reversed(up_took))\n"
+           "            downlink.ahead.extend(reversed(down_took))\n"
+           "            break\n", "",
            (FORCED_MISS,)),
     Mutant("send-attempt-loop-goes-on-past-a-zero-syndrome", MAC,
            "            if not syndrome:\n"
@@ -151,12 +153,31 @@ CATALOGUE = [
            "        syndrome = 0\n        while attempts < tries:\n",
            (FORCED_MISS_LATER,)),
     Mutant("send-handed-off-packet-keeps-its-walk", MAC,
-           "            up_gap, up_used, down_gap, down_used = before\n", "",
+           "            up_gap, down_gap = before\n", "",
            (FORCED_MISS_LATER,)),
     Mutant("send-handed-off-packet-pulls-the-hub-clock", MAC,
-           "            up_gap, up_used, down_gap, down_used = before\n",
-           "            up_gap, up_used, down_gap, down_used = before\n"
+           "            up_gap, down_gap = before\n",
+           "            up_gap, down_gap = before\n"
            "            arrival = landed\n",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-uplink-hand-back-not-reversed", MAC,
+           "uplink.ahead.extend(reversed(up_took))", "uplink.ahead.extend(up_took)",
+           (FORCED_MISS,)),
+    Mutant("send-downlink-hand-back-not-reversed", MAC,
+           "downlink.ahead.extend(reversed(down_took))", "downlink.ahead.extend(down_took)",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-uplink-hand-back-dropped", MAC,
+           "            uplink.ahead.extend(reversed(up_took))\n", "",
+           (FORCED_MISS,)),
+    Mutant("send-gaps-recorded-per-call-not-per-packet", MAC,
+           "        up_took, down_took = [], []\n",
+           "        try:\n"
+           "            up_took, down_took\n"
+           "        except UnboundLocalError:\n"
+           "            up_took, down_took = [], []\n",
+           (FORCED_MISS_LATER,)),
+    Mutant("send-walks-past-handed-back-gaps", MAC,
+           "\n            or uplink.ahead or downlink.ahead):", "):",
            (FORCED_MISS_LATER,)),
     Mutant("send-clean-run-takes-the-longer-direction", MAC,
            "        if acks < run:", "        if acks > run:", (FRAME_PATH_ALONE,)),
@@ -164,10 +185,6 @@ CATALOGUE = [
            "    uplink.gap = up_gap\n", "", (LOSSY_LINKS,)),
     Mutant("send-downlink-gap-not-written-back", MAC,
            "    downlink.gap = down_gap\n", "", (LOSSY_LINKS,)),
-    Mutant("send-uplink-used-gaps-not-trimmed", MAC,
-           "    del up_ahead[:up_used]\n", "", (LOSSY_LINKS,)),
-    Mutant("send-downlink-used-gaps-not-trimmed", MAC,
-           "    del down_ahead[:down_used]\n", "", (LOSSY_LINKS,)),
     Mutant("send-duplicate-drop-not-counted", MAC,
            '    if intact > accepted:\n        hub.drops["duplicate"] += intact - accepted\n', "",
            (TEST_MAC + "test_send_clean_counts_a_wrapped_sequence_as_a_duplicate",)),
@@ -207,39 +224,34 @@ CATALOGUE = [
            "lost += not delivered", "lost += delivered", (LOSSY_LINKS,)),
     # send_clean's inline draws
     Mutant("send-uplink-overflow-fallback-dropped", MAC,
-           "                        try:\n"
-           "                            up_ahead.append(int(log1p(-up_random()) / up_logq))\n"
-           "                        except OverflowError:   # a gap past any float\n"
-           "                            up_ahead.append(sys.maxsize)\n",
-           "                        up_ahead.append(int(log1p(-up_random()) / up_logq))\n",
+           "                    try:   # draw's inversion, inline\n"
+           "                        gap = int(log1p(-up_random()) / up_logq)\n"
+           "                    except OverflowError:   # a gap past any float\n"
+           "                        gap = sys.maxsize\n"
+           "                    up_took.append(gap)\n",
+           "                    gap = int(log1p(-up_random()) / up_logq)\n"
+           "                    up_took.append(gap)\n",
            (MAXSIZE_FALLBACK,)),
     Mutant("send-downlink-overflow-fallback-dropped", MAC,
-           "                        try:\n"
-           "                            down_ahead.append(int(log1p(-down_random()) / down_logq))\n"
-           "                        except OverflowError:   # a gap past any float\n"
-           "                            down_ahead.append(sys.maxsize)\n",
-           "                        down_ahead.append(int(log1p(-down_random()) / down_logq))\n",
+           "                    try:   # draw's inversion, inline\n"
+           "                        gap = int(log1p(-down_random()) / down_logq)\n"
+           "                    except OverflowError:   # a gap past any float\n"
+           "                        gap = sys.maxsize\n"
+           "                    down_took.append(gap)\n",
+           "                    gap = int(log1p(-down_random()) / down_logq)\n"
+           "                    down_took.append(gap)\n",
            (MAXSIZE_FALLBACK,)),
     Mutant("send-uplink-walk-draws-from-the-downlink-generator", MAC,
-           "len(up_ahead), uplink.rng.random", "len(up_ahead), downlink.rng.random",
+           "up_gap, up_random, up_logq = uplink.gap, uplink.rng.random",
+           "up_gap, up_random, up_logq = uplink.gap, downlink.rng.random",
            (DRAWS_AS_DRAW, LOSSY_LINKS)),
     Mutant("send-uplink-walk-calls-draw", MAC,
-           "up_ahead.append(int(log1p(-up_random()) / up_logq))", "up_ahead.append(uplink.draw())",
+           "gap = int(log1p(-up_random()) / up_logq)", "gap = uplink.draw()",
            (NO_CALL_PER_FLIP,)),
-    Mutant("send-uplink-look-ahead-length-not-kept", MAC,
-           "                        up_len += 1\n", "", (LOSSY_LINKS,)),
-    Mutant("send-uplink-look-ahead-taken-as-empty", MAC,
-           "len(up_ahead), uplink.rng.random", "0, uplink.rng.random",
-           (LOSSY_LINKS, FORCED_MISS_LATER)),
     # FrameCorruptor's look-ahead buffer
-    Mutant("corrupt-ignores-gaps-drawn-ahead", CHANNEL,
-           "            if used == len(ahead):\n"
-           "                ahead.append(self.draw())\n"
-           "            pos += 1 + ahead[used]\n",
-           "            pos += 1 + self.draw()\n",
-           (LOOK_AHEAD,)),
-    Mutant("corrupt-used-gaps-not-trimmed", CHANNEL,
-           "        del ahead[:used]\n", "", (LOOK_AHEAD, LONG_LOOK_AHEAD)),
+    Mutant("draw-ignores-handed-back-gaps", CHANNEL,
+           "        if self.ahead:\n            return self.ahead.pop()\n", "",
+           (LOOK_AHEAD, LONG_LOOK_AHEAD)),
     Mutant("corrupt-returns-early-at-ber-0", CHANNEL,
            "        nbits = len(data) * 8\n",
            "        if not self._log_q:\n            return data\n        nbits = len(data) * 8\n",
