@@ -5,7 +5,7 @@ channel that corrupts bits at random, and the primitive trace the stack
 logs along the way.  Run me:  python demos/02_two_device_exchange.py
 """
 
-from wbansim import ChannelModel, data_frame
+from wbansim import ChannelModel
 from wbansim.mac import (Device, Role, establish_connection, make_link,
                          send_with_arq)
 from wbansim.simulator import DEFAULT_DATA_RATE_BPS
@@ -24,7 +24,7 @@ print(f"node 5 state: {node.connection.name}; hub registry: {sorted(hub.registry
 print()
 print("=== 40 packets of 10 bytes under ber=8e-4 ===")
 for i in range(40):
-    outcome = send_with_arq(node, data_frame(0, 5, 0, bytes(10)), link)
+    outcome = send_with_arq(node, link, 10)
     marker = "ok " if outcome.success else "LOST"
     if outcome.attempts_used > 1 or not outcome.success:
         print(f"packet {i:2d}: {marker} after {outcome.attempts_used} attempts")

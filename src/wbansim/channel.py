@@ -89,6 +89,14 @@ class ChannelModel:
         return random.Random(int.from_bytes(digest, "big"))
 
 
+# The steepest ``log1p(-ber)`` a substream divides by: ``-log1p(-u) < 40``
+# (at most 53 ln 2, about 36.7) for every ``u`` that ``random()`` returns, so
+# every quotient over it is a finite float.  Only a ber below about 2.2e-307
+# meets it, and there every gap but the inversion's ``u == 0`` case, which
+# is 0 at every rate, exceeds 5e290 bits.
+LOG_Q_CAP = -40.0 / sys.float_info.max
+
+
 class FrameCorruptor:
     """Flip each bit of a frame independently with probability `ber`.
 
@@ -118,7 +126,8 @@ class FrameCorruptor:
     flips: ``gap`` starts at ``sys.maxsize``, far past any run of frames,
     and counts down like any other gap.  At ``ber`` 1 ``log1p(-ber)`` is
     ``-inf``, so every gap drawn is 0: every bit flips, at one draw per bit
-    as at any other rate.  The rate is fixed at construction.
+    as at any other rate.  The rate is fixed at construction; below about
+    2.2e-307 ``log_q`` is ``LOG_Q_CAP``, so no quotient overflows.
     """
 
     __slots__ = ("rng", "_log_q", "gap", "ahead")
@@ -127,24 +136,21 @@ class FrameCorruptor:
         _check_probability("ber", ber)
         self.rng = rng
         self.ahead = []
-        self._log_q = math.log1p(-ber) if ber < 1.0 else -math.inf
+        self._log_q = min(math.log1p(-ber), LOG_Q_CAP) if ber < 1.0 else -math.inf
         self.gap = self.draw() if ber else sys.maxsize
 
     @property
     def log_q(self) -> float:
-        """``log1p(-ber)``, the inversion's denominator: ``-inf`` at ``ber`` 1."""
+        """Inversion denominator ``min(log1p(-ber), LOG_Q_CAP)``, ``-inf`` at ``ber`` 1."""
         return self._log_q
 
     def draw(self) -> int:
         """The substream's next gap, the clean bits before a flip: the last
         one handed back to ``ahead``, else a fresh one drawn by inversion
-        over ``log_q``."""
+        over ``log_q``, always a finite quotient."""
         if self.ahead:
             return self.ahead.pop()
-        try:
-            return int(math.log1p(-self.rng.random()) / self._log_q)
-        except OverflowError:   # a gap past any float, at a sub-1e-307 ber
-            return sys.maxsize
+        return int(math.log1p(-self.rng.random()) / self._log_q)
 
     def corrupt(self, data: bytes) -> bytes:
         nbits = len(data) * 8

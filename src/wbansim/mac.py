@@ -27,9 +27,10 @@ that carries frames between a sender and its peer over a `LinkHandle`;
 ``establish_connection`` (the join handshake) are thin calls over it.
 
 ``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
-``send_with_arq`` and ``establish_connection``: each takes the exchanges
-whose flips decide their fate without building frames; ``_at_rest`` is
-the steady-state rule both apply to both devices.
+``send_with_arq`` and ``establish_connection``, on the same arguments
+(``send_clean`` adds `until`): each takes the exchanges whose flips decide
+their fate without building frames; ``_at_rest`` is the steady-state rule
+both apply to both devices.
 
 Timing is virtual and counts integer ticks, one bit period each: a frame's
 airtime is ``len(wire) * 8`` ticks.  A driver (the simulator or a test)
@@ -43,7 +44,6 @@ where the simulator and the CLI divide ticks by ``data_rate_bps``.
 """
 
 import math
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -540,17 +540,21 @@ def pump(sender: Device, link: LinkHandle, outputs: list, done,
     return None
 
 
-def send_with_arq(sender: Device, frame: Frame, link: LinkHandle) -> TransmissionOutcome:
-    """Drive one data frame through the ARQ loop against a live peer.
+def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> TransmissionOutcome:
+    """Drive one data frame of `payload_len` zero bytes to ``link.peer``
+    through the ARQ loop; CRC-16 is affine, so the bytes decide no outcome.
 
     Success means some attempt's data frame AND its ack both came through
-    uncorrupted.  Raises ProtocolError when no confirm comes within
-    ``8 * (max_retries + 2)`` rounds, for example behind a long queued SDU.
+    uncorrupted.  A `payload_len` outside ``0..MAX_PAYLOAD`` raises
+    RangeError before any device changes, and ProtocolError is raised when
+    no confirm comes within ``8 * (max_retries + 2)`` rounds (e.g. behind a
+    long queued SDU).
     """
+    if not 0 <= payload_len <= MAX_PAYLOAD:
+        raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
     if sender.connection is not Connection.CONNECTED:
         raise ProtocolError("sender is not connected")
-    if frame.header.frame_type is not FrameType.DATA:
-        raise ProtocolError("ARQ applies to data frames")
+    frame = data_frame(link.peer.device_id, sender.device_id, 0, bytes(payload_len))
     sdu_id, outputs = sender.submit([frame])
     confirm = pump(sender, link, outputs,
                    lambda p: (p.family is PrimitiveFamily.DATA_TRANSFER
@@ -594,9 +598,10 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     and the receiver decodes as some other frame or finds malformed, is left
     to the frame path.
     Returns how many packets were taken.  At 0 the devices are unchanged
-    and the caller sends the next packet with ``send_with_arq``, which flips
-    the bits looked at here: a packet left to the frame path hands the gaps
-    it drew back to ``ahead``, where ``corrupt`` takes them before it draws.
+    and the caller sends the next packet with ``send_with_arq`` on the same
+    arguments less `until`, which flips the bits looked at here: a packet
+    left to the frame path hands the gaps it drew back to ``ahead``, where
+    ``corrupt`` takes them before it draws.
     While either direction holds such gaps it declines.  `until` is a tick,
     an int like ``sender.now``; a `payload_len` outside ``0..MAX_PAYLOAD``
     raises RangeError.
@@ -641,7 +646,8 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
     last = hub.last_accepted.get(node_id)
     packets = accepted = retries = corrupted = lost = 0
     # per direction: clean bits before the next flip from the next frame's
-    # start, and what draw's inversion reads
+    # start, and what draw's inversion reads: log_q is capped, so every
+    # quotient is a finite float
     up_gap, up_random, up_logq = uplink.gap, uplink.rng.random, uplink.log_q
     down_gap, down_random, down_logq = downlink.gap, downlink.rng.random, downlink.log_q
     while now < until:
@@ -686,20 +692,14 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
                 # the ack's flips
                 while down_gap < ack_bits:
                     syndrome ^= syndromes[ack_last - down_gap]
-                    try:   # draw's inversion, inline
-                        gap = int(log1p(-down_random()) / down_logq)
-                    except OverflowError:   # a gap past any float
-                        gap = sys.maxsize
+                    gap = int(log1p(-down_random()) / down_logq)   # draw's inversion
                     down_took.append(gap)
                     down_gap += 1 + gap
                 down_gap -= ack_bits
             else:   # the data frame's flips
                 while up_gap < data_bits:
                     syndrome ^= syndromes[data_last - up_gap]
-                    try:   # draw's inversion, inline
-                        gap = int(log1p(-up_random()) / up_logq)
-                    except OverflowError:   # a gap past any float
-                        gap = sys.maxsize
+                    gap = int(log1p(-up_random()) / up_logq)   # draw's inversion
                     up_took.append(gap)
                     up_gap += 1 + gap
                 up_gap -= data_bits

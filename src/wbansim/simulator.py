@@ -25,9 +25,10 @@ comes off the heap it first tries ``mac.send_clean`` (its docstring gives
 the rule for the packets it decides) and falls back to
 ``mac.send_with_arq`` for the one packet it leaves.  A run with a trace
 always joins and sends through the frame path, so every primitive is
-recorded in virtual-time order, which the heap keeps; untraced, only the
-hub clock, which no outcome reads, may run ahead of the other links while
-one link takes a long run.
+recorded, each device's in virtual-time order, though lines of different
+devices interleave out of order (ROADMAP item 5: the hub clock); untraced,
+only the hub clock, which no outcome reads, may run ahead of the other
+links while one link takes a long run.
 """
 
 import heapq
@@ -39,7 +40,7 @@ from . import analytics
 from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
                       check_distance_map, key_digest, preset)
 from .errors import ConfigError, RangeError
-from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES, data_frame
+from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES
 from .mac import (JOIN_MAX_ROUNDS, MAX_NODES, Device, Role, establish_connection,
                   join_clean, make_link, send_clean, send_with_arq)
 
@@ -124,8 +125,10 @@ class LinkCounters:
     r_pkt: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.r_frm <= self.s_frm and 0 <= self.r_pkt <= self.s_pkt):
-            raise ConfigError("counters must satisfy 0 <= received <= sent")
+        for received, sent in (("r_frm", "s_frm"), ("r_pkt", "s_pkt")):
+            r, s = getattr(self, received), getattr(self, sent)
+            if not 0 <= r <= s:
+                raise ConfigError(f"{received}={r} outside 0..{sent}={s}")
 
     def __add__(self, other: "LinkCounters") -> "LinkCounters":
         return LinkCounters(self.s_frm + other.s_frm, self.r_frm + other.r_frm,
@@ -211,10 +214,6 @@ def run_experiment(config: ExperimentConfig,
         links.append(link)
         bers.append(ber)
 
-    # Payload bytes decide no outcome: CRC-16 is affine, so whether a flip
-    # pattern is detected does not depend on the bytes it lands on, and the
-    # header holds no payload.  Every data frame carries zeros.
-    payload = bytes(config.payload_len)
     # an exchange starts in the run when it starts before tick `until`
     until = math.ceil(config.duration_s * config.data_rate_bps)
     # event queue entries: (next send tick, node index)
@@ -226,8 +225,7 @@ def run_experiment(config: ExperimentConfig,
             continue
         node = nodes[i]
         if not send_clean(node, links[i], config.payload_len, until):
-            send_with_arq(node, data_frame(hub.device_id, node.device_id, 0, payload),
-                          links[i])
+            send_with_arq(node, links[i], config.payload_len)
         heapq.heappush(queue, (node.now, i))
 
     results = []

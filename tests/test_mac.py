@@ -339,14 +339,14 @@ def test_requests_the_mac_refuses_raise(call, error):
 
 def test_arq_perfect_channel_single_attempt():
     hub, node, link = connect(*lossless_pair())
-    outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+    outcome = send_with_arq(node, link, 10)
     assert outcome.success and outcome.attempts_used == 1
 
 
 def test_arq_dead_channel_exhausts_retries():
     hub, node, link = connect(*lossless_pair(max_retries=3))
     set_ber(link, 1.0)
-    outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+    outcome = send_with_arq(node, link, 10)
     assert not outcome.success
     assert outcome.attempts_used == 4
     assert node.packets_lost == 1
@@ -365,20 +365,14 @@ def test_arq_attempt_bound_various_limits():
     for retries in (0, 1, 2, 5):
         hub, node, link = connect(*lossless_pair(max_retries=retries))
         set_ber(link, 1.0)
-        outcome = send_with_arq(node, data_frame(0, 1, 0, b"x"), link)
+        outcome = send_with_arq(node, link, 1)
         assert outcome.attempts_used == retries + 1
 
 
 def test_arq_requires_connected_state():
     hub, node, link = lossless_pair()
     with pytest.raises(ProtocolError):
-        send_with_arq(node, data_frame(0, 1, 0, b"x"), link)
-
-
-def test_arq_rejects_non_data_frames():
-    hub, node, link = connect(*lossless_pair())
-    with pytest.raises(ProtocolError):
-        send_with_arq(node, ack_frame(0, 1, 3), link)
+        send_with_arq(node, link, 1)
 
 
 def test_arq_raises_when_no_confirm_comes_within_its_rounds():
@@ -387,7 +381,7 @@ def test_arq_raises_when_no_confirm_comes_within_its_rounds():
     hub, node, link = connect(*lossless_pair(max_retries=1))
     node.request_send(bytes(MAX_PAYLOAD * 100))
     with pytest.raises(ProtocolError, match="ARQ exchange did not resolve"):
-        send_with_arq(node, data_frame(0, 1, 0, b"x"), link)
+        send_with_arq(node, link, 1)
 
 
 def test_corrupted_ack_forces_retry_and_dedup():
@@ -398,7 +392,7 @@ def test_corrupted_ack_forces_retry_and_dedup():
     original = link.to_sender
     link.to_sender = lambda wire: (b"\x00" * len(wire)
                                    if next(acks, False) else original(wire))
-    outcome = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+    outcome = send_with_arq(node, link, 10)
     assert outcome.success
     assert outcome.attempts_used == 2
     assert hub.rx_frames[1] == 2       # both copies arrived intact
@@ -410,7 +404,7 @@ def test_arq_sequence_discipline():
     hub, node, link = connect(*lossless_pair())
     first = node.next_sequence
     for k in range(300):
-        send_with_arq(node, data_frame(0, 1, 0, b"d"), link)
+        send_with_arq(node, link, 1)
     # acked data frames observed at the hub climbed mod 256
     assert node.next_sequence == (first + 300) & 0xFF
 
@@ -425,7 +419,7 @@ def test_arq_empirical_attempt_failure_matches_exchange_model():
     attempts = 0
     delivered = 0
     for _ in range(packets):
-        out = send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+        out = send_with_arq(node, link, 10)
         attempts += out.attempts_used
         delivered += out.success
     fail_rate = (attempts - delivered) / attempts
@@ -454,10 +448,10 @@ def test_next_deadline_tracks_the_pending_ack():
 
 def test_a_resolved_frame_leaves_no_deadline():
     hub, node, link = connect(*lossless_pair())
-    assert send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
+    assert send_with_arq(node, link, 1).success
     assert node.next_deadline is None
     set_ber(link, 1.0)
-    assert not send_with_arq(node, data_frame(0, 1, 0, b"x"), link).success
+    assert not send_with_arq(node, link, 1).success
     assert node.next_deadline is None
 
 
@@ -548,7 +542,7 @@ def test_send_clean_then_frame_path_matches_frame_path_alone(ber, payload_len):
             if try_clean and send_clean(node, link, payload_len, node.now + 1):
                 taken += 1
             else:
-                send_with_arq(node, data_frame(0, 1, 0, bytes(payload_len)), link)
+                send_with_arq(node, link, payload_len)
     assert state(fast[0], fast[1]) == state(slow[0], slow[1])
     assert taken > 200
 
@@ -595,14 +589,33 @@ def test_send_clean_declines_outside_the_steady_state(spoil):
     assert state(hub, node) == before
 
 
-@pytest.mark.parametrize("ber", [0.0, 2e-3])
-@pytest.mark.parametrize("payload_len", [MAX_PAYLOAD + 1, 300, -1, -8, -20])
-def test_send_clean_refuses_a_payload_no_frame_can_carry(payload_len, ber):
+def _refuses(send, payload_len, ber):
+    # a refusal comes before any device or substream changes
     hub, node, link = lossy_pair(seed=3, ber=ber)
-    before = state(hub, node), link.uplink.gap, link.downlink.gap
+
+    def streams():
+        return [(c.gap, c.ahead[:], c.rng.getstate()) for c in (link.uplink, link.downlink)]
+
+    before = state(hub, node), streams()
     with pytest.raises(RangeError, match="payload_len"):
-        send_clean(node, link, payload_len, node.now + SECOND)
-    assert (state(hub, node), link.uplink.gap, link.downlink.gap) == before
+        send(node, link, payload_len)
+    assert (state(hub, node), streams()) == before
+
+
+UNCARRIED = [MAX_PAYLOAD + 1, 300, -1, -8, -20]
+
+
+@pytest.mark.parametrize("ber", [0.0, 2e-3])
+@pytest.mark.parametrize("payload_len", UNCARRIED)
+def test_send_clean_refuses_a_payload_no_frame_can_carry(payload_len, ber):
+    _refuses(lambda node, link, n: send_clean(node, link, n, node.now + SECOND),
+             payload_len, ber)
+
+
+@pytest.mark.parametrize("ber", [0.0, 2e-3])
+@pytest.mark.parametrize("payload_len", UNCARRIED)
+def test_send_with_arq_refuses_a_payload_no_frame_can_carry(payload_len, ber):
+    _refuses(send_with_arq, payload_len, ber)
 
 
 @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
@@ -645,7 +658,7 @@ def _run_until(pair, until, step_until):
         taken = send_clean(node, link, 10, step_until(node, until))
         longest = max(longest, taken)
         if not taken:
-            send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+            send_with_arq(node, link, 10)
     return longest
 
 
@@ -675,7 +688,7 @@ def _carry(pair, payload_len, until, decide):
     hub, node, link = pair
     while node.now < until:
         if not (decide and send_clean(node, link, payload_len, until)):
-            send_with_arq(node, data_frame(0, node.device_id, 0, bytes(payload_len)), link)
+            send_with_arq(node, link, payload_len)
 
 
 def _count_heavy_frames(pair, tally):
@@ -785,23 +798,27 @@ def test_send_clean_draws_every_gap_as_draw_does(ber):
         assert corruptor.ahead == twin.ahead == []
 
 
-def test_send_clean_falls_back_to_maxsize_where_draw_does():
-    # at a subnormal ber log_q is subnormal too: a gap past any float makes
-    # int() overflow, and the walk takes sys.maxsize, as draw returns it.
-    # Planted flips spoil the first data frame and the second attempt's ack;
-    # the third attempt crosses clean, and so does every packet after it
-    ber, data_bits = 5e-324, (10 + OVERHEAD_BYTES) * 8
-    hub, node, link, _ = _twin_pair(ber, rng_seed=1)
-    link.uplink.gap, link.downlink.gap = 5, 3
+def test_send_clean_draws_as_draw_does_at_a_subnormal_ber():
+    # at a subnormal ber log_q is capped, so each gap is a finite quotient
+    # past any run, and the walk draws it as draw does.  Planted flips spoil
+    # the first data frame and the second attempt's ack; the third attempt
+    # crosses clean, and so does every packet after it.  Each direction then
+    # stands where a twin stands that corrupted the same frames
+    hub, node, link, (up, down) = _twin_pair(5e-324, rng_seed=1)
+    link.uplink.gap, link.downlink.gap = up.gap, down.gap = 5, 3
     taken = send_clean(node, link, 10, node.now + SECOND)
     assert taken > 100
-    for corruptor in (link.uplink, link.downlink):
-        assert corruptor.ahead == []
-    assert link.uplink.gap == 5 + 1 + sys.maxsize - (taken + 2) * data_bits
-    assert link.downlink.gap == 3 + 1 + sys.maxsize - (taken + 1) * ACK_BITS
     assert (node.frames_sent, node.packets_delivered, node.drops["crc"]) == (
         taken + 2, taken, 1)
     assert hub.drops["crc"] == 1 and hub.drops["duplicate"] == 1
+    for _ in range(node.frames_sent):
+        up.corrupt(bytes(10 + OVERHEAD_BYTES))
+    for _ in range(hub.rx_frames[node.device_id]):
+        down.corrupt(bytes(ACK_BITS // 8))
+    for corruptor, twin in ((link.uplink, up), (link.downlink, down)):
+        assert corruptor.gap == twin.gap > 10**290
+        assert corruptor.rng.getstate() == twin.rng.getstate()
+        assert corruptor.ahead == twin.ahead == []
 
 
 def test_the_walk_makes_no_python_call_per_flip():
@@ -900,7 +917,7 @@ def test_a_frame_the_checksum_cannot_judge_anywhere_in_a_packet_goes_to_the_fram
     decided, framed = pair(), pair()
     assert send_clean(decided[1], decided[2], 10, SECOND) == taken
     for _ in range(taken):
-        send_with_arq(framed[1], data_frame(0, 1, 0, bytes(10)), framed[2])
+        send_with_arq(framed[1], framed[2], 10)
     assert state(*decided[:2]) == state(*framed[:2])
     _carry(decided, 10, decided[1].now + 1, decide=True)
     _carry(framed, 10, decided[1].now, decide=False)
@@ -922,7 +939,7 @@ def test_a_checksum_missed_sequence_flip_is_not_counted_as_a_second_packet():
     gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000]
     hub, node, link = connect(*lossless_pair())
     link.uplink = FrameCorruptor(_Gaps(gaps, ber), ber)
-    assert send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link).attempts_used == 2
+    assert send_with_arq(node, link, 10).attempts_used == 2
     assert (node.packets_sent, node.drops["stale_ack"], hub.rx_frames[1]) == (1, 1, 2)
     assert hub.rx_packets[1] <= node.packets_sent
 
@@ -941,7 +958,7 @@ def test_a_checksum_missed_disconnect_does_not_strand_the_node():
     gaps = [flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:])), 1000]
     hub, node, link = connect(*lossless_pair())
     link.uplink = FrameCorruptor(_Gaps(gaps, ber), ber)
-    send_with_arq(node, data_frame(0, 1, 0, bytes(10)), link)
+    send_with_arq(node, link, 10)
     assert len(flips) == 6
     assert (1 in hub.registry) == (node.connection is Connection.CONNECTED)
 
@@ -1137,7 +1154,7 @@ def test_primitive_trace_records_family_and_kind():
     node = Device(Role.NODE, 1, trace=trace)
     link = make_link(node, hub, ChannelModel(rng_seed=4), 0.0)
     establish_connection(node, link)
-    send_with_arq(node, data_frame(0, 1, 0, b"t"), link)
+    send_with_arq(node, link, 1)
     families = {entry[2] for entry in trace}
     assert "MANAGEMENT" in families
     assert "DATA_TRANSFER" in families

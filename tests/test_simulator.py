@@ -48,8 +48,10 @@ def test_explicit_preset_needs_a_channel():
 
 
 def test_counter_ordering_enforced():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="r_frm=6"):
         LinkCounters(s_frm=5, r_frm=6, s_pkt=0, r_pkt=0)
+    with pytest.raises(ConfigError, match=r"^r_pkt=2 outside 0\.\.s_pkt=1$"):
+        LinkCounters(s_frm=2, r_frm=2, s_pkt=1, r_pkt=2)
 
 
 # ---------------------------------------------------------------- lossless
@@ -109,12 +111,16 @@ def test_link_time_respects_capacity():
 
 def test_traced_times_are_whole_bit_periods():
     # virtual time counts bit periods, so each traced time is an int tick;
-    # the config is the golden `simulate-trace` case's
+    # the config is the golden `simulate-trace` case's.  Each device's times
+    # never decrease; lines of different devices may interleave out of order
     config = ExperimentConfig(node_count=3, duration_s=0.5, seed=88)
     trace = []
     run_experiment(config, trace=trace)
     assert len(trace) > 1000
     assert [t for t, *_ in trace if type(t) is not int] == []
+    for device in range(config.node_count + 1):
+        times = [t for t, d, *_ in trace if d == device]
+        assert times == sorted(times)
 
 
 def test_per_node_distances():

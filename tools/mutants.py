@@ -61,9 +61,10 @@ EXTREME_RATES = (TEST_CHANNEL + "test_ber_0_draws_nothing_and_ber_1_flips_every_
                  "_draw_each")
 SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
+ARQ_REFUSES = TEST_MAC + "test_send_with_arq_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
 DRAWS_AS_DRAW = TEST_MAC + "test_send_clean_draws_every_gap_as_draw_does"
-MAXSIZE_FALLBACK = TEST_MAC + "test_send_clean_falls_back_to_maxsize_where_draw_does"
+SUBNORMAL_BER = TEST_MAC + "test_send_clean_draws_as_draw_does_at_a_subnormal_ber"
 NO_CALL_PER_FLIP = TEST_MAC + "test_the_walk_makes_no_python_call_per_flip"
 KEYS_PINNED = (TEST_CHANNEL + "test_substream_keys_are_pinned",)
 TEST_OPTIMIZER = "tests/test_optimizer.py::"
@@ -117,10 +118,16 @@ CATALOGUE = [
     # mac.send_clean, the arithmetic twin of send_with_arq
     Mutant("send-payload-len-unbounded", MAC,
            "    if not 0 <= payload_len <= MAX_PAYLOAD:\n"
-           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n",
-           "", (SEND_REFUSES,)),
+           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n"
+           "    hub = link.peer\n",
+           "    hub = link.peer\n", (SEND_REFUSES,)),
     Mutant("send-payload-len-bound-one-long", MAC,
-           "payload_len <= MAX_PAYLOAD:", "payload_len <= MAX_PAYLOAD + 1:", (SEND_REFUSES,)),
+           "payload_len <= MAX_PAYLOAD:\n"
+           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n"
+           "    hub = link.peer\n",
+           "payload_len <= MAX_PAYLOAD + 1:\n"
+           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n"
+           "    hub = link.peer\n", (SEND_REFUSES,)),
     Mutant("send-hub-not-checked-at-rest", MAC,
            "(not _at_rest(sender) or not _at_rest(hub)", "(not _at_rest(sender)",
            (SEND_DECLINES,)),
@@ -223,24 +230,6 @@ CATALOGUE = [
     Mutant("send-lost-deficit-counts-the-delivered", MAC,
            "lost += not delivered", "lost += delivered", (LOSSY_LINKS,)),
     # send_clean's inline draws
-    Mutant("send-uplink-overflow-fallback-dropped", MAC,
-           "                    try:   # draw's inversion, inline\n"
-           "                        gap = int(log1p(-up_random()) / up_logq)\n"
-           "                    except OverflowError:   # a gap past any float\n"
-           "                        gap = sys.maxsize\n"
-           "                    up_took.append(gap)\n",
-           "                    gap = int(log1p(-up_random()) / up_logq)\n"
-           "                    up_took.append(gap)\n",
-           (MAXSIZE_FALLBACK,)),
-    Mutant("send-downlink-overflow-fallback-dropped", MAC,
-           "                    try:   # draw's inversion, inline\n"
-           "                        gap = int(log1p(-down_random()) / down_logq)\n"
-           "                    except OverflowError:   # a gap past any float\n"
-           "                        gap = sys.maxsize\n"
-           "                    down_took.append(gap)\n",
-           "                    gap = int(log1p(-down_random()) / down_logq)\n"
-           "                    down_took.append(gap)\n",
-           (MAXSIZE_FALLBACK,)),
     Mutant("send-uplink-walk-draws-from-the-downlink-generator", MAC,
            "up_gap, up_random, up_logq = uplink.gap, uplink.rng.random",
            "up_gap, up_random, up_logq = uplink.gap, downlink.rng.random",
@@ -254,10 +243,14 @@ CATALOGUE = [
            (LOOK_AHEAD, LONG_LOOK_AHEAD)),
     Mutant("corrupt-returns-early-at-ber-0", CHANNEL,
            "        nbits = len(data) * 8\n",
-           "        if not self._log_q:\n            return data\n        nbits = len(data) * 8\n",
+           "        if self.gap == sys.maxsize:\n            return data\n"
+           "        nbits = len(data) * 8\n",
            JOIN_TWIN),
     Mutant("ber-1-draws-gaps-at-a-finite-rate", CHANNEL,
            "-math.inf", "math.log1p(-0.5)", (EXTREME_RATES,)),
+    Mutant("corruptor-log-q-uncapped", CHANNEL,
+           "min(math.log1p(-ber), LOG_Q_CAP)", "math.log1p(-ber)",
+           (SUBNORMAL_BER, TEST_CHANNEL + "test_a_gap_past_every_float_does_not_overflow")),
     # optimizer._descend, the barrier descent's line search
     Mutant("line-search-barrier-at-x-not-at-the-candidate", OPTIMIZER,
            "+ eps / candidate", "+ eps / x", OPTIMIZER_ORACLE),
@@ -291,6 +284,15 @@ CATALOGUE = [
     Mutant("arq-unresolved-exchange-not-raised", MAC,
            "    if confirm is None:\n        raise ProtocolError(\"ARQ exchange did not resolve\")\n",
            "", (TEST_MAC + "test_arq_raises_when_no_confirm_comes_within_its_rounds",)),
+    Mutant("send-with-arq-accepts-any-payload-length", MAC,
+           "    if not 0 <= payload_len <= MAX_PAYLOAD:\n"
+           "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n"
+           "    if sender.connection is not Connection.CONNECTED:\n",
+           "    if sender.connection is not Connection.CONNECTED:\n", (ARQ_REFUSES,)),
+    Mutant("send-with-arq-addressed-to-its-sender", MAC,
+           "data_frame(link.peer.device_id, sender.device_id,",
+           "data_frame(sender.device_id, sender.device_id,",
+           (TEST_MAC + "test_arq_perfect_channel_single_attempt",)),
     Mutant("join-failure-from-a-distance-names-the-ber", SIMULATOR,
            "            source = (f\"ber={config.ber}\" if config.ber is not None\n"
            "                      else f\"distance_m={distances[i]}\")\n",
