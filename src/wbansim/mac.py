@@ -151,7 +151,7 @@ class Device:
         self.inbox: deque = deque()
         self.last_accepted: dict[int, int] = {}    # sender -> last data sequence
 
-        self._tx_queue: deque = deque()            # (sdu_id, Frame)
+        self._tx_queue: deque = deque()            # (sdu_id, Frame, wire)
         self._pending: Optional[_PendingAck] = None
         self._deadline: Optional[int] = None       # join (CONNECTING) or ack timer
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
@@ -212,15 +212,18 @@ class Device:
     def submit(self, frames: list[Frame]) -> tuple[int, list]:
         """Hand `frames` down as one SDU; give back its id and the poll outputs.
 
-        Each frame takes the next sequence number.  The first one goes on air
-        at once when the device is idle and (for a node) connected; the rest
-        wait in the transmit queue for the ack of the one before.
+        Each frame takes the next sequence number and is encoded before any
+        counter moves, so a frame no wire carries raises with the device as it
+        was.  The first one goes on air at once when the device is idle and
+        (for a node) connected; the rest wait for the ack of the one before.
         """
         sdu_id = self.packets_sent
+        for i, frame in enumerate(frames):
+            frame.header.sequence = (self.next_sequence + i) & 0xFF
+        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]
+        self.next_sequence = (self.next_sequence + len(frames)) & 0xFF
         self.packets_sent += 1
-        for frame in frames:
-            frame.header.sequence = self._take_sequence()
-            self._tx_queue.append((sdu_id, frame))
+        self._tx_queue.extend(queued)
         outputs: list = []
         self._transmit_next(outputs)
         return sdu_id, outputs
@@ -446,8 +449,8 @@ class Device:
         while self._pending is None and self._tx_queue:
             if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
                 return  # handshake safety: hold data until Connected
-            sdu_id, frame = self._tx_queue.popleft()
-            self._pending = _PendingAck(frame, encode_frame(frame), sdu_id, 0)
+            sdu_id, frame, wire = self._tx_queue.popleft()
+            self._pending = _PendingAck(frame, wire, sdu_id, 0)
             if self.role is Role.HUB and frame.header.recipient_id not in self.registry:
                 self._give_up(outputs)
             else:

@@ -23,11 +23,10 @@ descent itself uses the error-rate orientation above, which is the form
 whose interior minimum exists.
 
 Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p),
-log1p(-p)) once into an `_Exact` or `_Verbatim` kernel; the public formula
-functions are checked wrappers over its unchecked methods.  `_descend`
-writes the gradient and the objective out again over local copies of the
-constants, in the same float operations, so that its loop makes no Python
-call; the tests hold the two forms equal bit for bit.
+log1p(-p)) once into an `_Exact` or `_Verbatim` kernel.  Its unchecked
+methods are each formula's one home: the public functions wrap them, and
+each inner solve's damped Newton steps call them (Boyd and Vandenberghe,
+Convex Optimization, 2004, sections 9.5 and 11.3).
 """
 
 import math
@@ -107,8 +106,10 @@ def penalized_fer_gradient(payload: float, p_ber: float, epsilon: float) -> floa
 
 
 class _Verbatim:
-    """The printed gradient, its schedule and its potential at one p_ber.
+    """The printed gradient, its curvature, schedule and potential at one p_ber.
     Unchecked: the caller keeps 0 <= p_ber < 1 and x > 0 (>= 0 to schedule)."""
+
+    slope = 1.0   # d exponent / dx
 
     def __init__(self, p_ber: float):
         self.clean = 1.0 - p_ber
@@ -125,6 +126,11 @@ class _Verbatim:
     def gradient(self, x: float, eps: float) -> float:
         return -8.0 * self.log_clean * self.clean ** self.exponent(x) - eps / x ** 2
 
+    # the derivative of `gradient`; eps / x ** 3 would underflow x ** 3 at MIN_START
+    def curvature(self, x: float, eps: float) -> float:
+        return (-8.0 * self.slope * self.log_clean ** 2 * self.clean ** self.exponent(x)
+                + 2.0 * eps / x ** 2 / x)
+
     def schedule(self, x: float) -> float:
         return -8.0 * x ** 2 * (self.log_clean * self.clean ** self.exponent(x))
 
@@ -132,6 +138,8 @@ class _Verbatim:
 class _Exact(_Verbatim):
     """`penalized_fer`, its exact gradient and its schedule at one p_ber:
     the power of (1-p) is the full frame exponent L_data + L_ack."""
+
+    slope = 8.0
 
     def __init__(self, p_ber: float):
         super().__init__(p_ber)
@@ -227,29 +235,25 @@ def optimize_payload(p_ber: float, payload_0: float = DEFAULT_START,
 
 def _descend(kernel, x: float, eps: float, steps: int,
              max_iterations: int) -> tuple[float, float, int]:
-    """Backtracking gradient descent to the inner minimum for fixed eps.
-    x only moves to a candidate > 0, keeping the kernel in its domain.
-    An accepted candidate's objective is the next step's `fx`."""
-    exact = isinstance(kernel, _Exact)
-    clean, log_clean, expm1, overhead = kernel.clean, kernel.log_clean, math.expm1, _OVERHEAD
-    # the verbatim kernel's formulas read neither of these
-    l_ack, log1p_clean = (kernel.l_ack, kernel.log1p_clean) if exact else (0.0, 0.0)
+    """Damped Newton descent to the inner minimum for fixed eps: the first
+    trial step is -g/h where the curvature h > 0, else a quarter of the way
+    to the boundary at most.  x only moves to a candidate > 0."""
     fx = kernel.objective(x, eps)
     for _ in range(INNER_CAP):
         if steps >= max_iterations:
             break
-        g = (-8.0 * log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x)
-             - eps / x ** 2)
+        g = kernel.gradient(x, eps)
         steps += 1
         if g == 0.0:
             break
-        # first candidate moves a quarter of the way to the boundary at most
-        alpha = 0.25 * x / abs(g)
+        h = kernel.curvature(x, eps)
+        alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)
         for _ in range(HALVINGS):
             candidate = x - alpha * g
+            if candidate == x:
+                return x, fx, steps   # every later halving rounds to x too
             if candidate > 0:
-                fc = (-expm1((8.0 * (candidate + overhead) + l_ack) * log1p_clean) if exact
-                      else -8.0 * clean ** candidate) + eps / candidate
+                fc = kernel.objective(candidate, eps)
                 if fc < fx:
                     break
             alpha *= 0.5

@@ -68,20 +68,20 @@ CASES = {
     "optimize": (
         ["optimize", "--p-ber", "1e-3"],
         False,
-        {"out.csv": "61472108a0dd14f41365543bc1e89825e541f3280169d6faae64b5c231243da3",
+        {"out.csv": "43ff0a494bb541057c2ba8b0801b0f54b27b60adf4c4227bb3b1362e39061c34",
          "out.manifest.json": "142c29acf9b968835b2b67485eaf332d94061cf39ea2a55ff56c0f30251ad963"},
     ),
     "optimize-verbatim": (
         ["optimize", "--p-ber", "1e-3", "--verbatim-gradient"],
         False,
-        {"out.csv": "b12c97b865e992306161a502e72d1719d7f89270ec2c6ba507a4159d3034a848",
+        {"out.csv": "540975a408d895e14062e3a85829765530a8943cae608153e17813bea5d3d7e1",
          "out.manifest.json": "e00806523c9d9ddb5dc149ad9dbeec90f0a4c6df0aee9e2c759b75d4636f71cc"},
     ),
     # runs out of descent steps: the trace so far, and exit 3
     "optimize-no-convergence": (
         ["optimize", "--p-ber", "0.05", "--max-iterations", "40"],
         False,
-        {"out.csv": "38154eb8757c4f6063744df2b54f9ab4355111f21980a68428cdd44aa75f1460",
+        {"out.csv": "d034ca083b2aed68965cfb2158d2cbe4fa31cca62250de46d2cee5f5de5eb1af",
          "out.manifest.json": "b247a75c484dae6fd763e711ccca4b1f7d4a0f94c1cc83e16ddb8f52290ae11a"},
     ),
     "analyze-payload": (
@@ -121,7 +121,7 @@ DEMO_STDOUT = {
     "03_retry_tradeoff.py": "44b060cf06517b350e4c3e5f573d4bf77d605ff0819d4fd765efc94dfeecda68",
     "04_payload_vs_fer.py": "84d6514941ae186f0fe4fdda725bfd9f0704bdd20932a6df96b1e4566f21fd40",
     "05_distance_experiment.py": "69020437768921e846f9db1ce0fb0b87f079cc8bd63d1cc75df2a9f4d03b42b3",
-    "06_payload_optimizer.py": "a2e13966613938fc1da96704eabebbeeb3de0cc09a77629936018ed0ab837cd9",
+    "06_payload_optimizer.py": "ac82e2f1b23c1157681d5133c094e23c37edbe8152ccd503391af3fe726933b7",
 }
 
 

@@ -438,6 +438,19 @@ def test_submit_numbers_sdus_consecutively():
     assert node.packets_sent == 2
 
 
+def test_a_frame_no_wire_carries_is_refused_before_any_counter_moves():
+    hub, node, link = connect(*lossless_pair())
+    before = state(hub, node), node.next_deadline
+    # a caller-built body one byte past what the length byte can say
+    frames = [data_frame(0, 1, 0, b"a"), data_frame(0, 1, 0, bytes(MAX_PAYLOAD + 1))]
+    with pytest.raises(RangeError, match="256 bytes"):
+        node.submit(frames)
+    assert (state(hub, node), node.next_deadline) == before
+    outcome = send_with_arq(node, link, 10)
+    assert outcome.success and outcome.attempts_used == 1
+    assert (node.packets_sent, node.packets_delivered, node.packets_lost) == (1, 1, 0)
+
+
 def test_next_deadline_tracks_the_pending_ack():
     hub, node, link = connect(*lossless_pair())
     assert node.next_deadline is None

@@ -69,6 +69,11 @@ NO_CALL_PER_FLIP = TEST_MAC + "test_the_walk_makes_no_python_call_per_flip"
 KEYS_PINNED = (TEST_CHANNEL + "test_substream_keys_are_pinned",)
 TEST_OPTIMIZER = "tests/test_optimizer.py::"
 OPTIMIZER_ORACLE = (TEST_OPTIMIZER + "test_the_descent_matches_the_oracle_on_a_grid",)
+HALVINGS_RUN_OUT = (TEST_OPTIMIZER + "test_a_line_search_halves_its_first_step_at_most"
+                    "_halvings_times")
+CURVATURE = (TEST_OPTIMIZER + "test_exact_gradient_matches_finite_differences",
+             TEST_OPTIMIZER + "test_printed_gradient_matches_its_own_potential")
+WRITTEN_OUT = (TEST_OPTIMIZER + "test_formulas_are_their_written_out_forms",)
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -251,22 +256,35 @@ CATALOGUE = [
     Mutant("corruptor-log-q-uncapped", CHANNEL,
            "min(math.log1p(-ber), LOG_Q_CAP)", "math.log1p(-ber)",
            (SUBNORMAL_BER, TEST_CHANNEL + "test_a_gap_past_every_float_does_not_overflow")),
-    # optimizer._descend, the barrier descent's line search
-    Mutant("line-search-barrier-at-x-not-at-the-candidate", OPTIMIZER,
-           "+ eps / candidate", "+ eps / x", OPTIMIZER_ORACLE),
+    # optimizer._descend, the barrier descent's damped Newton steps, and the
+    # kernels' formulas, each written once
+    Mutant("line-search-objective-at-x-not-at-the-candidate", OPTIMIZER,
+           "fc = kernel.objective(candidate, eps)", "fc = kernel.objective(x, eps)",
+           OPTIMIZER_ORACLE),
     Mutant("line-search-takes-a-candidate-at-or-below-0", OPTIMIZER,
-           "            if candidate > 0:\n", "            if True:\n", OPTIMIZER_ORACLE),
-    Mutant("line-search-verbatim-gradient-given-the-exact-exponent", OPTIMIZER,
-           "l_ack if exact else x)", "l_ack)", OPTIMIZER_ORACLE),
-    Mutant("line-search-gradient-reassociated", OPTIMIZER,
-           "(-8.0 * log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x)\n",
-           "(-8.0 * (log_clean * clean ** (8.0 * (x + overhead) + l_ack if exact else x))\n",
-           (TEST_OPTIMIZER + "test_the_line_search_writes_out_the_kernels_formulas",)),
+           "            if candidate > 0:\n", "            if True:\n", (HALVINGS_RUN_OUT,)),
     Mutant("line-search-one-halving-too-many", OPTIMIZER,
-           "range(HALVINGS)", "range(HALVINGS + 1)",
-           (TEST_OPTIMIZER + "test_the_line_search_makes_no_python_call_per_candidate",)),
+           "range(HALVINGS)", "range(HALVINGS + 1)", (HALVINGS_RUN_OUT,)),
     Mutant("line-search-accepted-objective-not-carried", OPTIMIZER,
-           "x, fx = candidate, fc", "x = candidate", OPTIMIZER_ORACLE),
+           "x, fx = candidate, fc", "x = candidate",
+           ("tests/test_golden.py::test_cli_outputs_are_byte_identical[optimize]",)),
+    Mutant("line-search-no-early-stop", OPTIMIZER,
+           "            if candidate == x:\n"
+           "                return x, fx, steps   # every later halving rounds to x too\n", "",
+           (TEST_OPTIMIZER + "test_a_line_search_stops_once_its_candidate_equals_x",)),
+    Mutant("newton-step-never-taken", OPTIMIZER,
+           "alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)", "alpha = 0.25 * x / abs(g)",
+           (TEST_OPTIMIZER + "test_newton_steps_take_at_most_six_tenths_of_the_oracles_steps",)),
+    Mutant("curvature-barrier-sign-flipped", OPTIMIZER,
+           "+ 2.0 * eps / x ** 2 / x)", "- 2.0 * eps / x ** 2 / x)", CURVATURE),
+    Mutant("exact-curvature-with-slope-1", OPTIMIZER,
+           "    slope = 8.0\n", "    slope = 1.0\n", CURVATURE),
+    Mutant("verbatim-exponent-is-the-frame-exponent", OPTIMIZER,
+           "        return x\n\n    def objective", "        return 8.0 * (x + _OVERHEAD)\n\n"
+           "    def objective", WRITTEN_OUT),
+    Mutant("gradient-barrier-term-not-squared", OPTIMIZER,
+           "self.clean ** self.exponent(x) - eps / x ** 2",
+           "self.clean ** self.exponent(x) - eps / x", CURVATURE + WRITTEN_OUT),
     Mutant("optimize-flat-start-reported-as-converged", OPTIMIZER,
            "    if x == payload_0 and fer_opt == 1.0:\n", "    if False:\n",
            (TEST_OPTIMIZER + "test_a_flat_start_is_not_reported_as_converged",)),
@@ -351,6 +369,14 @@ CATALOGUE = [
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
            "        else:\n            self._check_timers(outputs)\n",
            (TEST_MAC + "test_a_reassembly_gap_expires_at_a_hub_driven_by_pump",)),
+    Mutant("submit-counts-before-encoding", MAC,
+           "        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]\n"
+           "        self.next_sequence = (self.next_sequence + len(frames)) & 0xFF\n"
+           "        self.packets_sent += 1\n",
+           "        self.next_sequence = (self.next_sequence + len(frames)) & 0xFF\n"
+           "        self.packets_sent += 1\n"
+           "        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]\n",
+           (TEST_MAC + "test_a_frame_no_wire_carries_is_refused_before_any_counter_moves",)),
     Mutant("hub-sends-to-a-node-that-left", MAC,
            "            if self.role is Role.HUB and frame.header.recipient_id not in self.registry:\n"
            "                self._give_up(outputs)\n"
