@@ -22,9 +22,10 @@ hands a list of frames down as one SDU and returns its id with the first
 poll outputs, ``poll_step``, which handles one received frame if there is
 one and then checks the timers, and ``next_deadline``, which says when the
 device next needs polling with an empty inbox.  ``pump`` is the one loop
-that carries frames between a sender and its peer over a `LinkHandle`;
-``send_with_arq`` (one data frame through stop-and-wait ARQ) and
-``establish_connection`` (the join handshake) are thin calls over it.
+that carries frames between a sender and its peer over a `LinkHandle`,
+until the sender is idle; ``send_with_arq`` (one data frame through
+stop-and-wait ARQ) and ``establish_connection`` (the join handshake) start
+an exchange, pump it and read the result.
 
 ``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
 ``send_with_arq`` and ``establish_connection``, on the same arguments
@@ -151,7 +152,7 @@ class Device:
         self.inbox: deque = deque()
         self.last_accepted: dict[int, int] = {}    # sender -> last data sequence
 
-        self._tx_queue: deque = deque()            # (sdu_id, Frame, wire)
+        self._tx_queue: deque = deque()            # _PendingAck records, unsent
         self._pending: Optional[_PendingAck] = None
         self._deadline: Optional[int] = None       # join (CONNECTING) or ack timer
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
@@ -220,7 +221,7 @@ class Device:
         sdu_id = self.packets_sent
         for i, frame in enumerate(frames):
             frame.header.sequence = (self.next_sequence + i) & 0xFF
-        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]
+        queued = [_PendingAck(frame, encode_frame(frame), sdu_id, 0) for frame in frames]
         self.next_sequence = (self.next_sequence + len(frames)) & 0xFF
         self.packets_sent += 1
         self._tx_queue.extend(queued)
@@ -345,13 +346,13 @@ class Device:
                         {"event": "node_left", "node_id": sender}))
                 else:
                     self.drops["protocol"] += 1
+            elif self.connection is Connection.IDLE or sender != self.hub_id:
+                self.drops["protocol"] += 1
             elif self.connection is Connection.CONNECTING:
                 # join rejected (hub at capacity)
                 self._leave(PrimitiveKind.CONFIRM, "rejected", sender, outputs)
-            elif self.connection is Connection.CONNECTED:
-                self._leave(PrimitiveKind.INDICATION, "disconnected", sender, outputs)
             else:
-                self.drops["protocol"] += 1
+                self._leave(PrimitiveKind.INDICATION, "disconnected", sender, outputs)
 
     def _send_join_request(self, outputs: list) -> None:
         # the join deadline is armed only while CONNECTING: every way out of
@@ -449,9 +450,8 @@ class Device:
         while self._pending is None and self._tx_queue:
             if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
                 return  # handshake safety: hold data until Connected
-            sdu_id, frame, wire = self._tx_queue.popleft()
-            self._pending = _PendingAck(frame, wire, sdu_id, 0)
-            if self.role is Role.HUB and frame.header.recipient_id not in self.registry:
+            pending = self._pending = self._tx_queue.popleft()
+            if self.role is Role.HUB and pending.frame.header.recipient_id not in self.registry:
                 self._give_up(outputs)
             else:
                 self._transmit_pending(outputs)
@@ -466,7 +466,7 @@ class Device:
     def _give_up(self, outputs: list) -> None:
         self.packets_lost += 1
         # the rest of this SDU is pointless; drop queued siblings
-        while self._tx_queue and self._tx_queue[0][0] == self._pending.sdu_id:
+        while self._tx_queue and self._tx_queue[0].sdu_id == self._pending.sdu_id:
             self._tx_queue.popleft()
         self._resolve(False, outputs)
 
@@ -505,24 +505,23 @@ def make_link(sender: Device, peer: Device, model: ChannelModel, ber: float) -> 
         FrameCorruptor(model.stream((peer.device_id, sender.device_id)), ber))
 
 
-def pump(sender: Device, link: LinkHandle, outputs: list, done,
-         max_rounds: int) -> Optional[Primitive]:
-    """Carry frames between `sender` and `link.peer` until `done` accepts one.
+def pump(sender: Device, link: LinkHandle, outputs: list, max_rounds: int) -> list:
+    """Carry frames between `sender` and `link.peer` until the sender is idle.
 
-    Each round ferries the sender's transmissions through the channel,
-    polls the peer once per frame, ferries the peer's replies back, then
-    polls the sender, first jumping the clock to its next deadline when its
-    inbox is empty.  Airtime of both directions is charged to the sender's
-    clock; the peer's clock is pulled forward to match.  Returns the first
-    sender indication `done` accepts, or None when the sender has nothing
-    left to wait for or `max_rounds` run out.
+    Each round ferries every transmission among the sender's outputs through
+    the channel, polls the peer once per frame, ferries the peer's replies
+    back, then polls the sender, first jumping the clock to its next
+    deadline when its inbox is empty.  Airtime of both directions is charged
+    to the sender's clock; the peer's clock is pulled forward to match.  It
+    stops when the sender has an empty inbox and no deadline, or when
+    `max_rounds` run out, and returns the sender's indications in order.
     """
     peer = link.peer
+    indications = []
     for _ in range(max_rounds):
         for item in outputs:
             if item[0] == "ind":
-                if done(item[1]):
-                    return item[1]
+                indications.append(item[1])
                 continue
             wire = item[2]
             sender.now += len(wire) * 8
@@ -536,11 +535,11 @@ def pump(sender: Device, link: LinkHandle, outputs: list, done,
         if not sender.inbox:
             deadline = sender.next_deadline
             if deadline is None:
-                return None
+                return indications
             if deadline > sender.now:
                 sender.now = deadline
         outputs = sender.poll_step()
-    return None
+    return indications
 
 
 def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> TransmissionOutcome:
@@ -549,9 +548,11 @@ def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> Transmi
 
     Success means some attempt's data frame AND its ack both came through
     uncorrupted.  A `payload_len` outside ``0..MAX_PAYLOAD`` raises
-    RangeError before any device changes, and ProtocolError is raised when
-    no confirm comes within ``8 * (max_retries + 2)`` rounds (e.g. behind a
-    long queued SDU).
+    RangeError before any device changes.  The exchange is pumped until the
+    sender is idle, within ``8 * (max_retries + 2)`` rounds, so SDUs queued
+    ahead of or behind the frame go on air too; ProtocolError is raised when
+    the frame's confirm does not come within them (e.g. behind a long queued
+    SDU).
     """
     if not 0 <= payload_len <= MAX_PAYLOAD:
         raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
@@ -559,14 +560,10 @@ def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> Transmi
         raise ProtocolError("sender is not connected")
     frame = data_frame(link.peer.device_id, sender.device_id, 0, bytes(payload_len))
     sdu_id, outputs = sender.submit([frame])
-    confirm = pump(sender, link, outputs,
-                   lambda p: (p.family is PrimitiveFamily.DATA_TRANSFER
-                              and p.payload.get("sdu_id") == sdu_id),
-                   8 * (sender.max_retries + 2))
-    if confirm is None:
-        raise ProtocolError("ARQ exchange did not resolve")
-    return TransmissionOutcome(confirm.payload["success"],
-                               confirm.payload["attempts_used"])
+    for p in pump(sender, link, outputs, 8 * (sender.max_retries + 2)):
+        if p.family is PrimitiveFamily.DATA_TRANSFER and p.payload["sdu_id"] == sdu_id:
+            return TransmissionOutcome(p.payload["success"], p.payload["attempts_used"])
+    raise ProtocolError("ARQ exchange did not resolve")
 
 
 def _at_rest(device: Device) -> bool:
@@ -758,9 +755,9 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
 
 
 def establish_connection(node: Device, link: LinkHandle) -> bool:
-    """Run the join handshake of `node` with ``link.peer`` over the link."""
-    pump(node, link, node.request_connect(link.peer.device_id),
-         lambda p: p.family is PrimitiveFamily.MANAGEMENT, JOIN_MAX_ROUNDS)
+    """Run the join handshake of `node` with ``link.peer`` over the link;
+    SDUs the node held from before go on air once it is connected."""
+    pump(node, link, node.request_connect(link.peer.device_id), JOIN_MAX_ROUNDS)
     return node.connection is Connection.CONNECTED
 
 

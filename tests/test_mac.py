@@ -171,10 +171,15 @@ def _disconnect_at_an_idle_node():
     return _received(Device(Role.NODE, 1), FrameType.MGMT_DISCONNECT, 0)
 
 
+def _disconnect_from_a_device_that_is_not_its_hub():
+    hub, node, link = connect(*lossless_pair())
+    return _received(node, FrameType.MGMT_DISCONNECT, 7)
+
+
 @pytest.mark.parametrize("case", [
     _connect_at_hub, _connect_while_connecting, _disconnect_while_idle,
     _join_request_at_a_node, _disconnect_from_an_unregistered_node,
-    _disconnect_at_an_idle_node])
+    _disconnect_at_an_idle_node, _disconnect_from_a_device_that_is_not_its_hub])
 def test_management_out_of_turn_is_a_protocol_drop(case):
     device, outputs = case()
     assert device.drops["protocol"] == 1
@@ -308,8 +313,7 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     node.poll_step()                    # and given up, with the last one
     assert node.packets_lost == 1
     node.now += REASSEMBLY_TIMEOUT
-    confirm = pump(node, link, node.request_send(b"next"),
-                   lambda p: p.family is PrimitiveFamily.DATA_TRANSFER, 8)
+    confirm, = pump(node, link, node.request_send(b"next"), 8)
     assert confirm.payload["success"]
     assert hub.drops["gap"] == 1
 
@@ -355,7 +359,7 @@ def test_arq_dead_channel_exhausts_retries():
 def test_exhausted_fragment_drops_the_rest_of_its_sdu():
     hub, node, link = connect(*lossless_pair(max_retries=3))
     set_ber(link, 1.0)
-    pump(node, link, node.request_send(bytes(600)), lambda p: False, 100)
+    pump(node, link, node.request_send(bytes(600)), 100)
     assert node.frames_sent == node.max_retries + 1
     assert node.next_deadline is None
     assert node.packets_lost == 1
@@ -514,6 +518,18 @@ def test_sdus_behind_the_one_given_up_wait_for_the_next_connect():
     sent = txs(node.poll_step())
     assert node.connection is Connection.CONNECTED
     assert [frame.body for _, frame, _ in sent] == [b"y"]
+
+
+def test_an_sdu_held_over_a_reconnect_goes_on_air():
+    hub, node, link = connect(*lossless_pair(max_retries=0))
+    node.request_disconnect()
+    node.request_send(b"held")
+    assert establish_connection(node, link)
+    assert send_with_arq(node, link, 10).success
+    assert hub.rx_packets[node.device_id] == 2
+    assert node.packets_lost == 0
+    # every counted attempt went on air
+    assert node.frames_sent == hub.rx_frames[node.device_id]
 
 
 # --------------------------------------------------------- clean exchanges

@@ -300,7 +300,7 @@ CATALOGUE = [
            ("tests/test_simulator.py::test_config_validation",)),
     # error paths: a run's failures and their messages
     Mutant("arq-unresolved-exchange-not-raised", MAC,
-           "    if confirm is None:\n        raise ProtocolError(\"ARQ exchange did not resolve\")\n",
+           "    raise ProtocolError(\"ARQ exchange did not resolve\")\n",
            "", (TEST_MAC + "test_arq_raises_when_no_confirm_comes_within_its_rounds",)),
     Mutant("send-with-arq-accepts-any-payload-length", MAC,
            "    if not 0 <= payload_len <= MAX_PAYLOAD:\n"
@@ -329,6 +329,15 @@ CATALOGUE = [
     Mutant("join-requests-its-own-id", MAC,
            "node.request_connect(link.peer.device_id)", "node.request_connect(node.device_id)",
            (TEST_MAC + "test_full_handshake_reaches_connected",)),
+    Mutant("pump-stops-at-the-first-indication", MAC,
+           "                indications.append(item[1])\n                continue\n",
+           "                indications.append(item[1])\n                return indications\n",
+           (TEST_MAC + "test_an_sdu_held_over_a_reconnect_goes_on_air",)),
+    Mutant("node-leaves-at-any-senders-disconnect", MAC,
+           "elif self.connection is Connection.IDLE or sender != self.hub_id:",
+           "elif self.connection is Connection.IDLE:",
+           (TEST_MAC + "test_management_out_of_turn_is_a_protocol_drop"
+            "[_disconnect_from_a_device_that_is_not_its_hub]",)),
     Mutant("trace-file-written-in-ticks", CLI,
            "{t / config.data_rate_bps:.9f}", "{t:.9f}",
            ("tests/test_golden.py::test_cli_outputs_are_byte_identical",)),
@@ -370,15 +379,18 @@ CATALOGUE = [
            "        else:\n            self._check_timers(outputs)\n",
            (TEST_MAC + "test_a_reassembly_gap_expires_at_a_hub_driven_by_pump",)),
     Mutant("submit-counts-before-encoding", MAC,
-           "        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]\n"
+           "        queued = [_PendingAck(frame, encode_frame(frame), sdu_id, 0)"
+           " for frame in frames]\n"
            "        self.next_sequence = (self.next_sequence + len(frames)) & 0xFF\n"
            "        self.packets_sent += 1\n",
            "        self.next_sequence = (self.next_sequence + len(frames)) & 0xFF\n"
            "        self.packets_sent += 1\n"
-           "        queued = [(sdu_id, frame, encode_frame(frame)) for frame in frames]\n",
+           "        queued = [_PendingAck(frame, encode_frame(frame), sdu_id, 0)"
+           " for frame in frames]\n",
            (TEST_MAC + "test_a_frame_no_wire_carries_is_refused_before_any_counter_moves",)),
     Mutant("hub-sends-to-a-node-that-left", MAC,
-           "            if self.role is Role.HUB and frame.header.recipient_id not in self.registry:\n"
+           "            if self.role is Role.HUB and pending.frame.header.recipient_id"
+           " not in self.registry:\n"
            "                self._give_up(outputs)\n"
            "            else:\n"
            "                self._transmit_pending(outputs)\n",
