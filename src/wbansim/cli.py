@@ -100,10 +100,14 @@ def parse_values(spec: str) -> list:
 
 def load_config_file(path: str) -> dict:
     raw = {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} "
+                          f"at byte {exc.start}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,6 +196,25 @@ def _resolve_config(args) -> simulator.ExperimentConfig:
 
 # ------------------------------------------------------------- CSV helpers
 
+def _check_writable(flag: str, path: Path) -> None:
+    """Refuse an output `path` that cannot be written, naming `flag`; create nothing."""
+    existed = os.path.lexists(path)   # a dangling link is kept, not unlinked
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: cannot write: {exc.strerror}") from None
+    if not existed:
+        path.unlink()
+
+
+def _checked_output(path: str) -> Path:
+    """The `--output` path, checked writable with its manifest."""
+    out = Path(path)
+    _check_writable("--output", out)
+    _check_writable("--output", out.with_suffix(".manifest.json"))
+    return out
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(map(str, row)) for row in rows)
@@ -214,6 +237,9 @@ def write_manifest(csv_path: Path, command: str, config: dict, seed) -> None:
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
+    out = _checked_output(args.output)
+    if args.trace:
+        _check_writable("--trace", Path(args.trace))
     trace: list | None = [] if args.trace else None
     result = simulator.run_experiment(config, trace=trace)
     rows = [[link.node_id, link.distance_m, link.ber,
@@ -221,7 +247,6 @@ def cmd_simulate(args) -> int:
              link.counters.s_pkt, link.counters.r_pkt,
              link.counters.fer, link.counters.per]
             for link in result.links]
-    out = Path(args.output)
     write_csv(out, ["node", "distance_m", "ber", "s_frm", "r_frm",
                     "s_pkt", "r_pkt", "fer", "per"], rows)
     write_manifest(out, "simulate", asdict(config), config.seed)
@@ -238,8 +263,8 @@ def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     integral = _FIELD_TYPES[simulator.SWEEP_AXES[args.axis]] is int
     values = _flag_values(f"--values for axis {args.axis}", args.values, integral)
+    out = _checked_output(args.output)
     rows = simulator.sweep(config, args.axis, values)
-    out = Path(args.output)
     write_csv(out, ["axis", "value", "s_frm", "r_frm", "s_pkt", "r_pkt", "fer", "per"],
               [[row.axis, row.value, row.counters.s_frm, row.counters.r_frm,
                 row.counters.s_pkt, row.counters.r_pkt, row.fer, row.per]
@@ -252,7 +277,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out = Path(args.output)
+    out = _checked_output(args.output)
     if args.model == "retry":
         m_values = _flag_values("--m", args.m, integral=True)
         for m in m_values:
@@ -296,11 +321,11 @@ def cmd_optimize(args) -> int:
         raise ConfigError(f"--tolerance={args.tolerance} must be positive and finite")
     if args.max_iterations < 1:
         raise ConfigError(f"--max-iterations={args.max_iterations} must be >= 1")
+    out = _checked_output(args.output)
     result = optimizer.optimize_payload(
         args.p_ber, payload_0=args.start, tolerance=args.tolerance,
         max_iterations=args.max_iterations,
         verbatim_gradient=args.verbatim_gradient)
-    out = Path(args.output)
     write_csv(out, ["iteration", "payload", "epsilon", "objective"],
               [[pt.iteration, pt.payload, pt.epsilon, pt.objective]
                for pt in result.trace])

@@ -25,7 +25,9 @@ device next needs polling with an empty inbox.  ``pump`` is the one loop
 that carries frames between a sender and its peer over a `LinkHandle`,
 until the sender is idle; ``send_with_arq`` (one data frame through
 stop-and-wait ARQ) and ``establish_connection`` (the join handshake) start
-an exchange, pump it and read the result.
+an exchange, pump it and read the result.  Each device bounds its own
+retries: a data frame goes on air at most ``max_retries + 1`` times, and a
+join times out to IDLE after ``JOIN_MAX_ROUNDS`` unanswered requests.
 
 ``send_clean`` and ``join_clean`` are the driver-side arithmetic twins of
 ``send_with_arq`` and ``establish_connection``, on the same arguments
@@ -59,7 +61,7 @@ from .frames import (ACK_BITS, CRC_SYNDROMES, MAX_FRAGMENT_INDEX, MAX_FRAME_BYTE
 
 MAX_NODES = 64
 MAX_FRAGMENTS = MAX_FRAGMENT_INDEX + 1
-JOIN_MAX_ROUNDS = 63
+JOIN_MAX_ROUNDS = 63   # join requests a node sends before its join times out
 # timers, in ticks
 ACK_TIMEOUT = 3 * MAX_FRAME_BYTES * 8
 REASSEMBLY_TIMEOUT = 10 * ACK_TIMEOUT
@@ -155,6 +157,7 @@ class Device:
         self._tx_queue: deque = deque()            # _PendingAck records, unsent
         self._pending: Optional[_PendingAck] = None
         self._deadline: Optional[int] = None       # join (CONNECTING) or ack timer
+        self._join_requests = 0                    # sent since request_connect
         self._reassembly: dict = {}                # (sender, base_seq) -> entry
 
         # raw tallies; the simulator folds them into per-link counters
@@ -181,6 +184,7 @@ class Device:
             return outputs
         self.hub_id = hub_id
         self.connection = Connection.CONNECTING
+        self._join_requests = 0
         self._send_join_request(outputs)
         return outputs
 
@@ -283,7 +287,10 @@ class Device:
     def _check_timers(self, outputs: list) -> None:
         if self._deadline is not None and self.now >= self._deadline:
             if self._pending is None:
-                self._send_join_request(outputs)
+                if self._join_requests < JOIN_MAX_ROUNDS:
+                    self._send_join_request(outputs)
+                else:
+                    self._leave(PrimitiveKind.CONFIRM, "timed_out", self.hub_id, outputs)
             elif self._pending.attempts_used <= self.max_retries:
                 self._transmit_pending(outputs)
             else:
@@ -358,6 +365,7 @@ class Device:
         # the join deadline is armed only while CONNECTING: every way out of
         # that state (assignment, _leave) disarms it
         self._send_mgmt(FrameType.MGMT_REQUEST, self.hub_id, outputs)
+        self._join_requests += 1
         self._deadline = self.now + ACK_TIMEOUT
 
     def _leave(self, kind: PrimitiveKind, event: str, hub_id: int, outputs: list) -> None:
@@ -505,7 +513,7 @@ def make_link(sender: Device, peer: Device, model: ChannelModel, ber: float) -> 
         FrameCorruptor(model.stream((peer.device_id, sender.device_id)), ber))
 
 
-def pump(sender: Device, link: LinkHandle, outputs: list, max_rounds: int) -> list:
+def pump(sender: Device, link: LinkHandle, outputs: list) -> list:
     """Carry frames between `sender` and `link.peer` until the sender is idle.
 
     Each round ferries every transmission among the sender's outputs through
@@ -513,12 +521,16 @@ def pump(sender: Device, link: LinkHandle, outputs: list, max_rounds: int) -> li
     back, then polls the sender, first jumping the clock to its next
     deadline when its inbox is empty.  Airtime of both directions is charged
     to the sender's clock; the peer's clock is pulled forward to match.  It
-    stops when the sender has an empty inbox and no deadline, or when
-    `max_rounds` run out, and returns the sender's indications in order.
+    stops when the sender has an empty inbox and no deadline, and returns
+    the sender's indications in order.
+
+    It needs no bound of its own: every timer a poll handles either resolves
+    something or sends again with a frame's attempt count or the join's
+    request count one higher, and the sender bounds both counts.
     """
     peer = link.peer
     indications = []
-    for _ in range(max_rounds):
+    while True:
         for item in outputs:
             if item[0] == "ind":
                 indications.append(item[1])
@@ -539,7 +551,6 @@ def pump(sender: Device, link: LinkHandle, outputs: list, max_rounds: int) -> li
             if deadline > sender.now:
                 sender.now = deadline
         outputs = sender.poll_step()
-    return indications
 
 
 def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> TransmissionOutcome:
@@ -549,10 +560,9 @@ def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> Transmi
     Success means some attempt's data frame AND its ack both came through
     uncorrupted.  A `payload_len` outside ``0..MAX_PAYLOAD`` raises
     RangeError before any device changes.  The exchange is pumped until the
-    sender is idle, within ``8 * (max_retries + 2)`` rounds, so SDUs queued
-    ahead of or behind the frame go on air too; ProtocolError is raised when
-    the frame's confirm does not come within them (e.g. behind a long queued
-    SDU).
+    sender is idle, so SDUs queued ahead of or behind the frame go on air
+    too; ProtocolError is raised when the frame gets no confirm, which
+    happens only when the sender leaves while the frame is still queued.
     """
     if not 0 <= payload_len <= MAX_PAYLOAD:
         raise RangeError(f"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}")
@@ -560,7 +570,7 @@ def send_with_arq(sender: Device, link: LinkHandle, payload_len: int) -> Transmi
         raise ProtocolError("sender is not connected")
     frame = data_frame(link.peer.device_id, sender.device_id, 0, bytes(payload_len))
     sdu_id, outputs = sender.submit([frame])
-    for p in pump(sender, link, outputs, 8 * (sender.max_retries + 2)):
+    for p in pump(sender, link, outputs):
         if p.family is PrimitiveFamily.DATA_TRANSFER and p.payload["sdu_id"] == sdu_id:
             return TransmissionOutcome(p.payload["success"], p.payload["attempts_used"])
     raise ProtocolError("ARQ exchange did not resolve")
@@ -756,8 +766,9 @@ def send_clean(sender: Device, link: LinkHandle, payload_len: int,
 
 def establish_connection(node: Device, link: LinkHandle) -> bool:
     """Run the join handshake of `node` with ``link.peer`` over the link;
-    SDUs the node held from before go on air once it is connected."""
-    pump(node, link, node.request_connect(link.peer.device_id), JOIN_MAX_ROUNDS)
+    SDUs the node held from before go on air once it is connected.  False
+    means the join was rejected or timed out, and the node is IDLE again."""
+    pump(node, link, node.request_connect(link.peer.device_id))
     return node.connection is Connection.CONNECTED
 
 

@@ -106,6 +106,70 @@ def test_simulate_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_bytes(b"node_count = 3\n# \xff\n")
+    assert main(["simulate", str(conf), "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: config file {conf} is not UTF-8: "
+                                       "invalid start byte at byte 17\n")
+
+
+def test_a_config_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("node_count = 3\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["simulate", str(conf), "-o", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read config file {conf}: "
+                                       "Permission denied\n")
+
+
+NO_DIR = "No such file or directory"
+# per command, an output path that cannot be written: the argv, then the
+# flag and path the error names, and why the path cannot be written
+BAD_OUTPUTS = {
+    "simulate": (["simulate", *FAST, "-o", "nodir/x.csv"], "--output nodir/x.csv", NO_DIR),
+    "simulate-trace": (["simulate", *FAST, "-o", "ok.csv", "--trace", "nodir/t.txt"],
+                       "--trace nodir/t.txt", NO_DIR),
+    "sweep-into-a-directory": (["sweep", *FAST, "--axis", "max_retries", "--values", "0,1",
+                                "-o", "."], "--output .", "Is a directory"),
+    "analyze-retry": (["analyze", "retry", "-o", "nodir/r.csv"], "--output nodir/r.csv", NO_DIR),
+    "analyze-payload": (["analyze", "payload", "-o", "nodir/p.csv"], "--output nodir/p.csv",
+                        NO_DIR),
+    "optimize": (["optimize", "--p-ber", "1e-3", "-o", "nodir/o.csv"], "--output nodir/o.csv",
+                 NO_DIR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OUTPUTS))
+def test_an_output_that_cannot_be_written_exits_2_before_the_run(tmp_path, capsys,
+                                                                 monkeypatch, name):
+    argv, flag_and_path, reason = BAD_OUTPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag_and_path}: cannot write: {reason}\n")
+    # a run that fails leaves no CSV, manifest or trace behind
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_check_leaves_an_existing_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_text("before\n")
+    code = main(["simulate", *FAST, "-o", str(out), "--trace", str(tmp_path / "nodir" / "t")])
+    assert code == 2
+    assert out.read_text() == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_an_output_through_a_dangling_link_keeps_the_link(tmp_path):
+    link = tmp_path / "r.csv"
+    link.symlink_to("target.csv")
+    assert main(["analyze", "retry", "--m", "1", "-o", str(link)]) == 0
+    assert link.is_symlink() and (tmp_path / "target.csv").read_text().startswith("m,")
+
+
 def test_simulate_unknown_key_exits_2(tmp_path):
     code = main(["simulate", "--set", "warp_factor=9",
                  "-o", str(tmp_path / "x.csv")])

@@ -41,6 +41,18 @@ def set_ber(link, ber):
     link.downlink = FrameCorruptor(link.downlink.rng, ber)
 
 
+def limit_uplink(link, frames):
+    """Fail the test once more than `frames` frames go up `link`, so a join
+    that never gives up fails instead of hanging."""
+    carry, left = link.to_peer, iter(range(frames))
+
+    def to_peer(wire):
+        if next(left, None) is None:
+            pytest.fail(f"more than {frames} frames went up the link")
+        return carry(wire)
+    link.to_peer = to_peer
+
+
 def txs(outputs):
     return [item for item in outputs if item[0] == "tx"]
 
@@ -202,14 +214,42 @@ def test_handshake_survives_lost_request():
 def test_join_over_dead_link_gives_up_within_round_bound():
     hub, node, link = lossless_pair()
     set_ber(link, 1.0)
+    limit_uplink(link, 2 * JOIN_MAX_ROUNDS)
     assert not establish_connection(node, link)
-    assert node.connection is Connection.CONNECTING
+    # the join timed out: the node is back to IDLE with no timer armed
+    assert node.connection is Connection.IDLE
+    assert node.next_deadline is None
     assert not hub.registry
-    # the retry timer re-sent the request, at most once per pump round
+    # the retry timer re-sent the request, up to the node's own limit
     assert 1 < hub.drops["crc"] <= JOIN_MAX_ROUNDS
-    # exactly one request per round: a join that moves by one round fails
+    # exactly JOIN_MAX_ROUNDS requests, one per ACK_TIMEOUT: a limit that
+    # moves by one request fails
     assert hub.drops["crc"] == 63
     assert node.now == JOIN_MAX_ROUNDS * ACK_TIMEOUT
+
+
+def test_a_timed_out_join_can_be_tried_again():
+    hub, node, link = lossless_pair()
+    set_ber(link, 1.0)
+    assert not establish_connection(node, link)
+    # a second join counts its requests afresh
+    assert not establish_connection(node, link)
+    assert hub.drops["crc"] == 2 * JOIN_MAX_ROUNDS
+    assert node.connection is Connection.IDLE and node.next_deadline is None
+    # and over a restored link it connects
+    set_ber(link, 0.0)
+    assert establish_connection(node, link)
+    assert node.connection is Connection.CONNECTED and hub.registry == {1}
+
+
+def test_a_join_counts_requests_not_pump_rounds():
+    # each corrupted assignment costs pump a round of its own, yet only the
+    # requests count: 62 lost replies, then an assignment that gets through
+    hub, node, link = lossless_pair()
+    lost = iter([True] * (JOIN_MAX_ROUNDS - 1))
+    link.to_sender = lambda wire: bytes(len(wire)) if next(lost, False) else wire
+    assert establish_connection(node, link)
+    assert hub.registry == {1}
 
 
 # ------------------------------------------------------------ fragmentation
@@ -313,7 +353,7 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     node.poll_step()                    # and given up, with the last one
     assert node.packets_lost == 1
     node.now += REASSEMBLY_TIMEOUT
-    confirm, = pump(node, link, node.request_send(b"next"), 8)
+    confirm, = pump(node, link, node.request_send(b"next"))
     assert confirm.payload["success"]
     assert hub.drops["gap"] == 1
 
@@ -359,7 +399,7 @@ def test_arq_dead_channel_exhausts_retries():
 def test_exhausted_fragment_drops_the_rest_of_its_sdu():
     hub, node, link = connect(*lossless_pair(max_retries=3))
     set_ber(link, 1.0)
-    pump(node, link, node.request_send(bytes(600)), 100)
+    pump(node, link, node.request_send(bytes(600)))
     assert node.frames_sent == node.max_retries + 1
     assert node.next_deadline is None
     assert node.packets_lost == 1
@@ -379,13 +419,31 @@ def test_arq_requires_connected_state():
         send_with_arq(node, link, 1)
 
 
-def test_arq_raises_when_no_confirm_comes_within_its_rounds():
-    # 8 * (max_retries + 2) rounds cannot carry a 100-fragment SDU queued
-    # ahead of the frame, so its confirm never comes
+def test_arq_carries_a_long_sdu_queued_ahead_of_its_frame():
+    # a 100-fragment SDU queued ahead of the frame goes on air in full, and
+    # every data frame the node counts reaches the hub
     hub, node, link = connect(*lossless_pair(max_retries=1))
-    node.request_send(bytes(MAX_PAYLOAD * 100))
+    (_, _, first), = txs(node.request_send(bytes(MAX_PAYLOAD * 100)))
+    hub.deliver(first)                        # the first fragment, carried by hand
+    (_, _, ack), = txs(hub.poll_step())
+    node.deliver(ack)
+    outcome = send_with_arq(node, link, 1)
+    assert outcome.success
+    assert node.frames_sent == hub.rx_frames[node.device_id] == 101
+
+
+def test_arq_raises_when_the_sender_leaves_with_its_frame_queued():
+    # the first SDU's frame is lost; the hub's answer to its retransmission
+    # becomes a disconnect, so the node leaves with the frame queued behind
+    hub, node, link = connect(*lossless_pair())
+    node.request_send(b"first")
+    disconnect = management_frame(FrameType.MGMT_DISCONNECT, node.device_id, hub.device_id, 0)
+    replies = iter([encode_frame(disconnect)])
+    link.to_sender = lambda wire: next(replies, wire)
     with pytest.raises(ProtocolError, match="ARQ exchange did not resolve"):
         send_with_arq(node, link, 1)
+    assert node.connection is Connection.IDLE
+    assert node.packets_lost == 1
 
 
 def test_corrupted_ack_forces_retry_and_dedup():

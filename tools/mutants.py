@@ -63,6 +63,7 @@ SEND_DECLINES = TEST_MAC + "test_send_clean_declines_outside_the_steady_state"
 SEND_REFUSES = TEST_MAC + "test_send_clean_refuses_a_payload_no_frame_can_carry"
 ARQ_REFUSES = TEST_MAC + "test_send_with_arq_refuses_a_payload_no_frame_can_carry"
 JOIN_DECLINES = TEST_MAC + "test_join_clean_declines_outside_its_steady_state"
+DEAD_LINK_JOIN = TEST_MAC + "test_join_over_dead_link_gives_up_within_round_bound"
 DRAWS_AS_DRAW = TEST_MAC + "test_send_clean_draws_every_gap_as_draw_does"
 SUBNORMAL_BER = TEST_MAC + "test_send_clean_draws_as_draw_does_at_a_subnormal_ber"
 NO_CALL_PER_FLIP = TEST_MAC + "test_the_walk_makes_no_python_call_per_flip"
@@ -301,7 +302,7 @@ CATALOGUE = [
     # error paths: a run's failures and their messages
     Mutant("arq-unresolved-exchange-not-raised", MAC,
            "    raise ProtocolError(\"ARQ exchange did not resolve\")\n",
-           "", (TEST_MAC + "test_arq_raises_when_no_confirm_comes_within_its_rounds",)),
+           "", (TEST_MAC + "test_arq_raises_when_the_sender_leaves_with_its_frame_queued",)),
     Mutant("send-with-arq-accepts-any-payload-length", MAC,
            "    if not 0 <= payload_len <= MAX_PAYLOAD:\n"
            "        raise RangeError(f\"payload_len={payload_len} must be in 0..{MAX_PAYLOAD}\")\n"
@@ -329,6 +330,18 @@ CATALOGUE = [
     Mutant("join-requests-its-own-id", MAC,
            "node.request_connect(link.peer.device_id)", "node.request_connect(node.device_id)",
            (TEST_MAC + "test_full_handshake_reaches_connected",)),
+    Mutant("join-limit-one-long", MAC,
+           "if self._join_requests < JOIN_MAX_ROUNDS:",
+           "if self._join_requests <= JOIN_MAX_ROUNDS:", (DEAD_LINK_JOIN,)),
+    Mutant("join-never-gives-up", MAC,
+           "if self._join_requests < JOIN_MAX_ROUNDS:", "if True:", (DEAD_LINK_JOIN,)),
+    Mutant("timed-out-join-stays-connecting", MAC,
+           "                    self._leave(PrimitiveKind.CONFIRM, \"timed_out\", self.hub_id,"
+           " outputs)\n",
+           "                    self._deadline = None\n", (DEAD_LINK_JOIN,)),
+    Mutant("join-requests-not-reset", MAC,
+           "        self._join_requests = 0\n", "",
+           (TEST_MAC + "test_a_timed_out_join_can_be_tried_again",)),
     Mutant("pump-stops-at-the-first-indication", MAC,
            "                indications.append(item[1])\n                continue\n",
            "                indications.append(item[1])\n                return indications\n",
@@ -338,6 +351,9 @@ CATALOGUE = [
            "elif self.connection is Connection.IDLE:",
            (TEST_MAC + "test_management_out_of_turn_is_a_protocol_drop"
             "[_disconnect_from_a_device_that_is_not_its_hub]",)),
+    Mutant("output-check-unlinks-a-dangling-link", CLI,
+           "existed = os.path.lexists(path)", "existed = path.exists()",
+           ("tests/test_cli.py::test_an_output_through_a_dangling_link_keeps_the_link",)),
     Mutant("trace-file-written-in-ticks", CLI,
            "{t / config.data_rate_bps:.9f}", "{t:.9f}",
            ("tests/test_golden.py::test_cli_outputs_are_byte_identical",)),
