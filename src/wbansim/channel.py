@@ -2,10 +2,10 @@
 
 Randomness comes from MT19937 substreams (the stdlib's ``random.Random``),
 one per stream id, each keyed by a SHA-256 of ``(rng_seed, stream_id)``.
-The digest comes from the interpreter's builtin ``_sha256`` module, as
-``random`` takes SHA-512 from ``_sha512``, so wbansim never loads OpenSSL
-through ``hashlib``; ``hashlib.sha256``, which gives the same digest, is
-imported only where the builtin is missing.
+The digest comes from the interpreter's builtin ``_sha256`` module
+(``_sha2`` from CPython 3.12), as ``random`` takes SHA-512 from ``_sha512``,
+so wbansim never loads OpenSSL through ``hashlib``; ``hashlib.sha256``,
+which gives the same digest, is imported only where neither is built in.
 Distinct stream ids are statistically independent and reproducible
 regardless of how transmissions interleave across links, so adding a node
 to a simulation never perturbs the noise seen by the others.
@@ -29,8 +29,11 @@ from dataclasses import dataclass
 
 try:
     from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
+except ImportError:   # CPython 3.12 renamed the builtin module
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .analytics import _check_probability, invert_fer_analytic
 from .errors import RangeError

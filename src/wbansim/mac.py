@@ -4,7 +4,8 @@ Each device splits its work three ways, mirroring the protocol's service
 split:
 
 - management: connection build-up/tear-down handshake and the hub's
-  connected-node table (capacity 64)
+  connected-node table (capacity 64); a hub answers a join it has no room
+  for, and data from a node outside the table, with a disconnect
 - data service: fragmentation of service data units into frame payloads
   and reassembly of arriving fragments, with a gap timeout
 - data transmission: framing, CRC verification, address judgment, acks,
@@ -310,56 +311,55 @@ class Device:
     # ----------------------------------------------------------- management
 
     def _on_management(self, frame: Frame, outputs: list) -> None:
-        """Connection handshake: build-up, assignment, tear-down."""
+        """Connection handshake: build-up, assignment, tear-down.  A hub
+        handles a join request and a member's disconnect, a node its own
+        hub's assignment and disconnect; any other frame is a protocol drop."""
         ftype = frame.header.frame_type
         sender = frame.header.sender_id
-        if ftype is FrameType.MGMT_REQUEST:
-            if self.role is not Role.HUB:
+        if self.role is Role.HUB:
+            if ftype is FrameType.MGMT_REQUEST:
+                if sender in self.registry:
+                    self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
+                elif len(self.registry) >= MAX_NODES:
+                    self._refuse(sender, "capacity", outputs)
+                else:
+                    self.registry.add(sender)
+                    self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
+                    self._emit(outputs, Primitive(
+                        PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
+                        {"event": "node_joined", "node_id": sender}))
+            elif ftype is FrameType.MGMT_DISCONNECT and sender in self.registry:
+                self.registry.remove(sender)
+                pending = self._pending
+                if pending is not None and pending.frame.header.recipient_id == sender:
+                    self._give_up(outputs)
+                    self._transmit_next(outputs)
+                self._emit(outputs, Primitive(
+                    PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
+                    {"event": "node_left", "node_id": sender}))
+            else:
                 self.drops["protocol"] += 1
-                return
-            if sender in self.registry:
-                self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
-                return
-            if len(self.registry) >= MAX_NODES:
-                self.drops["capacity"] += 1
-                self._send_mgmt(FrameType.MGMT_DISCONNECT, sender, outputs)
-                return
-            self.registry.add(sender)
-            self._send_mgmt(FrameType.MGMT_ASSIGNMENT, sender, outputs)
-            self._emit(outputs, Primitive(
-                PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
-                {"event": "node_joined", "node_id": sender}))
-        elif ftype is FrameType.MGMT_ASSIGNMENT:
-            if self.role is not Role.NODE or self.connection is not Connection.CONNECTING \
-                    or sender != self.hub_id:
-                self.drops["protocol"] += 1
-                return
+        elif self.connection is Connection.IDLE or sender != self.hub_id:
+            self.drops["protocol"] += 1
+        elif ftype is FrameType.MGMT_DISCONNECT:
+            if self.connection is Connection.CONNECTING:   # the hub is at capacity
+                self._leave(PrimitiveKind.CONFIRM, "rejected", sender, outputs)
+            else:
+                self._leave(PrimitiveKind.INDICATION, "disconnected", sender, outputs)
+        elif ftype is FrameType.MGMT_ASSIGNMENT and self.connection is Connection.CONNECTING:
             self.connection = Connection.CONNECTED
             self._deadline = None
             self._emit(outputs, Primitive(
                 PrimitiveFamily.MANAGEMENT, PrimitiveKind.CONFIRM,
                 {"event": "connected", "hub_id": sender}))
             self._transmit_next(outputs)   # flush data held during the handshake
-        elif ftype is FrameType.MGMT_DISCONNECT:
-            if self.role is Role.HUB:
-                if sender in self.registry:
-                    self.registry.remove(sender)
-                    pending = self._pending
-                    if pending is not None and pending.frame.header.recipient_id == sender:
-                        self._give_up(outputs)
-                        self._transmit_next(outputs)
-                    self._emit(outputs, Primitive(
-                        PrimitiveFamily.MANAGEMENT, PrimitiveKind.INDICATION,
-                        {"event": "node_left", "node_id": sender}))
-                else:
-                    self.drops["protocol"] += 1
-            elif self.connection is Connection.IDLE or sender != self.hub_id:
-                self.drops["protocol"] += 1
-            elif self.connection is Connection.CONNECTING:
-                # join rejected (hub at capacity)
-                self._leave(PrimitiveKind.CONFIRM, "rejected", sender, outputs)
-            else:
-                self._leave(PrimitiveKind.INDICATION, "disconnected", sender, outputs)
+        else:
+            self.drops["protocol"] += 1
+
+    def _refuse(self, sender: int, reason: str, outputs: list) -> None:
+        """Count a frame from a node this hub does not serve; tell it to leave."""
+        self.drops[reason] += 1
+        self._send_mgmt(FrameType.MGMT_DISCONNECT, sender, outputs)
 
     def _send_join_request(self, outputs: list) -> None:
         # the join deadline is armed only while CONNECTING: every way out of
@@ -394,17 +394,16 @@ class Device:
 
         Fragments may arrive in any order.  Grouping key is the sequence
         number the first fragment carried, recovered as
-        (sequence - fragment_index) mod 256.
+        (sequence - fragment_index) mod 256.  Each fragment re-arms the
+        entry's gap timer.
         """
         header = frame.header
         if header.fragment_index == 0 and header.last_fragment:
             return frame.body   # unfragmented SDU
         base_seq = (header.sequence - header.fragment_index) & 0xFF
         key = (header.sender_id, base_seq)
-        entry = self._reassembly.get(key)
-        if entry is None:
-            entry = _ReassemblyEntry({}, None, self.now + REASSEMBLY_TIMEOUT)
-            self._reassembly[key] = entry
+        entry = self._reassembly.setdefault(key, _ReassemblyEntry({}, None, 0))
+        entry.deadline = self.now + REASSEMBLY_TIMEOUT
         entry.chunks[header.fragment_index] = frame.body
         if header.last_fragment:
             entry.last_index = header.fragment_index
@@ -424,7 +423,7 @@ class Device:
         sender = frame.header.sender_id
         if self.role is Role.HUB:
             if sender not in self.registry:
-                self.drops["access"] += 1
+                self._refuse(sender, "access", outputs)
                 return
         elif not (self.connection is Connection.CONNECTED and sender == self.hub_id):
             self.drops["access"] += 1

@@ -19,10 +19,11 @@ Frame accounting per link (uplink data frames only):
 Missing and checksum-failed frames are indistinguishable in these counters,
 exactly as a real rig that logs send/receive tallies would see them.
 
-Each node's join first tries ``mac.join_clean`` and falls back to
-``mac.establish_connection`` when the twin declines.  Each time a node
-comes off the heap it first tries ``mac.send_clean`` (its docstring gives
-the rule for the packets it decides) and falls back to
+A node that comes off the heap not connected joins by ``mac.join_clean``,
+else ``mac.establish_connection``: every node at tick 0, and any node its
+hub let go (a hub answers data from a node it does not serve with a
+disconnect).  A connected node first tries ``mac.send_clean`` (its
+docstring gives the rule for the packets it decides) and falls back to
 ``mac.send_with_arq`` for the one packet it leaves.  A run with a trace
 always joins and sends through the frame path, so every primitive is
 recorded, each device's in virtual-time order, though lines of different
@@ -41,8 +42,9 @@ from .channel import (PRESET_FER_TARGETS, ChannelModel, ber_for_distance,
                       check_distance_map, key_digest, preset)
 from .errors import ConfigError, RangeError
 from .frames import ACK_FRAME_BYTES, MAX_PAYLOAD, OVERHEAD_BYTES
-from .mac import (JOIN_MAX_ROUNDS, MAX_NODES, Device, Role, establish_connection,
-                  join_clean, make_link, send_clean, send_with_arq)
+from .mac import (JOIN_MAX_ROUNDS, MAX_NODES, Connection, Device, Role,
+                  establish_connection, join_clean, make_link, send_clean,
+                  send_with_arq)
 
 PRESETS = (*PRESET_FER_TARGETS, "explicit")
 DEFAULT_DATA_RATE_BPS = 121_400
@@ -203,29 +205,29 @@ def run_experiment(config: ExperimentConfig,
         node = Device(Role.NODE, i + 1, max_retries=config.max_retries, trace=trace)
         # without `ber`, a calibrated preset or the explicit `distance_map` gives a table
         ber = config.ber if config.ber is not None else ber_for_distance(distances[i], model)
-        link = make_link(node, hub, model, ber)
-        if not (join_clean(node, link) or establish_connection(node, link)):
-            source = (f"ber={config.ber}" if config.ber is not None
-                      else f"distance_m={distances[i]}")
-            raise ConfigError(
-                f"node {node.device_id} failed to join the hub within "
-                f"{JOIN_MAX_ROUNDS} handshake rounds at link ber={ber:.3g} (from {source})")
         nodes.append(node)
-        links.append(link)
+        links.append(make_link(node, hub, model, ber))
         bers.append(ber)
 
     # an exchange starts in the run when it starts before tick `until`
     until = math.ceil(config.duration_s * config.data_rate_bps)
-    # event queue entries: (next send tick, node index)
-    queue = [(node.now, i) for i, node in enumerate(nodes)]
-    heapq.heapify(queue)
+    # event queue entries: (next send tick, node index); every node comes off
+    # it first at tick 0, in index order, and joins
+    queue = [(0, i) for i in range(config.node_count)]
     while queue:
         t, i = heapq.heappop(queue)
         if t >= until:
             continue
-        node = nodes[i]
-        if not send_clean(node, links[i], config.payload_len, until):
-            send_with_arq(node, links[i], config.payload_len)
+        node, link = nodes[i], links[i]
+        if node.connection is not Connection.CONNECTED:   # new, or its hub let it go
+            if not (join_clean(node, link) or establish_connection(node, link)):
+                source = (f"ber={config.ber}" if config.ber is not None
+                          else f"distance_m={distances[i]}")
+                raise ConfigError(f"node {node.device_id} failed to join the hub within "
+                                  f"{JOIN_MAX_ROUNDS} handshake rounds at link "
+                                  f"ber={bers[i]:.3g} (from {source})")
+        elif not send_clean(node, link, config.payload_len, until):
+            send_with_arq(node, link, config.payload_len)
         heapq.heappush(queue, (node.now, i))
 
     results = []

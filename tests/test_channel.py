@@ -5,6 +5,7 @@ import importlib.util
 import math
 import signal
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -92,8 +93,10 @@ def test_substream_keys_are_pinned():
 
 
 def test_without_the_builtin_sha256_streams_key_through_hashlib(monkeypatch):
-    # a second copy of the module, loaded where `import _sha256` fails
+    # a second copy of the module, loaded where `import _sha256` fails, and
+    # `import _sha2` too, as it does before CPython 3.12
     monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
     spec = importlib.util.spec_from_file_location("wbansim._channel_without_sha256",
                                                   wbansim.channel.__file__)
     fallback = importlib.util.module_from_spec(spec)
@@ -105,6 +108,31 @@ def test_without_the_builtin_sha256_streams_key_through_hashlib(monkeypatch):
             draws = fallback.ChannelModel(rng_seed=seed).stream(stream_id)
             twin = ChannelModel(rng_seed=seed).stream(stream_id)
             assert [draws.random() for _ in range(3)] == [twin.random() for _ in range(3)]
+
+
+def test_where_only_the_builtin_sha2_is_there_it_keys_the_streams(monkeypatch):
+    # CPython 3.12 moved the builtin sha256 from `_sha256` into `_sha2`; a
+    # stub `_sha2` stands in for it here, and counts its calls
+    calls = []
+
+    def sha256(data):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", types.SimpleNamespace(sha256=sha256))
+    spec = importlib.util.spec_from_file_location("wbansim._channel_with_sha2",
+                                                  wbansim.channel.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback.sha256 is sha256
+    for seed in KEY_SEEDS:
+        for stream_id in KEY_IDS:
+            draws = fallback.ChannelModel(rng_seed=seed).stream(stream_id)
+            twin = ChannelModel(rng_seed=seed).stream(stream_id)
+            assert [draws.random() for _ in range(3)] == [twin.random() for _ in range(3)]
+    assert len(calls) == len(KEY_SEEDS) * len(KEY_IDS)
 
 
 def test_stream_independence_chi_square():

@@ -12,7 +12,7 @@ from wbansim.errors import EmptySduError, ProtocolError, RangeError
 from wbansim.frames import (ACK_BITS, CRC_HAMMING_DISTANCE, CRC_SYNDROMES, MAX_PAYLOAD,
                             MGMT_BITS, OVERHEAD_BYTES, FrameType, ack_frame, compute_crc16,
                             data_frame, encode_frame, management_frame)
-from wbansim.mac import (ACK_TIMEOUT, JOIN_MAX_ROUNDS, MAX_NODES,
+from wbansim.mac import (ACK_TIMEOUT, JOIN_MAX_ROUNDS, MAX_FRAGMENTS, MAX_NODES,
                          REASSEMBLY_TIMEOUT, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
                          establish_connection, fragment_sdu, join_clean, make_link,
@@ -188,10 +188,16 @@ def _disconnect_from_a_device_that_is_not_its_hub():
     return _received(node, FrameType.MGMT_DISCONNECT, 7)
 
 
+def _assignment_at_a_connected_node():
+    hub, node, link = connect(*lossless_pair())
+    return _received(node, FrameType.MGMT_ASSIGNMENT, 0)
+
+
 @pytest.mark.parametrize("case", [
     _connect_at_hub, _connect_while_connecting, _disconnect_while_idle,
     _join_request_at_a_node, _disconnect_from_an_unregistered_node,
-    _disconnect_at_an_idle_node, _disconnect_from_a_device_that_is_not_its_hub])
+    _disconnect_at_an_idle_node, _disconnect_from_a_device_that_is_not_its_hub,
+    _assignment_at_a_connected_node])
 def test_management_out_of_turn_is_a_protocol_drop(case):
     device, outputs = case()
     assert device.drops["protocol"] == 1
@@ -356,6 +362,17 @@ def test_a_reassembly_gap_expires_at_a_hub_driven_by_pump():
     confirm, = pump(node, link, node.request_send(b"next"))
     assert confirm.payload["success"]
     assert hub.drops["gap"] == 1
+
+
+@pytest.mark.parametrize("fragments", [100, MAX_FRAGMENTS])
+def test_an_sdu_of_full_fragments_reassembles_on_a_lossless_link(fragments):
+    # every fragment re-arms the gap timer, so an SDU whose fragments take
+    # longer than REASSEMBLY_TIMEOUT in all still reassembles once
+    hub, node, link = connect(*lossless_pair())
+    pump(node, link, node.request_send(bytes(fragments * MAX_PAYLOAD)))
+    assert node.now > 2 * REASSEMBLY_TIMEOUT
+    assert hub.rx_packets[1] == 1
+    assert hub.drops["gap"] == 0
 
 
 def _hub_id_256():
@@ -1031,14 +1048,11 @@ def test_a_checksum_missed_sequence_flip_is_not_counted_as_a_second_packet():
     assert hub.rx_packets[1] <= node.packets_sent
 
 
-@pytest.mark.xfail(strict=True, reason="a CRC-missed data frame that decodes as a disconnect "
-                   "strands its node (ROADMAP items 3 and 4)")
 def test_a_checksum_missed_disconnect_does_not_strand_the_node():
     # the first data frame's type byte gains its 0x04 bit, turning DATA into
     # MGMT_DISCONNECT, and its CRC field flips by that bit's syndrome: the CRC
-    # misses the error, so the hub drops node 1 from its registry, while the
-    # node, which hears nothing of it, stays connected; the hub drops each
-    # retransmission as `access`, and the packet is lost
+    # misses the error, so the hub drops node 1 from its registry; the hub
+    # answers the retransmission with a disconnect, and the node leaves too
     ber, nbits = 0.01, 18 * 8
     crc_flips = [nbits - 1 - d for d in range(16) if CRC_SYNDROMES[nbits - 6] >> d & 1]
     flips = [5, *sorted(crc_flips)]
@@ -1178,8 +1192,22 @@ def test_poll_rejects_data_from_unregistered_sender():
     hub = Device(Role.HUB, 0)
     hub.deliver(encode_frame(data_frame(0, 9, 0, b"intruder")))
     outputs = hub.poll_step()
-    assert txs(outputs) == []
+    refusal, = txs(outputs)
+    assert refusal[1].header.frame_type is FrameType.MGMT_DISCONNECT
+    assert refusal[1].header.recipient_id == 9
     assert hub.drops["access"] == 1
+
+
+def test_a_node_its_hub_dropped_leaves_at_its_next_data_frame():
+    # the hub forgets the node (its disconnect was lost on the way, say); the
+    # node's next data frame draws the hub's refusal, and the node leaves
+    hub, node, link = connect(*lossless_pair())
+    hub.registry.clear()
+    outcome = send_with_arq(node, link, 10)
+    assert (outcome.success, outcome.attempts_used) == (False, 1)
+    assert node.connection is Connection.IDLE and node.next_deadline is None
+    assert (node.packets_sent, node.packets_lost, node.packets_delivered) == (1, 1, 0)
+    assert hub.drops == Counter(access=1)
 
 
 def _crafted(frame_control, body):

@@ -8,7 +8,9 @@ import pytest
 from wbansim import simulator
 from wbansim.analytics import (data_length, fer_analytic,
                                frame_corruption_probability)
+from wbansim.channel import FrameCorruptor
 from wbansim.errors import ConfigError
+from wbansim.frames import CRC_SYNDROMES, MGMT_BITS, OVERHEAD_BYTES
 from wbansim.mac import MAX_FRAME_BYTES
 from wbansim.simulator import (ExperimentConfig, LinkCounters, derive_seed,
                                run_experiment, sweep)
@@ -265,6 +267,44 @@ def test_a_traced_run_matches_the_frame_path_line_for_line():
     traced, framed = [], []
     assert links_or_error(config, traced) == frame_path_links(config, framed)
     assert len(traced) > 1000 and traced == framed
+
+
+class _Planted:
+    """Stands in for a substream's generator: its first uniforms make a
+    ``FrameCorruptor`` at `ber` draw exactly `gaps`, and the rest come from
+    `rng`."""
+
+    def __init__(self, gaps, ber, rng):
+        log_q = math.log1p(-ber)
+        self._uniforms = [-math.expm1((gap + 0.5) * log_q) for gap in reversed(gaps)]
+        self._rng = rng
+
+    def random(self):
+        return self._uniforms.pop() if self._uniforms else self._rng.random()
+
+
+def test_a_run_rejoins_a_node_its_hub_let_go(monkeypatch):
+    # node 1's first data frame gains the type byte's 0x04 bit and the CRC
+    # bits of that bit's syndrome: the CRC misses it and the hub, reading a
+    # disconnect, lets node 1 go; it answers the retransmission with a
+    # disconnect, the node leaves, and the run joins it again
+    config = quick_config(preset="explicit", ber=1e-3, duration_s=1.0)
+    nbits = (config.payload_len + OVERHEAD_BYTES) * 8
+    flips = [5, *sorted(nbits - 1 - d for d in range(16) if CRC_SYNDROMES[nbits - 6] >> d & 1)]
+    # after the join request, which crosses clean
+    gaps = [MGMT_BITS + flips[0], *(b - a - 1 for a, b in zip(flips, flips[1:]))]
+    make_link = simulator.make_link
+
+    def planted(sender, peer, model, ber):
+        link = make_link(sender, peer, model, ber)
+        if sender.device_id == 1:
+            link.uplink = FrameCorruptor(_Planted(gaps, ber, link.uplink.rng), ber)
+        return link
+
+    monkeypatch.setattr(simulator, "make_link", planted)
+    links, traced = links_or_error(config), []
+    assert links[0].lost >= 1 and links[0].counters.r_pkt > 0
+    assert links == frame_path_links(config) == links_or_error(config, traced)
 
 
 def test_sequence_wrap_config_reaches_a_clean_duplicate():

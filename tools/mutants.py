@@ -313,9 +313,9 @@ CATALOGUE = [
            "data_frame(sender.device_id, sender.device_id,",
            (TEST_MAC + "test_arq_perfect_channel_single_attempt",)),
     Mutant("join-failure-from-a-distance-names-the-ber", SIMULATOR,
-           "            source = (f\"ber={config.ber}\" if config.ber is not None\n"
-           "                      else f\"distance_m={distances[i]}\")\n",
-           "            source = f\"ber={config.ber}\"\n",
+           "                source = (f\"ber={config.ber}\" if config.ber is not None\n"
+           "                          else f\"distance_m={distances[i]}\")\n",
+           "                source = f\"ber={config.ber}\"\n",
            ("tests/test_simulator.py::test_a_join_failure_from_a_distance_names_the_distance",)),
     Mutant("attempt-failure-rate-divides-by-zero-frames", SIMULATOR,
            "        if total.s_frm == 0:\n            return 0.0\n", "",
@@ -346,6 +346,17 @@ CATALOGUE = [
            "                indications.append(item[1])\n                continue\n",
            "                indications.append(item[1])\n                return indications\n",
            (TEST_MAC + "test_an_sdu_held_over_a_reconnect_goes_on_air",)),
+    Mutant("hub-refuses-silently", MAC,
+           "                self._refuse(sender, \"access\", outputs)\n",
+           "                self.drops[\"access\"] += 1\n",
+           (TEST_MAC + "test_poll_rejects_data_from_unregistered_sender",
+            TEST_MAC + "test_a_node_its_hub_dropped_leaves_at_its_next_data_frame")),
+    Mutant("capacity-refusal-silent", MAC,
+           "self._refuse(sender, \"capacity\", outputs)", "self.drops[\"capacity\"] += 1",
+           (TEST_MAC + "test_hub_capacity_rejection",)),
+    Mutant("rejoin-skipped", SIMULATOR,
+           "if node.connection is not Connection.CONNECTED:", "if t == 0:",
+           ("tests/test_simulator.py::test_a_run_rejoins_a_node_its_hub_let_go",)),
     Mutant("node-leaves-at-any-senders-disconnect", MAC,
            "elif self.connection is Connection.IDLE or sender != self.hub_id:",
            "elif self.connection is Connection.IDLE:",
@@ -368,6 +379,9 @@ CATALOGUE = [
     Mutant("key-digest-from-hashlib-first", CHANNEL,
            "    from _sha256 import sha256\n", "    from hashlib import sha256\n",
            ("tests/test_cli.py::test_no_command_loads_hashlib",)),
+    Mutant("sha2-fallback-skipped", CHANNEL,
+           "        from _sha2 import sha256\n", "        from hashlib import sha256\n",
+           (TEST_CHANNEL + "test_where_only_the_builtin_sha2_is_there_it_keys_the_streams",)),
     Mutant("key-fallback-imports-a-different-hash", CHANNEL,
            "    from hashlib import sha256\n", "    from hashlib import sha3_256 as sha256\n",
            (TEST_CHANNEL + "test_without_the_builtin_sha256_streams_key_through_hashlib",)),
@@ -394,6 +408,12 @@ CATALOGUE = [
            "            self._on_wire(self.inbox.popleft(), outputs)\n"
            "        else:\n            self._check_timers(outputs)\n",
            (TEST_MAC + "test_a_reassembly_gap_expires_at_a_hub_driven_by_pump",)),
+    Mutant("reassembly-timer-armed-once", MAC,
+           "        entry = self._reassembly.setdefault(key, _ReassemblyEntry({}, None, 0))\n"
+           "        entry.deadline = self.now + REASSEMBLY_TIMEOUT\n",
+           "        entry = self._reassembly.setdefault(\n"
+           "            key, _ReassemblyEntry({}, None, self.now + REASSEMBLY_TIMEOUT))\n",
+           (TEST_MAC + "test_an_sdu_of_full_fragments_reassembles_on_a_lossless_link",)),
     Mutant("submit-counts-before-encoding", MAC,
            "        queued = [_PendingAck(frame, encode_frame(frame), sdu_id, 0)"
            " for frame in frames]\n"
