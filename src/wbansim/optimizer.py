@@ -26,7 +26,11 @@ Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p),
 log1p(-p)) once into an `_Exact` or `_Verbatim` kernel.  Its unchecked
 methods are each formula's one home: the public functions wrap them, and
 each inner solve's damped Newton steps call them (Boyd and Vandenberghe,
-Convex Optimization, 2004, sections 9.5 and 11.3).
+Convex Optimization, 2004, sections 9.5 and 11.3).  An inner solve stops
+at the Newton decrement's criterion (ibid., section 9.5.1): once
+lambda^2/2 = g^2/(2h), the decrease its quadratic model predicts, is at
+most `DECREMENT_ULPS` ulps of the objective, no step can lower it by
+more than its float can show.
 """
 
 import math
@@ -44,6 +48,9 @@ DEFAULT_MAX_ITERATIONS = 10_000
 SHRINK = 0.5            # barrier weight factor per outer iteration
 INNER_CAP = 200         # descent steps per inner solve
 HALVINGS = 60           # backtracking halvings per descent step
+# An inner solve stops once the Newton decrement's half-square, the decrease
+# the quadratic model predicts, is at most this many ulps of the objective.
+DECREMENT_ULPS = 4
 # Starting payloads: no frame carries more than MAX_PAYLOAD bytes, and below
 # MIN_START the square in the barrier term epsilon/payload^2 is subnormal,
 # where it loses its digits and soon divides by zero.
@@ -237,7 +244,10 @@ def _descend(kernel, x: float, eps: float, steps: int,
              max_iterations: int) -> tuple[float, float, int]:
     """Damped Newton descent to the inner minimum for fixed eps: the first
     trial step is -g/h where the curvature h > 0, else a quarter of the way
-    to the boundary at most.  x only moves to a candidate > 0."""
+    to the boundary at most.  x only moves to a candidate > 0.  Where h > 0
+    the solve stops once the Newton decrement's half-square, 0.5 * g * (g/h),
+    is at most `DECREMENT_ULPS` ulps of f(x) (Boyd and Vandenberghe, section
+    9.5.1); that gradient evaluation counts as a step."""
     fx = kernel.objective(x, eps)
     for _ in range(INNER_CAP):
         if steps >= max_iterations:
@@ -247,6 +257,8 @@ def _descend(kernel, x: float, eps: float, steps: int,
         if g == 0.0:
             break
         h = kernel.curvature(x, eps)
+        if h > 0 and 0.5 * g * (g / h) <= DECREMENT_ULPS * math.ulp(fx):
+            break
         alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)
         for _ in range(HALVINGS):
             candidate = x - alpha * g

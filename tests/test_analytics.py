@@ -12,10 +12,12 @@ import random
 import numpy as np
 import pytest
 
+from wbansim import analytics
 from wbansim.analytics import (J_MAX, PAPER_MAX_M, ack_length_term, data_length,
                                fer, fer_analytic, frame_corruption_probability,
                                invert_fer_analytic, per,
                                retry_success_geometric, retry_success_paper)
+from wbansim.channel import CALIBRATION_PAYLOAD, PRESET_FER_TARGETS
 from wbansim.errors import RangeError
 
 
@@ -251,6 +253,48 @@ def test_invert_fer_analytic_round_trip():
     for target in (1e-4, 0.003, 0.005, 0.05, 0.5):
         p = invert_fer_analytic(target, 10)
         assert fer_analytic(10, p) == pytest.approx(target, rel=1e-9)
+
+
+def bisect_200_times(target_fer, payload):
+    """`invert_fer_analytic` as it was before it stopped at its fixed point."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fer_analytic(payload, mid) < target_fer:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# 600 log-spaced targets over 1e-320..0.5, the extremes of (0,1) and rates
+# within 1e-12..1e-3 of 1, each at one of three payloads in turn
+INVERT_TARGETS = ([10 ** (-320 + 319.7 * k / 599) for k in range(600)]
+                  + [5e-324, 1e-323, 0.5, 1 - 1e-12, 1 - 1e-9, 1 - 1e-6, 1 - 1e-3,
+                     math.nextafter(1.0, 0.0)])
+
+
+def test_invert_fer_analytic_stops_where_more_bisection_changes_nothing():
+    for i, target in enumerate(INVERT_TARGETS):
+        for payload in ((0, 10, 255)[i % 3], (0, 10, 255)[(i + 1) % 3]):
+            assert invert_fer_analytic(target, payload) == bisect_200_times(
+                target, payload), (target, payload)
+
+
+def test_invert_fer_analytic_bisects_a_preset_target_fewer_than_100_times(monkeypatch):
+    calls = []
+
+    def counted(payload, p_ber):
+        calls.append(p_ber)
+        return fer_analytic(payload, p_ber)
+
+    monkeypatch.setattr(analytics, "fer_analytic", counted)
+    for targets in PRESET_FER_TARGETS.values():
+        for _, target in targets:
+            calls.clear()
+            assert invert_fer_analytic(target, CALIBRATION_PAYLOAD) == bisect_200_times(
+                target, CALIBRATION_PAYLOAD)
+            assert len(calls) < 100, target
 
 
 @pytest.mark.parametrize("call", [

@@ -68,20 +68,20 @@ CASES = {
     "optimize": (
         ["optimize", "--p-ber", "1e-3"],
         False,
-        {"out.csv": "43ff0a494bb541057c2ba8b0801b0f54b27b60adf4c4227bb3b1362e39061c34",
+        {"out.csv": "efe61eed64fe69217f56e4a4ea38386354db6d417820381c7e1048094c480805",
          "out.manifest.json": "142c29acf9b968835b2b67485eaf332d94061cf39ea2a55ff56c0f30251ad963"},
     ),
     "optimize-verbatim": (
         ["optimize", "--p-ber", "1e-3", "--verbatim-gradient"],
         False,
-        {"out.csv": "540975a408d895e14062e3a85829765530a8943cae608153e17813bea5d3d7e1",
+        {"out.csv": "2fc8c82c1d0d6cf72969c679dc366c771654986cbf4295229a9dc4c6935648b2",
          "out.manifest.json": "e00806523c9d9ddb5dc149ad9dbeec90f0a4c6df0aee9e2c759b75d4636f71cc"},
     ),
     # runs out of descent steps: the trace so far, and exit 3
     "optimize-no-convergence": (
         ["optimize", "--p-ber", "0.05", "--max-iterations", "40"],
         False,
-        {"out.csv": "d034ca083b2aed68965cfb2158d2cbe4fa31cca62250de46d2cee5f5de5eb1af",
+        {"out.csv": "5025dee27ff18bb7066d819d23069cf2e9fbbde2376265a1ff385b96d4a084e6",
          "out.manifest.json": "b247a75c484dae6fd763e711ccca4b1f7d4a0f94c1cc83e16ddb8f52290ae11a"},
     ),
     "analyze-payload": (
@@ -121,7 +121,7 @@ DEMO_STDOUT = {
     "03_retry_tradeoff.py": "44b060cf06517b350e4c3e5f573d4bf77d605ff0819d4fd765efc94dfeecda68",
     "04_payload_vs_fer.py": "84d6514941ae186f0fe4fdda725bfd9f0704bdd20932a6df96b1e4566f21fd40",
     "05_distance_experiment.py": "69020437768921e846f9db1ce0fb0b87f079cc8bd63d1cc75df2a9f4d03b42b3",
-    "06_payload_optimizer.py": "ac82e2f1b23c1157681d5133c094e23c37edbe8152ccd503391af3fe726933b7",
+    "06_payload_optimizer.py": "1370d1dbd9a8c8b6dfd11759b0b30b107a5c80ccb44e683a035a3d6eda7d5f7b",
 }
 
 

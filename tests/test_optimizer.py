@@ -311,6 +311,38 @@ def oracle_descend(kernel, x, eps, steps, max_iterations, exits):
     return x, steps
 
 
+def descend_without_decrement(kernel, x, eps, steps, max_iterations):
+    """`_descend` as it was before the Newton decrement could stop it: each
+    inner solve ends only at g == 0, the step cap, a failed or stalled line
+    search, or a candidate equal to x."""
+    fx = kernel.objective(x, eps)
+    for _ in range(INNER_CAP):
+        if steps >= max_iterations:
+            break
+        g = kernel.gradient(x, eps)
+        steps += 1
+        if g == 0.0:
+            break
+        h = kernel.curvature(x, eps)
+        alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)
+        for _ in range(60):
+            candidate = x - alpha * g
+            if candidate == x:
+                return x, fx, steps
+            if candidate > 0:
+                fc = kernel.objective(candidate, eps)
+                if fc < fx:
+                    break
+            alpha *= 0.5
+        else:
+            break
+        stalled = abs(candidate - x) < 1e-12 * max(1.0, x)
+        x, fx = candidate, fc
+        if stalled:
+            break
+    return x, fx, steps
+
+
 # 50 log-spaced rates over 1e-6..0.1, and two where the exact gradient at
 # payload 255 is subnormal (a first step of inf, every candidate -inf) or 0
 GRID_BERS = [10 ** (-6 + 5 * k / 49) for k in range(50)] + [0.28, 0.3]
@@ -319,9 +351,31 @@ GRID = [(p_ber, start, max_iterations, verbatim)
         for max_iterations in (1, 40, DEFAULT_MAX_ITERATIONS) for verbatim in (False, True)]
 
 
+UNCAPPED = [case for case in GRID if case[2] == DEFAULT_MAX_ITERATIONS]
+
+
 def solve(p_ber, start, max_iterations, verbatim):
     return optimize_payload(p_ber, payload_0=start, max_iterations=max_iterations,
                             verbatim_gradient=verbatim)
+
+
+def solve_grid(descend=None):
+    """Solve every GRID case, through `descend` in place of `_descend` if it
+    is given; give the results and each case's objective evaluations."""
+    evaluations = Counter()
+    case = None
+    with pytest.MonkeyPatch.context() as patch:
+        for kernel in (optimizer._Verbatim, optimizer._Exact):
+            def objective(self, x, eps, original=kernel.objective):
+                evaluations[case] += 1
+                return original(self, x, eps)
+            patch.setattr(kernel, "objective", objective)
+        if descend is not None:
+            patch.setattr(optimizer, "_descend", descend)
+        results = {}
+        for case in GRID:
+            results[case] = solve(*case)
+    return results, evaluations
 
 
 @pytest.fixture(scope="module")
@@ -340,13 +394,18 @@ def oracle_grid():
 
 @pytest.fixture(scope="module")
 def newton_grid():
-    return {case: solve(*case) for case in GRID}
+    return solve_grid()
+
+
+@pytest.fixture(scope="module")
+def undecremented_grid():
+    return solve_grid(descend_without_decrement)
 
 
 def test_the_descent_matches_the_oracle_on_a_grid(oracle_grid, newton_grid):
     results, _ = oracle_grid
     for case in GRID:
-        result, expected = newton_grid[case], results[case]
+        result, expected = newton_grid[0][case], results[case]
         # Newton steps reach the oracle's outcome, not its iterates: a
         # step-capped solve gets further, so its integers may differ
         assert result.converged == expected.converged, case
@@ -368,9 +427,24 @@ def test_the_grid_reaches_every_way_out_of_the_descent(oracle_grid):
 
 def test_newton_steps_take_at_most_six_tenths_of_the_oracles_steps(oracle_grid, newton_grid):
     results, _ = oracle_grid
-    uncapped = [case for case in GRID if case[2] == DEFAULT_MAX_ITERATIONS]
-    steps = sum(newton_grid[case].iterations for case in uncapped)
-    assert steps <= 0.6 * sum(results[case].iterations for case in uncapped)
+    steps = sum(newton_grid[0][case].iterations for case in UNCAPPED)
+    assert steps <= 0.6 * sum(results[case].iterations for case in UNCAPPED)
+
+
+def test_the_decrement_keeps_every_outcome_of_the_descent_without_it(newton_grid,
+                                                                    undecremented_grid):
+    for case in UNCAPPED:
+        result, expected = newton_grid[0][case], undecremented_grid[0][case]
+        assert result.converged == expected.converged, case
+        assert result.best_integer == expected.best_integer, case
+
+
+def test_the_decrement_saves_the_line_searches_that_cannot_win(newton_grid,
+                                                               undecremented_grid):
+    # measured on the 416 uncapped solves: 78 667 evaluations against 348 479,
+    # a ratio of 0.226
+    evaluations = sum(newton_grid[1][case] for case in UNCAPPED)
+    assert evaluations <= 0.35 * sum(undecremented_grid[1][case] for case in UNCAPPED)
 
 
 class _Line:
@@ -392,6 +466,35 @@ def test_a_line_search_halves_its_first_step_at_most_halvings_times():
     # 0, which is refused, so the step fails; a 61st would take 0.5
     assert optimizer.HALVINGS == 60
     assert optimizer._descend(_Line(), 1.0, 0.0, 0, 10) == (1.0, 1.0, 1)
+
+
+class _Bowl(_Line):
+    """`_Line` with a curvature that makes the Newton decrement's half-square
+    at x = 1, 0.5 * g * (g / h), exactly `ulps` ulps of the objective 1."""
+
+    def __init__(self, ulps):
+        self.h = 0.5 / (ulps * math.ulp(1.0))
+
+    def curvature(self, x, eps):
+        return self.h
+
+
+def test_the_decrement_stops_an_inner_solve_at_four_ulps_of_its_objective():
+    assert optimizer.DECREMENT_ULPS == 4
+    assert optimizer._descend(_Bowl(4), 1.0, 0.0, 0, 10) == (1.0, 1.0, 1)
+    # at 8 ulps the Newton step, 2**-48, is taken
+    step = 1.0 - 2.0 ** -48
+    assert optimizer._descend(_Bowl(8), 1.0, 0.0, 0, 1) == (step, step, 1)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, -2.0 ** 59])
+def test_the_decrement_never_stops_a_step_where_the_curvature_is_not_positive(h):
+    # the first trial step is a quarter of the way to the boundary, and taken
+    class Concave(_Line):
+        def curvature(self, x, eps):
+            return h
+
+    assert optimizer._descend(Concave(), 1.0, 0.0, 0, 1) == (0.75, 0.75, 1)
 
 
 def record_kernel_calls(monkeypatch):

@@ -1,6 +1,6 @@
 """Byte identity of a fixed corpus between a git revision and the working tree.
 
-    python3 tools/identity.py [--rev REV]
+    python3 tools/identity.py [--rev REV] [--expect NAME ...]
 
 Extracts REV (default ``HEAD``) with ``git archive`` into a temporary
 directory outside the checkout and runs one fixed corpus against that tree
@@ -20,9 +20,13 @@ time.  The corpus:
 - optimize: ``optimize_payload`` on a BER grid with both gradients.
 
 A case that raises is compared by its exception's type and message, so a
-join failure's ``ConfigError`` must match too.  The script prints the cases
-and mismatches per class, lists each mismatching case with what it ran, and
-ends with one summary line.  It exits 1 on any mismatch, and 2 when REV
+join failure's ``ConfigError`` must match too.  ``--expect NAME``, which may
+be repeated, names a case id (``golden-optimize``) or a case class
+(``optimize``) whose outputs a change means to move: its mismatches are
+expected.  The script prints the cases and mismatches per class, lists each
+unexpected mismatch with what it ran, then each expected one apart, and ends
+with one summary line that counts the two kinds.  It exits 1 on an
+unexpected mismatch, and 2 when an ``--expect`` name matches no case, REV
 cannot be extracted or a worker fails.  Standard library only.
 """
 
@@ -195,9 +199,16 @@ def describe(case: dict) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
+    parser.add_argument("--expect", action="append", default=[], metavar="NAME",
+                        help="a case id or class whose mismatches are expected; repeatable")
     args = parser.parse_args()
     start = time.monotonic()
     cases = corpus()
+    names = {case["id"] for case in cases} | {case["kind"] for case in cases}
+    unknown = [name for name in args.expect if name not in names]
+    if unknown:
+        print(f"--expect names no case id or class: {', '.join(unknown)}")
+        return 2
     chunks = [cases[i::CHUNKS] for i in range(CHUNKS)]
     with tempfile.TemporaryDirectory(prefix="wbansim-identity-") as scratch:
         scratch = Path(scratch)
@@ -223,6 +234,9 @@ def main() -> int:
 
     mismatches = [case for case in cases if theirs[case["id"]] != ours[case["id"]]]
     mismatched = {case["id"] for case in mismatches}
+    expected = [case for case in mismatches
+                if case["id"] in args.expect or case["kind"] in args.expect]
+    unexpected = [case for case in mismatches if case not in expected]
     print(f"identity: {args.rev} ({commit}) against the working tree")
     for kind in dict.fromkeys(case["kind"] for case in cases):
         of_kind = [case for case in cases if case["kind"] == kind]
@@ -231,12 +245,13 @@ def main() -> int:
         traced = sum(case.get("traced", False) for case in of_kind)
         notes = f" ({traced} traced, {raised} raised)" if kind == "run" else ""
         print(f"  {kind:<9}{len(of_kind):4d} cases, {missed} mismatches{notes}")
-    for case in mismatches:
-        print(f"MISMATCH {case['id']}: {describe(case)}\n"
-              f"  {commit}: {theirs[case['id']]}\n  working tree: {ours[case['id']]}")
-    print(f"identity: {len(cases)} cases, {len(mismatches)} mismatches against {commit} "
-          f"in {time.monotonic() - start:.0f} s")
-    return 1 if mismatches else 0
+    for label, listed in (("MISMATCH", unexpected), ("EXPECTED MISMATCH", expected)):
+        for case in listed:
+            print(f"{label} {case['id']}: {describe(case)}\n"
+                  f"  {commit}: {theirs[case['id']]}\n  working tree: {ours[case['id']]}")
+    print(f"identity: {len(cases)} cases, {len(unexpected)} unexpected and {len(expected)} "
+          f"expected mismatches against {commit} in {time.monotonic() - start:.0f} s")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

@@ -75,6 +75,9 @@ HALVINGS_RUN_OUT = (TEST_OPTIMIZER + "test_a_line_search_halves_its_first_step_a
 CURVATURE = (TEST_OPTIMIZER + "test_exact_gradient_matches_finite_differences",
              TEST_OPTIMIZER + "test_printed_gradient_matches_its_own_potential")
 WRITTEN_OUT = (TEST_OPTIMIZER + "test_formulas_are_their_written_out_forms",)
+DECREMENT = (TEST_OPTIMIZER + "test_the_decrement_stops_an_inner_solve_at_four_ulps_of"
+             "_its_objective",)
+DECREMENT_SAVES = (TEST_OPTIMIZER + "test_the_decrement_saves_the_line_searches_that_cannot_win",)
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -276,6 +279,17 @@ CATALOGUE = [
     Mutant("newton-step-never-taken", OPTIMIZER,
            "alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)", "alpha = 0.25 * x / abs(g)",
            (TEST_OPTIMIZER + "test_newton_steps_take_at_most_six_tenths_of_the_oracles_steps",)),
+    Mutant("newton-decrement-never-stops-a-solve", OPTIMIZER,
+           "        if h > 0 and 0.5 * g * (g / h) <= DECREMENT_ULPS * math.ulp(fx):\n"
+           "            break\n", "", DECREMENT + DECREMENT_SAVES),
+    Mutant("newton-decrement-threshold-0", OPTIMIZER,
+           "<= DECREMENT_ULPS * math.ulp(fx):", "<= 0.0:", DECREMENT + DECREMENT_SAVES),
+    Mutant("newton-decrement-tested-where-the-curvature-is-not-positive", OPTIMIZER,
+           "if h > 0 and 0.5 * g * (g / h)", "if 0.5 * g * (g / h)",
+           (TEST_OPTIMIZER + "test_the_decrement_never_stops_a_step_where_the_curvature"
+            "_is_not_positive",)),
+    Mutant("newton-decrement-without-its-half", OPTIMIZER,
+           "and 0.5 * g * (g / h) <=", "and g * (g / h) <=", DECREMENT),
     Mutant("curvature-barrier-sign-flipped", OPTIMIZER,
            "+ 2.0 * eps / x ** 2 / x)", "- 2.0 * eps / x ** 2 / x)", CURVATURE),
     Mutant("exact-curvature-with-slope-1", OPTIMIZER,
@@ -289,6 +303,11 @@ CATALOGUE = [
     Mutant("optimize-flat-start-reported-as-converged", OPTIMIZER,
            "    if x == payload_0 and fer_opt == 1.0:\n", "    if False:\n",
            (TEST_OPTIMIZER + "test_a_flat_start_is_not_reported_as_converged",)),
+    # analytics.invert_fer_analytic, the presets' bisection
+    Mutant("invert-stops-at-a-width-not-at-its-fixed-point", "src/wbansim/analytics.py",
+           "if mid == lo or mid == hi:", "if hi - lo < 1e-15:",
+           ("tests/test_analytics.py::test_invert_fer_analytic_stops_where_more_bisection"
+            "_changes_nothing",)),
     # the codec's and the config's range checks
     Mutant("validate-fragment-index-unchecked", FRAMES,
            "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
