@@ -30,6 +30,6 @@ base = ExperimentConfig(node_count=2, distance_m=10.0, payload_len=10,
 rows = sweep(base, "max_retries", [0, 1, 2, 3, 4])
 print(f"{'retries':>8} {'packets':>8} {'PER':>10}")
 for row in rows:
-    print(f"{row.value:>8} {row.counters.s_pkt:>8} {row.per:>10.6f}")
+    print(f"{row.value:>8} {row.counters.s_pkt:>8} {row.counters.per:>10.6f}")
 print("\nthree retries already push every packet through, matching the "
       "closed-form plateau")

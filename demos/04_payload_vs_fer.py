@@ -30,6 +30,6 @@ rows = sweep(base, "payload_len", [5, 10, 15, 20, 25, 30])
 print(f"{'payload':>8} {'frames':>8} {'simulated FER':>14} {'analytic law':>13}")
 for row in rows:
     law = 1.0 - (1.0 - ber) ** (8 * (row.value + 8))
-    print(f"{row.value:>8} {row.counters.s_frm:>8} {row.fer:>14.6f} {law:>13.6f}")
+    print(f"{row.value:>8} {row.counters.s_frm:>8} {row.counters.fer:>14.6f} {law:>13.6f}")
 print("\nsimulated hub-side FER tracks 1-(1-p)^(8(payload+8)); the analytic "
       "exchange model above additionally charges the 9-byte ack")

@@ -21,8 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, analytics, optimizer, simulator
-from .errors import (ConfigError, CrcError, MalformedError, RangeError,
-                     TruncatedError, WbanError)
+from .errors import ConfigError, CrcError, DecodeError, RangeError, WbanError
 from .frames import decode_frame
 
 EXIT_OK = 0
@@ -233,15 +232,36 @@ def write_manifest(csv_path: Path, command: str, config: dict, seed) -> None:
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+class _TraceFile:
+    """A run's trace, written to `file` as the run goes: one line per
+    ``(tick, device_id, family, kind)`` record, its tick in seconds."""
+
+    def __init__(self, file, data_rate_bps: float):
+        self.file, self.data_rate_bps = file, data_rate_bps
+
+    def append(self, record: tuple) -> None:
+        t, dev, family, kind = record
+        self.file.write(f"{t / self.data_rate_bps:.9f} {dev} {family} {kind}\n")
+
+
 # -------------------------------------------------------------- subcommands
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     out = _checked_output(args.output)
+    trace = None
     if args.trace:
         _check_writable("--trace", Path(args.trace))
-    trace: list | None = [] if args.trace else None
-    result = simulator.run_experiment(config, trace=trace)
+        trace = _TraceFile(open(args.trace, "w"), config.data_rate_bps)
+    try:
+        result = simulator.run_experiment(config, trace=trace)
+    except BaseException:
+        if args.trace:   # a failed run leaves no trace behind
+            trace.file.close()
+            os.remove(args.trace)
+        raise
+    if args.trace:
+        trace.file.close()
     rows = [[link.node_id, link.distance_m, link.ber,
              link.counters.s_frm, link.counters.r_frm,
              link.counters.s_pkt, link.counters.r_pkt,
@@ -250,10 +270,6 @@ def cmd_simulate(args) -> int:
     write_csv(out, ["node", "distance_m", "ber", "s_frm", "r_frm",
                     "s_pkt", "r_pkt", "fer", "per"], rows)
     write_manifest(out, "simulate", asdict(config), config.seed)
-    if args.trace:
-        Path(args.trace).write_text(
-            "".join(f"{t / config.data_rate_bps:.9f} {dev} {family} {kind}\n"
-                    for t, dev, family, kind in trace))
     total = result.totals
     print(f"simulate: {len(result.links)} links, fer={total.fer:.6g} per={total.per:.6g}")
     return EXIT_OK
@@ -267,7 +283,7 @@ def cmd_sweep(args) -> int:
     rows = simulator.sweep(config, args.axis, values)
     write_csv(out, ["axis", "value", "s_frm", "r_frm", "s_pkt", "r_pkt", "fer", "per"],
               [[row.axis, row.value, row.counters.s_frm, row.counters.r_frm,
-                row.counters.s_pkt, row.counters.r_pkt, row.fer, row.per]
+                row.counters.s_pkt, row.counters.r_pkt, row.counters.fer, row.counters.per]
                for row in rows])
     write_manifest(out, "sweep",
                    {"base": asdict(config), "axis": args.axis,
@@ -354,7 +370,7 @@ def cmd_codec_dump(args) -> int:
     print(f"raw ({len(wire)} bytes): {wire.hex()}")
     try:
         frame = decode_frame(wire)
-    except (CrcError, TruncatedError, MalformedError) as exc:
+    except DecodeError as exc:
         print(f"decode error: {type(exc).__name__}: {exc}")
         if isinstance(exc, CrcError) and exc.header is not None:
             h = exc.header

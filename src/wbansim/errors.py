@@ -9,17 +9,29 @@ class RangeError(WbanError, ValueError):
     """A field or argument is outside its encodable/valid range."""
 
 
-class TruncatedError(WbanError):
+class DecodeError(WbanError):
+    """Bytes that do not decode to a frame; `reason` names the receiver's drop."""
+
+    reason: str
+
+
+class TruncatedError(DecodeError):
     """Byte sequence is shorter than the minimum frame length."""
 
+    reason = "truncated"
 
-class MalformedError(WbanError):
+
+class MalformedError(DecodeError):
     """Byte sequence cannot be a frame encoding (bad type, bad length field)."""
 
+    reason = "malformed"
 
-class CrcError(WbanError):
+
+class CrcError(DecodeError):
     """Checksum mismatch.  Carries the best-effort parsed header, which may
     itself hold flipped bits; ``codec dump`` prints it."""
+
+    reason = "crc"
 
     def __init__(self, message, header=None):
         super().__init__(message)

@@ -54,8 +54,7 @@ from enum import Enum, auto
 from typing import Optional
 
 from .channel import ChannelModel, FrameCorruptor
-from .errors import (CrcError, EmptySduError, MalformedError, ProtocolError,
-                     RangeError, TruncatedError)
+from .errors import DecodeError, EmptySduError, ProtocolError, RangeError
 from .frames import (ACK_BITS, CRC_SYNDROMES, MAX_FRAGMENT_INDEX, MAX_FRAME_BYTES,
                      MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, Frame, FrameType, ack_frame,
                      data_frame, decode_frame, encode_frame, management_frame)
@@ -119,11 +118,6 @@ class _ReassemblyEntry:
     deadline: int
 
 
-def ack_timeout_for_rate(data_rate_bps: float) -> float:
-    """The ack timeout in seconds at `data_rate_bps`."""
-    return ACK_TIMEOUT / data_rate_bps
-
-
 def fragment_sdu(sdu: bytes) -> list[bytes]:
     """Split `sdu` into consecutive chunks of at most `MAX_PAYLOAD` bytes.
 
@@ -148,7 +142,8 @@ class Device:
         self.trace = trace
 
         self.now = 0                               # ticks
-        self.connection = Connection.IDLE
+        # a hub serves from the start; a node connects by request_connect
+        self.connection = Connection.CONNECTED if role is Role.HUB else Connection.IDLE
         self.hub_id: Optional[int] = None          # node side
         self.registry: set[int] = set()            # hub side: connected node ids
         self.next_sequence = 0
@@ -180,7 +175,7 @@ class Device:
         """Send a join request to `hub_id`, arm its retry timer; give back the outputs."""
         self._record(PrimitiveFamily.MANAGEMENT, PrimitiveKind.REQUEST)
         outputs: list = []
-        if self.role is not Role.NODE or self.connection is not Connection.IDLE:
+        if self.connection is not Connection.IDLE:
             self.drops["protocol"] += 1
             return outputs
         self.hub_id = hub_id
@@ -265,14 +260,8 @@ class Device:
     def _on_wire(self, wire: bytes, outputs: list) -> None:
         try:
             frame = decode_frame(wire)
-        except CrcError:
-            self.drops["crc"] += 1
-            return
-        except TruncatedError:
-            self.drops["truncated"] += 1
-            return
-        except MalformedError:
-            self.drops["malformed"] += 1
+        except DecodeError as exc:
+            self.drops[exc.reason] += 1
             return
         if frame.header.recipient_id != self.device_id:
             self.drops["address"] += 1
@@ -455,8 +444,8 @@ class Device:
     def _transmit_next(self, outputs: list) -> None:
         """Send the next queued frame; a hub gives up each SDU for a node not connected."""
         while self._pending is None and self._tx_queue:
-            if self.connection is not Connection.CONNECTED and self.role is Role.NODE:
-                return  # handshake safety: hold data until Connected
+            if self.connection is not Connection.CONNECTED:
+                return  # handshake safety: a node holds data until Connected
             pending = self._pending = self._tx_queue.popleft()
             if self.role is Role.HUB and pending.frame.header.recipient_id not in self.registry:
                 self._give_up(outputs)
@@ -788,7 +777,7 @@ def join_clean(node: Device, link: LinkHandle) -> bool:
     # an IDLE node holds no pending frame, so sent minus resolved SDUs is
     # what waits in its queue
     if (not _at_rest(node) or not _at_rest(hub)
-            or node.role is not Role.NODE or node.connection is not Connection.IDLE
+            or node.connection is not Connection.IDLE
             or node.packets_sent - node.packets_delivered - node.packets_lost
             or hub.role is not Role.HUB
             or node.device_id in hub.registry or len(hub.registry) >= MAX_NODES

@@ -169,14 +169,6 @@ class ExperimentResult:
         return total
 
     @property
-    def fer(self) -> float:
-        return self.totals.fer
-
-    @property
-    def per(self) -> float:
-        return self.totals.per
-
-    @property
     def attempt_failure_rate(self) -> float:
         total = self.totals
         delivered = sum(link.delivered for link in self.links)
@@ -189,7 +181,8 @@ def run_experiment(config: ExperimentConfig,
                    trace: Optional[list] = None) -> ExperimentResult:
     """Execute one timed experiment; fully reproducible from config.seed.
 
-    `trace` receives one ``(tick, device_id, family, kind)`` per primitive."""
+    `trace` receives one ``(tick, device_id, family, kind)`` per primitive
+    through its ``append``: a list, or any object with that method."""
     config.validate()
     if config.preset == "explicit":
         model = ChannelModel(rng_seed=config.seed, distance_map=config.distance_map)
@@ -257,14 +250,6 @@ class SweepRow:
     axis: str
     value: float
     counters: LinkCounters
-
-    @property
-    def fer(self) -> float:
-        return self.counters.fer
-
-    @property
-    def per(self) -> float:
-        return self.counters.per
 
 
 def derive_seed(base_seed: int, index: int) -> int:

@@ -19,7 +19,7 @@ from wbansim.channel import ber_for_distance, preset
 from wbansim.cli import main
 from wbansim.frames import compute_crc16, decode_frame, encode_frame
 from wbansim.errors import CrcError
-from wbansim.mac import ack_timeout_for_rate
+from wbansim.mac import ACK_TIMEOUT
 from wbansim.optimizer import optimize_payload, penalized_fer, penalized_fer_gradient
 from wbansim.simulator import ExperimentConfig, run_experiment, sweep
 
@@ -39,7 +39,7 @@ def duration_for_frames(n_frames: int, payload: int, ber: float) -> float:
     exchange_bits = (payload + 8 + 9) * 8
     t_ok = exchange_bits / RATE
     fail = 1.0 - (1.0 - ber) ** exchange_bits
-    t_fail = (payload + 8) * 8 / RATE + ack_timeout_for_rate(RATE)
+    t_fail = (payload + 8) * 8 / RATE + ACK_TIMEOUT / RATE
     return n_frames * ((1 - fail) * t_ok + fail * t_fail) * 1.08 + 1.0
 
 
@@ -71,7 +71,7 @@ def test_criterion_1_retry_optimum():
                                     payload_len=10, duration_s=duration,
                                     seed=1801, preset=preset_name)
             rows = sweep(base, "max_retries", [0, 1, 2, 3, 4])
-            pers = [row.per for row in rows]
+            pers = [row.counters.per for row in rows]
             packets = [row.counters.s_pkt for row in rows]
             if min(packets) < packets_floor:
                 ok = False
@@ -143,7 +143,7 @@ def test_criterion_3_payload_monotonicity():
     if min(frames) < 100_000:
         ok = False
         details.append(f"only {min(frames)} frames at a sweep point")
-    fers = [row.fer for row in rows]
+    fers = [row.counters.fer for row in rows]
     sigmas = [math.sqrt(f * (1 - f) / n) if n else 0.0
               for f, n in zip(fers, frames)]
     for i in range(len(fers) - 1):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wbansim
+from wbansim import simulator
 from wbansim.cli import MAX_RANGE_VALUES, build_parser, main, parse_values
 from wbansim.errors import ConfigError, ProtocolError
 
@@ -281,6 +282,29 @@ def test_simulate_writes_primitive_trace(tmp_path):
     int(dev)
     assert family in ("MANAGEMENT", "DATA_SERVICE", "DATA_TRANSFER")
     assert kind in ("REQUEST", "CONFIRM", "INDICATION")
+
+
+def test_simulate_hands_the_run_a_trace_sink_not_a_list(tmp_path, monkeypatch):
+    # each record goes to the trace file as the run makes it, none held in a list
+    sinks, run = [], simulator.run_experiment
+
+    def spy(config, trace=None):
+        sinks.append(trace)
+        return run(config, trace=trace)
+    monkeypatch.setattr(simulator, "run_experiment", spy)
+    trace = tmp_path / "t.txt"
+    assert main(["simulate", *FAST, "--trace", str(trace), "-o", str(tmp_path / "s.csv")]) == 0
+    sink, = sinks
+    assert sink is not None and not isinstance(sink, list)
+    assert trace.read_text().count("\n") > 100
+
+
+def test_a_traced_run_whose_join_fails_leaves_no_csv_manifest_or_trace(tmp_path, capsys):
+    code = main(["simulate", *FAST, "--set", "preset=explicit", "--set", "ber=0.5",
+                 "--trace", str(tmp_path / "t.txt"), "-o", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "failed to join the hub" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- sweep

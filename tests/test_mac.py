@@ -8,10 +8,11 @@ from collections import Counter
 import pytest
 
 from wbansim.channel import ChannelModel, FrameCorruptor
-from wbansim.errors import EmptySduError, ProtocolError, RangeError
+from wbansim.errors import (CrcError, DecodeError, EmptySduError, MalformedError,
+                            ProtocolError, RangeError, TruncatedError)
 from wbansim.frames import (ACK_BITS, CRC_HAMMING_DISTANCE, CRC_SYNDROMES, MAX_PAYLOAD,
                             MGMT_BITS, OVERHEAD_BYTES, FrameType, ack_frame, compute_crc16,
-                            data_frame, encode_frame, management_frame)
+                            data_frame, decode_frame, encode_frame, management_frame)
 from wbansim.mac import (ACK_TIMEOUT, JOIN_MAX_ROUNDS, MAX_FRAGMENTS, MAX_NODES,
                          REASSEMBLY_TIMEOUT, Connection, Device,
                          PrimitiveFamily, PrimitiveKind, Role,
@@ -84,6 +85,17 @@ def test_hub_registers_and_assigns():
     assert sent[0][1].header.frame_type is FrameType.MGMT_ASSIGNMENT
     joined = [p for p in inds(outputs) if p.payload.get("event") == "node_joined"]
     assert joined and joined[0].payload["node_id"] == 5
+
+
+def test_a_hub_is_connected_from_the_start():
+    hub = Device(Role.HUB, 0)
+    assert hub.connection is Connection.CONNECTED
+    # a node it serves gets its downlink data at once, with no join of the hub's own
+    hub.registry.add(1)
+    _, outputs = hub.submit([data_frame(1, 0, 0, b"down")])
+    sent, = txs(outputs)
+    assert (sent[1].header.frame_type, sent[1].body) == (FrameType.DATA, b"down")
+    assert hub.frames_sent == 1 and hub.next_deadline is not None
 
 
 def test_full_handshake_reaches_connected():
@@ -1242,6 +1254,26 @@ def test_connected_node_receives_crafted_bytes(name):
         [(PrimitiveKind.INDICATION, event) for event in events]
     assert node.drops == drops
     assert node.connection is connection
+
+
+# a drop reason -> its decode error and bytes that raise it
+DECODE_ERRORS = {
+    "crc": (CrcError, encode_frame(ack_frame(0, 1, 5))[:-1] + b"\x00"),
+    "truncated": (TruncatedError, b"\x00\x01\x00"),
+    "malformed": (MalformedError, _crafted(7, b"")),
+}
+
+
+@pytest.mark.parametrize("reason", list(DECODE_ERRORS))
+def test_each_decode_error_names_the_drop_poll_step_counts(reason):
+    error, wire = DECODE_ERRORS[reason]
+    with pytest.raises(error) as raised:
+        decode_frame(wire)
+    assert isinstance(raised.value, DecodeError) and raised.value.reason == reason
+    hub = Device(Role.HUB, 0)
+    hub.deliver(wire)
+    assert hub.poll_step() == []
+    assert hub.drops == Counter({reason: 1})
 
 
 def test_node_emits_data_only_when_connected():

@@ -60,8 +60,8 @@ def test_counter_ordering_enforced():
 
 def test_lossless_channel_zero_error_rates():
     result = run_experiment(quick_config(preset="explicit", ber=0.0))
-    assert result.fer == 0.0
-    assert result.per == 0.0
+    assert result.totals.fer == 0.0
+    assert result.totals.per == 0.0
     for link in result.links:
         assert link.counters.s_frm == link.counters.r_frm
         assert link.counters.s_pkt == link.counters.r_pkt
@@ -149,7 +149,7 @@ def test_simulated_rates_match_closed_forms():
 
     expected_frame = frame_corruption_probability(data_length(payload), ber)
     sigma = math.sqrt(expected_frame * (1 - expected_frame) / n)
-    assert abs(result.fer - expected_frame) < 3 * sigma
+    assert abs(result.totals.fer - expected_frame) < 3 * sigma
 
     expected_exchange = fer_analytic(payload, ber)
     sigma = math.sqrt(expected_exchange * (1 - expected_exchange) / n)
@@ -175,14 +175,14 @@ def test_sweep_distance_fer_trend():
     # large spread so the trend beats noise even at desk scale
     rows = sweep(quick_config(node_count=4, duration_s=2.0, seed=21),
                  "distance", [1.0, 10.0])
-    assert rows[0].fer < rows[1].fer
+    assert rows[0].counters.fer < rows[1].counters.fer
 
 
 def test_sweep_retry_per_trend():
     rows = sweep(quick_config(node_count=4, distance_m=10.0, duration_s=2.0,
                               seed=22), "max_retries", [0, 3])
-    assert rows[0].per >= rows[1].per
-    assert rows[1].per == 0.0
+    assert rows[0].counters.per >= rows[1].counters.per
+    assert rows[1].counters.per == 0.0
 
 
 def test_derive_seed_is_stable_and_distinct():

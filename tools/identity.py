@@ -1,10 +1,14 @@
 """Byte identity of a fixed corpus between a git revision and the working tree.
 
-    python3 tools/identity.py [--rev REV] [--expect NAME ...]
+    python3 tools/identity.py [--rev REV | --paths] [--expect NAME ...]
 
 Extracts REV (default ``HEAD``) with ``git archive`` into a temporary
 directory outside the checkout and runs one fixed corpus against that tree
-and against the working tree this script sits in.  Each tree's cases run in
+and against the working tree this script sits in.  With ``--paths`` it
+extracts nothing: it runs the corpus in the working tree twice, once as it
+is and once with ``simulator.send_clean`` returning 0 and
+``simulator.join_clean`` returning False, so that every join and packet
+takes the frame path, and compares the two.  Each run's cases go to
 fresh interpreters that import only that tree's ``src/``, at most two at a
 time.  The corpus:
 
@@ -54,8 +58,8 @@ SWEEPS = {"distance": [1.0, 4.0, 10.0], "max_retries": [0, 2, 4], "payload_len":
 OPTIMIZE_BERS = (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.05, 0.1)
 
 # Runs one chunk of cases in the tree it is started in; argv: cases file,
-# results file.  Each case gives the sha256 of what it produced, or the
-# exception it raised.
+# results file, and "frame-path" to make both twins decline.  Each case
+# gives the sha256 of what it produced, or the exception it raised.
 WORKER = r'''
 import contextlib, hashlib, io, json, os, runpy, sys, tempfile
 from pathlib import Path
@@ -64,6 +68,9 @@ from wbansim import cli, optimizer, simulator
 
 if not os.path.abspath(wbansim.__file__).startswith(os.path.abspath("src") + os.sep):
     sys.exit(f"wbansim imported from {wbansim.__file__}, outside this tree")
+if sys.argv[3:] == ["frame-path"]:
+    simulator.send_clean = lambda *args: 0
+    simulator.join_clean = lambda *args: False
 
 
 def config(spec):
@@ -181,11 +188,13 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
-def run_chunk(tree: Path, cases: list[dict], scratch: Path, tag: str) -> dict:
+def run_chunk(tree: Path, frame_path: bool, cases: list[dict], scratch: Path,
+              tag: str) -> dict:
     cases_file, results_file = scratch / f"{tag}.cases.json", scratch / f"{tag}.results.json"
     cases_file.write_text(json.dumps(cases))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, "-c", WORKER, str(cases_file), str(results_file)],
+    argv = [sys.executable, "-c", WORKER, str(cases_file), str(results_file)]
+    done = subprocess.run(argv + ["frame-path"] * frame_path,
                           cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"the worker for {tag} failed:\n{done.stderr}")
@@ -198,7 +207,10 @@ def describe(case: dict) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev", default="HEAD", help="the revision to compare against")
+    against = parser.add_mutually_exclusive_group()
+    against.add_argument("--rev", default="HEAD", help="the revision to compare against")
+    against.add_argument("--paths", action="store_true",
+                         help="compare the working tree with its own frame path instead")
     parser.add_argument("--expect", action="append", default=[], metavar="NAME",
                         help="a case id or class whose mismatches are expected; repeatable")
     args = parser.parse_args()
@@ -212,17 +224,22 @@ def main() -> int:
     chunks = [cases[i::CHUNKS] for i in range(CHUNKS)]
     with tempfile.TemporaryDirectory(prefix="wbansim-identity-") as scratch:
         scratch = Path(scratch)
-        try:
-            commit = extract(args.rev, scratch / "rev")
-        except subprocess.CalledProcessError as exc:
-            print(f"cannot extract {args.rev}: {exc.stderr.decode().strip()}")
-            return 2
-        trees = {"rev": scratch / "rev", "tree": ROOT}
-        results = {name: {} for name in trees}
+        if args.paths:
+            base, title = "frame path", "the working tree's frame path"
+            runs = {"base": (ROOT, True), "tree": (ROOT, False)}
+        else:
+            try:
+                base = extract(args.rev, scratch / "rev")
+            except subprocess.CalledProcessError as exc:
+                print(f"cannot extract {args.rev}: {exc.stderr.decode().strip()}")
+                return 2
+            title = f"{args.rev} ({base})"
+            runs = {"base": (scratch / "rev", False), "tree": (ROOT, False)}
+        results = {name: {} for name in runs}
         with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
-            futures = {name: [pool.submit(run_chunk, tree, chunk, scratch, f"{name}-{i}")
+            futures = {name: [pool.submit(run_chunk, *run, chunk, scratch, f"{name}-{i}")
                               for i, chunk in enumerate(chunks)]
-                       for name, tree in trees.items()}
+                       for name, run in runs.items()}
             try:
                 for name, parts in futures.items():
                     for part in parts:
@@ -230,14 +247,14 @@ def main() -> int:
             except RuntimeError as exc:
                 print(exc)
                 return 2
-    theirs, ours = results["rev"], results["tree"]
+    theirs, ours = results["base"], results["tree"]
 
     mismatches = [case for case in cases if theirs[case["id"]] != ours[case["id"]]]
     mismatched = {case["id"] for case in mismatches}
     expected = [case for case in mismatches
                 if case["id"] in args.expect or case["kind"] in args.expect]
     unexpected = [case for case in mismatches if case not in expected]
-    print(f"identity: {args.rev} ({commit}) against the working tree")
+    print(f"identity: {title} against the working tree")
     for kind in dict.fromkeys(case["kind"] for case in cases):
         of_kind = [case for case in cases if case["kind"] == kind]
         raised = sum(ours[case["id"]].startswith("raised ") for case in of_kind)
@@ -248,9 +265,9 @@ def main() -> int:
     for label, listed in (("MISMATCH", unexpected), ("EXPECTED MISMATCH", expected)):
         for case in listed:
             print(f"{label} {case['id']}: {describe(case)}\n"
-                  f"  {commit}: {theirs[case['id']]}\n  working tree: {ours[case['id']]}")
+                  f"  {base}: {theirs[case['id']]}\n  working tree: {ours[case['id']]}")
     print(f"identity: {len(cases)} cases, {len(unexpected)} unexpected and {len(expected)} "
-          f"expected mismatches against {commit} in {time.monotonic() - start:.0f} s")
+          f"expected mismatches against {base} in {time.monotonic() - start:.0f} s")
     return 1 if unexpected else 0
 
 

@@ -385,8 +385,12 @@ CATALOGUE = [
            "existed = os.path.lexists(path)", "existed = path.exists()",
            ("tests/test_cli.py::test_an_output_through_a_dangling_link_keeps_the_link",)),
     Mutant("trace-file-written-in-ticks", CLI,
-           "{t / config.data_rate_bps:.9f}", "{t:.9f}",
+           "{t / self.data_rate_bps:.9f}", "{t:.9f}",
            ("tests/test_golden.py::test_cli_outputs_are_byte_identical",)),
+    Mutant("failed-trace-file-kept", CLI,
+           "            os.remove(args.trace)\n", "",
+           ("tests/test_cli.py::test_a_traced_run_whose_join_fails_leaves_no_csv_manifest"
+            "_or_trace",)),
     # the substream keys: one SHA-256, from the builtin module first
     Mutant("stream-keyed-by-the-first-8-bytes-of-the-digest", CHANNEL,
            'int.from_bytes(digest, "big")', 'int.from_bytes(digest[:8], "big")', KEYS_PINNED),
@@ -443,6 +447,12 @@ CATALOGUE = [
            "        queued = [_PendingAck(frame, encode_frame(frame), sdu_id, 0)"
            " for frame in frames]\n",
            (TEST_MAC + "test_a_frame_no_wire_carries_is_refused_before_any_counter_moves",)),
+    Mutant("hub-starts-idle", MAC,
+           "Connection.CONNECTED if role is Role.HUB else Connection.IDLE", "Connection.IDLE",
+           (TEST_MAC + "test_a_hub_is_connected_from_the_start",)),
+    Mutant("decode-reason-swapped", "src/wbansim/errors.py",
+           'reason = "truncated"', 'reason = "malformed"',
+           (TEST_MAC + "test_each_decode_error_names_the_drop_poll_step_counts[truncated]",)),
     Mutant("hub-sends-to-a-node-that-left", MAC,
            "            if self.role is Role.HUB and pending.frame.header.recipient_id"
            " not in self.registry:\n"
