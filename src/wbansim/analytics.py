@@ -129,18 +129,16 @@ def invert_fer_analytic(target_fer: float, payload: float) -> float:
     """Bit error rate whose analytic exchange FER equals `target_fer`.
 
     Bisection on p; the analytic FER is strictly increasing in p so the
-    root is unique.  It stops once the midpoint rounds to a bound, from
-    where every further halving would write back the same bound.
+    root is unique.  It has no iteration cap: it stops at its fixed point,
+    a midpoint that rounds to a bound, which every later halving repeats.
     """
     if not 0.0 < target_fer < 1.0:
         raise RangeError(f"target_fer={target_fer} must be in (0,1)")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break   # every later iteration writes back the same bound
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while lo < mid < hi:
         if fer_analytic(payload, mid) < target_fer:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

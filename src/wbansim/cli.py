@@ -251,6 +251,10 @@ def cmd_simulate(args) -> int:
     out = _checked_output(args.output)
     trace = None
     if args.trace:
+        for output in (out, out.with_suffix(".manifest.json")):
+            if Path(args.trace).resolve() == output.resolve():
+                raise ConfigError(f"--trace {args.trace}: the same file as --output "
+                                  f"{args.output} writes {output}")
         _check_writable("--trace", Path(args.trace))
         trace = _TraceFile(open(args.trace, "w"), config.data_rate_bps)
     try:

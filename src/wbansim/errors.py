@@ -42,13 +42,5 @@ class ProtocolError(WbanError):
     """A frame arrived in a connection state that cannot accept it."""
 
 
-class EmptySduError(WbanError, ValueError):
-    """Fragmentation was asked to split a zero-length service data unit."""
-
-
 class ConfigError(WbanError, ValueError):
     """An experiment configuration field is missing or out of range."""
-
-
-class DomainError(WbanError, ValueError):
-    """An optimizer evaluation point lies outside the formula's domain."""

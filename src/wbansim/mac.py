@@ -54,7 +54,7 @@ from enum import Enum, auto
 from typing import Optional
 
 from .channel import ChannelModel, FrameCorruptor
-from .errors import DecodeError, EmptySduError, ProtocolError, RangeError
+from .errors import DecodeError, ProtocolError, RangeError
 from .frames import (ACK_BITS, CRC_SYNDROMES, MAX_FRAGMENT_INDEX, MAX_FRAME_BYTES,
                      MAX_PAYLOAD, MGMT_BITS, OVERHEAD_BYTES, Frame, FrameType, ack_frame,
                      data_frame, decode_frame, encode_frame, management_frame)
@@ -125,7 +125,7 @@ def fragment_sdu(sdu: bytes) -> list[bytes]:
     the only one allowed to be short.
     """
     if len(sdu) == 0:
-        raise EmptySduError("cannot fragment an empty service data unit")
+        raise RangeError("cannot fragment an empty service data unit")
     return [bytes(sdu[i:i + MAX_PAYLOAD]) for i in range(0, len(sdu), MAX_PAYLOAD)]
 
 

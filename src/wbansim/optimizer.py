@@ -26,11 +26,11 @@ Each `optimize_payload` call binds its p_ber constants (L_ack, ln(1-p),
 log1p(-p)) once into an `_Exact` or `_Verbatim` kernel.  Its unchecked
 methods are each formula's one home: the public functions wrap them, and
 each inner solve's damped Newton steps call them (Boyd and Vandenberghe,
-Convex Optimization, 2004, sections 9.5 and 11.3).  An inner solve stops
-at the Newton decrement's criterion (ibid., section 9.5.1): once
-lambda^2/2 = g^2/(2h), the decrease its quadratic model predicts, is at
-most `DECREMENT_ULPS` ulps of the objective, no step can lower it by
-more than its float can show.
+Convex Optimization, 2004, sections 9.5 and 11.3).  Besides the step
+budget, a zero gradient and failed halvings, an inner solve stops at the
+Newton decrement (ibid., section 9.5.1): once lambda^2/2 = g^2/(2h), the
+decrease its quadratic model predicts, is at most `DECREMENT_ULPS` ulps of
+the objective, no step can lower it by more than its float can show.
 """
 
 import math
@@ -39,14 +39,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .analytics import _OVERHEAD, _any_flip, ack_length_term, fer_analytic
-from .errors import DomainError, RangeError
+from .errors import RangeError
 from .frames import MAX_PAYLOAD
 
 DEFAULT_START = 15.0
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 10_000
 SHRINK = 0.5            # barrier weight factor per outer iteration
-INNER_CAP = 200         # descent steps per inner solve
 HALVINGS = 60           # backtracking halvings per descent step
 # An inner solve stops once the Newton decrement's half-square, the decrease
 # the quadratic model predicts, is at most this many ulps of the objective.
@@ -60,9 +59,9 @@ MAX_START = float(MAX_PAYLOAD)
 
 def _check_domain(payload: float, p_ber: float, allow_zero: bool = False) -> None:
     if not (payload > 0 or allow_zero and payload == 0):
-        raise DomainError(f"payload={payload} outside the barrier domain")
+        raise RangeError(f"payload={payload} outside the barrier domain")
     if not 0.0 <= p_ber < 1.0:
-        raise DomainError(f"p_ber={p_ber} must lie in [0,1)")
+        raise RangeError(f"p_ber={p_ber} must lie in [0,1)")
 
 
 def barrier_objective(payload: float, p_ber: float, epsilon: float) -> float:
@@ -206,7 +205,7 @@ def optimize_payload(p_ber: float, payload_0: float = DEFAULT_START,
     if not 0.0 < p_ber < 1.0:
         raise RangeError(f"p_ber={p_ber} must lie strictly inside (0,1)")
     if not MIN_START <= payload_0 <= MAX_START:
-        raise DomainError(f"payload_0={payload_0} outside [{MIN_START:.3g}, {MAX_START:g}]")
+        raise RangeError(f"payload_0={payload_0} outside [{MIN_START:.3g}, {MAX_START:g}]")
 
     kernel = _Verbatim(p_ber) if verbatim_gradient else _Exact(p_ber)
     x = float(payload_0)
@@ -244,14 +243,12 @@ def _descend(kernel, x: float, eps: float, steps: int,
              max_iterations: int) -> tuple[float, float, int]:
     """Damped Newton descent to the inner minimum for fixed eps: the first
     trial step is -g/h where the curvature h > 0, else a quarter of the way
-    to the boundary at most.  x only moves to a candidate > 0.  Where h > 0
-    the solve stops once the Newton decrement's half-square, 0.5 * g * (g/h),
-    is at most `DECREMENT_ULPS` ulps of f(x) (Boyd and Vandenberghe, section
-    9.5.1); that gradient evaluation counts as a step."""
+    to the boundary at most.  x only moves to a candidate > 0.  The solve
+    stops only at the step budget, g == 0, `HALVINGS` failed halvings, or
+    where h > 0 and the Newton decrement's half-square 0.5 * g * (g/h) is at
+    most `DECREMENT_ULPS` ulps of f(x); that gradient counts as a step."""
     fx = kernel.objective(x, eps)
-    for _ in range(INNER_CAP):
-        if steps >= max_iterations:
-            break
+    while steps < max_iterations:
         g = kernel.gradient(x, eps)
         steps += 1
         if g == 0.0:
@@ -262,8 +259,6 @@ def _descend(kernel, x: float, eps: float, steps: int,
         alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)
         for _ in range(HALVINGS):
             candidate = x - alpha * g
-            if candidate == x:
-                return x, fx, steps   # every later halving rounds to x too
             if candidate > 0:
                 fc = kernel.objective(candidate, eps)
                 if fc < fx:
@@ -271,10 +266,7 @@ def _descend(kernel, x: float, eps: float, steps: int,
             alpha *= 0.5
         else:
             break
-        stalled = abs(candidate - x) < 1e-12 * max(1.0, x)
         x, fx = candidate, fc
-        if stalled:
-            break
     return x, fx, steps
 
 

@@ -6,6 +6,7 @@ reference with 50-digit arbitrary-precision evaluation of the defining
 formulas.  Monte Carlo oracles use seeded numpy draws with 3-sigma bands.
 """
 
+import functools
 import math
 import random
 
@@ -255,12 +256,19 @@ def test_invert_fer_analytic_round_trip():
         assert fer_analytic(10, p) == pytest.approx(target, rel=1e-9)
 
 
-def bisect_200_times(target_fer, payload):
-    """`invert_fer_analytic` as it was before it stopped at its fixed point."""
+def test_invert_fer_analytic_round_trips_a_tiny_target():
+    # a 200-bisection cap ended the search at 3.11e-61, whose FER is 6.7e-59
+    fer = fer_analytic(10, invert_fer_analytic(1e-100, 10))
+    assert fer == pytest.approx(1e-100, rel=1e-9, abs=0)
+
+
+def bisect_1100_times(target_fer, payload, fer=fer_analytic):
+    """A bisection with no stop of its own: 1 100 halvings of [0, 1] reach
+    every float in it, down to the subnormal 2**-1074."""
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
-        if fer_analytic(payload, mid) < target_fer:
+        if fer(payload, mid) < target_fer:
             lo = mid
         else:
             hi = mid
@@ -274,11 +282,15 @@ INVERT_TARGETS = ([10 ** (-320 + 319.7 * k / 599) for k in range(600)]
                      math.nextafter(1.0, 0.0)])
 
 
-def test_invert_fer_analytic_stops_where_more_bisection_changes_nothing():
+def test_invert_fer_analytic_stops_where_more_bisection_changes_nothing(monkeypatch):
     for i, target in enumerate(INVERT_TARGETS):
         for payload in ((0, 10, 255)[i % 3], (0, 10, 255)[(i + 1) % 3]):
-            assert invert_fer_analytic(target, payload) == bisect_200_times(
-                target, payload), (target, payload)
+            # fer_analytic is pure, so the search and the reference share
+            # one evaluation of each midpoint
+            fer = functools.cache(fer_analytic)
+            monkeypatch.setattr(analytics, "fer_analytic", fer)
+            assert invert_fer_analytic(target, payload) == bisect_1100_times(
+                target, payload, fer), (target, payload)
 
 
 def test_invert_fer_analytic_bisects_a_preset_target_fewer_than_100_times(monkeypatch):
@@ -292,7 +304,7 @@ def test_invert_fer_analytic_bisects_a_preset_target_fewer_than_100_times(monkey
     for targets in PRESET_FER_TARGETS.values():
         for _, target in targets:
             calls.clear()
-            assert invert_fer_analytic(target, CALIBRATION_PAYLOAD) == bisect_200_times(
+            assert invert_fer_analytic(target, CALIBRATION_PAYLOAD) == bisect_1100_times(
                 target, CALIBRATION_PAYLOAD)
             assert len(calls) < 100, target
 

@@ -171,6 +171,19 @@ def test_an_output_through_a_dangling_link_keeps_the_link(tmp_path):
     assert link.is_symlink() and (tmp_path / "target.csv").read_text().startswith("m,")
 
 
+@pytest.mark.parametrize("trace, written", [("x.csv", "x.csv"), ("./x.csv", "x.csv"),
+                                            ("x.manifest.json", "x.manifest.json")])
+def test_a_trace_onto_the_output_or_its_manifest_exits_2_before_the_run(tmp_path, capsys,
+                                                                        monkeypatch, trace,
+                                                                        written):
+    # one of the two files would overwrite the other
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", *FAST, "-o", "x.csv", "--trace", trace]) == 2
+    assert capsys.readouterr() == ("", f"error: --trace {trace}: the same file as --output "
+                                       f"x.csv writes {written}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_unknown_key_exits_2(tmp_path):
     code = main(["simulate", "--set", "warp_factor=9",
                  "-o", str(tmp_path / "x.csv")])

@@ -84,6 +84,13 @@ CASES = {
         {"out.csv": "5025dee27ff18bb7066d819d23069cf2e9fbbde2376265a1ff385b96d4a084e6",
          "out.manifest.json": "b247a75c484dae6fd763e711ccca4b1f7d4a0f94c1cc83e16ddb8f52290ae11a"},
     ),
+    # both retry models, over every m of the default grid
+    "analyze-retry": (
+        ["analyze", "retry", "--m", "1..30", "--p-fer", "0.01,0.05,0.1,0.3,0.9"],
+        False,
+        {"out.csv": "c2f2d43a846b131246acab9c826259454c8cbb27a9f2702b1812e6dc2adbfb84",
+         "out.manifest.json": "a22294d677aebbf4cfa7b7daad60ccd3de224081bb08bdc14fa1a1c6abd36e7a"},
+    ),
     "analyze-payload": (
         ["analyze", "payload", "--payload", "0..30", "--p-ber", "1e-5,1e-3,1e-2"],
         False,

@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 from wbansim.channel import ChannelModel, FrameCorruptor
-from wbansim.errors import (CrcError, DecodeError, EmptySduError, MalformedError,
-                            ProtocolError, RangeError, TruncatedError)
+from wbansim.errors import (CrcError, DecodeError, MalformedError, ProtocolError,
+                            RangeError, TruncatedError)
 from wbansim.frames import (ACK_BITS, CRC_HAMMING_DISTANCE, CRC_SYNDROMES, MAX_PAYLOAD,
                             MGMT_BITS, OVERHEAD_BYTES, FrameType, ack_frame, compute_crc16,
                             data_frame, decode_frame, encode_frame, management_frame)
@@ -283,7 +283,7 @@ def test_fragment_exact_fit_single_chunk():
 
 
 def test_fragment_empty_sdu_rejected():
-    with pytest.raises(EmptySduError):
+    with pytest.raises(RangeError):
         fragment_sdu(b"")
 
 

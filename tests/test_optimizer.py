@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from wbansim import optimizer
 from wbansim.analytics import ack_length_term, data_length, fer_analytic
-from wbansim.errors import DomainError, RangeError
-from wbansim.optimizer import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, INNER_CAP,
+from wbansim.errors import RangeError
+from wbansim.optimizer import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                                MAX_START, MIN_START,
                                barrier_gradient, barrier_objective,
                                epsilon_schedule, epsilon_schedule_exact,
@@ -36,23 +36,23 @@ def test_objective_reference_value():
 
 
 def test_objective_rejects_bad_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError):
         barrier_objective(0.0, 1e-3, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError):
         barrier_objective(-1.0, 1e-3, 1.0)
 
 
 @pytest.mark.parametrize("function", [barrier_objective, barrier_gradient, penalized_fer,
                                       penalized_fer_gradient], ids=lambda f: f.__name__)
 def test_formulas_reject_a_nan_payload(function):
-    with pytest.raises(DomainError, match="payload=nan"):
+    with pytest.raises(RangeError, match="payload=nan"):
         function(math.nan, 1e-3, 1.0)
 
 
 @pytest.mark.parametrize("schedule", [epsilon_schedule, epsilon_schedule_exact],
                          ids=lambda f: f.__name__)
 def test_schedules_reject_a_nan_payload(schedule):
-    with pytest.raises(DomainError, match="payload=nan"):
+    with pytest.raises(RangeError, match="payload=nan"):
         schedule(math.nan, 1e-3)
 
 
@@ -72,9 +72,9 @@ def test_gradient_reference_value():
 
 
 def test_gradient_rejects_total_loss_rate():
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError):
         barrier_gradient(1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError):
         penalized_fer_gradient(1.0, 1.0, 1.0)
 
 
@@ -231,7 +231,7 @@ def test_input_validation():
     # frame carries the payload, yet the descent reported it "converged"
     for payload_0 in (0.0, 1e-200, math.nextafter(MIN_START, 0),
                       math.nextafter(MAX_START, math.inf), 1e6, 1e300):
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             optimize_payload(0.5, payload_0=payload_0)
 
 
@@ -277,6 +277,9 @@ def test_a_flat_start_is_not_reported_as_converged():
 
 
 # ------------------------------------------------- the descent's line search
+
+INNER_CAP = 200   # the reference descents' steps per inner solve, as they were
+
 
 def oracle_descend(kernel, x, eps, steps, max_iterations, exits):
     """`_descend` as it was before it took Newton steps, the gradient descent
@@ -497,34 +500,26 @@ def test_the_decrement_never_stops_a_step_where_the_curvature_is_not_positive(h)
     assert optimizer._descend(Concave(), 1.0, 0.0, 0, 1) == (0.75, 0.75, 1)
 
 
-def record_kernel_calls(monkeypatch):
-    """Record (method name, x, eps) for each gradient and objective call of
-    either kernel."""
-    calls = []
-    for kernel, name in ((optimizer._Verbatim, "gradient"), (optimizer._Verbatim, "objective"),
-                         (optimizer._Exact, "objective")):
-        def method(self, x, eps, original=getattr(kernel, name), name=name):
-            calls.append((name, x, eps))
-            return original(self, x, eps)
-        monkeypatch.setattr(kernel, name, method)
-    return calls
+class _Stairs(_Line):
+    """`_Line` whose Newton step is `step`, each one downhill, with a
+    decrement's half-square of step / 2, far above 4 ulps of x <= 1."""
+
+    def __init__(self, step):
+        self.h = 1.0 / step
+
+    def curvature(self, x, eps):
+        return self.h
 
 
-def test_a_line_search_stops_once_its_candidate_equals_x(monkeypatch):
-    calls = record_kernel_calls(monkeypatch)
-    # the flat start: the trace's first point, the search's start and the 52
-    # candidates before one rounds to 15.0, not all 60 halvings
-    optimize_payload(0.2)
-    assert [name for name, *_ in calls].count("objective") == 54
-    # no candidate equal to the x its search starts from is evaluated: its
-    # objective could never be below the one the search holds for x
-    for p_ber in GRID_BERS[::4] + [0.28, 0.3]:
-        for verbatim in (False, True):
-            calls.clear()
-            solve(p_ber, 15.0, DEFAULT_MAX_ITERATIONS, verbatim)
-            start = None
-            for name, *point in calls:
-                if name == "gradient":
-                    start = point
-                else:
-                    assert point != start, (p_ber, verbatim, point)
+def test_an_inner_solve_takes_steps_until_its_budget_runs_out():
+    # no cap of its own: 300 steps of 2**-10 where the budget allows them
+    x = 1.0 - 300 * 2.0 ** -10
+    assert optimizer._descend(_Stairs(2.0 ** -10), 1.0, 0.0, 0, 300) == (x, x, 300)
+
+
+def test_a_step_shorter_than_1e_12_does_not_end_an_inner_solve():
+    # a step of 2**-41 (4.5e-13) whose decrement's half-square, 2**-42, is
+    # still 2**8 times 4 ulps of the objective
+    assert 2.0 ** -41 < 1e-12 and 2.0 ** -42 > optimizer.DECREMENT_ULPS * math.ulp(1.0)
+    x = 1.0 - 3 * 2.0 ** -41
+    assert optimizer._descend(_Stairs(2.0 ** -41), 1.0, 0.0, 0, 3) == (x, x, 3)

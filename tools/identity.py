@@ -21,7 +21,11 @@ time.  The corpus:
   preset, ``ber`` 0-0.03, ``payload_len`` 0-255, ``max_retries`` 0-8), a
   quarter of them traced; the ``LinkResult``s and the trace;
 - sweep: one ``sweep`` per axis; the rows;
-- optimize: ``optimize_payload`` on a BER grid with both gradients.
+- optimize: ``optimize_payload`` on a BER grid from four starts (``MIN_START``,
+  1, 15 and 255) at three step budgets (1, 40 and the default), with both
+  gradients;
+- invert: ``invert_fer_analytic`` at targets 1e-1 ... 1e-300 and payloads 0,
+  10 and 255.
 
 A case that raises is compared by its exception's type and message, so a
 join failure's ``ConfigError`` must match too.  ``--expect NAME``, which may
@@ -39,6 +43,7 @@ import ast
 import concurrent.futures
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -55,7 +60,11 @@ RUNS = 1000         # random run_experiment configs
 CORPUS_SEED = 19
 PRESETS = ("wireless", "wired", "explicit")
 SWEEPS = {"distance": [1.0, 4.0, 10.0], "max_retries": [0, 2, 4], "payload_len": [0, 60, 255]}
-OPTIMIZE_BERS = (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.05, 0.1)
+OPTIMIZE_BERS = (1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.05, 0.1, 0.2, 0.28, 0.3)
+OPTIMIZE_STARTS = {"min": math.sqrt(sys.float_info.min), "1": 1.0, "15": 15.0, "255": 255.0}
+OPTIMIZE_CAPS = (1, 40, None)   # None: the default step budget
+INVERT_TARGETS = [float(f"1e-{k}") for k in range(1, 301)]
+INVERT_PAYLOADS = (0, 10, 255)
 
 # Runs one chunk of cases in the tree it is started in; argv: cases file,
 # results file, and "frame-path" to make both twins decline.  Each case
@@ -64,7 +73,7 @@ WORKER = r'''
 import contextlib, hashlib, io, json, os, runpy, sys, tempfile
 from pathlib import Path
 import wbansim
-from wbansim import cli, optimizer, simulator
+from wbansim import analytics, cli, optimizer, simulator
 
 if not os.path.abspath(wbansim.__file__).startswith(os.path.abspath("src") + os.sep):
     sys.exit(f"wbansim imported from {wbansim.__file__}, outside this tree")
@@ -113,8 +122,13 @@ def sweep(case, out):
 
 
 def optimize(case, out):
-    return repr(optimizer.optimize_payload(case["p_ber"],
-                                           verbatim_gradient=case["verbatim"]))
+    budget = {} if case["cap"] is None else {"max_iterations": case["cap"]}
+    return repr(optimizer.optimize_payload(case["p_ber"], payload_0=case["start"],
+                                           verbatim_gradient=case["verbatim"], **budget))
+
+
+def invert(case, out):
+    return repr(analytics.invert_fer_analytic(case["target"], case["payload"]))
 
 
 cases = json.loads(Path(sys.argv[1]).read_text())
@@ -171,9 +185,15 @@ def corpus() -> list[dict]:
     base = {"node_count": 2, "duration_s": 0.5, "seed": 88}
     cases += [{"kind": "sweep", "id": f"sweep-{axis}", "base": base, "axis": axis,
                "values": values} for axis, values in SWEEPS.items()]
-    cases += [{"kind": "optimize", "id": f"optimize-{p_ber:g}-{gradient}", "p_ber": p_ber,
+    cases += [{"kind": "optimize",
+               "id": f"optimize-{p_ber:g}-start-{start}-cap-{cap or 'default'}-{gradient}",
+               "p_ber": p_ber, "start": payload_0, "cap": cap,
                "verbatim": gradient == "verbatim"}
-              for p_ber in OPTIMIZE_BERS for gradient in ("exact", "verbatim")]
+              for p_ber in OPTIMIZE_BERS for start, payload_0 in OPTIMIZE_STARTS.items()
+              for cap in OPTIMIZE_CAPS for gradient in ("exact", "verbatim")]
+    cases += [{"kind": "invert", "id": f"invert-{target:g}-payload-{payload}",
+               "target": target, "payload": payload}
+              for target in INVERT_TARGETS for payload in INVERT_PAYLOADS]
     return cases
 
 

@@ -78,6 +78,12 @@ WRITTEN_OUT = (TEST_OPTIMIZER + "test_formulas_are_their_written_out_forms",)
 DECREMENT = (TEST_OPTIMIZER + "test_the_decrement_stops_an_inner_solve_at_four_ulps_of"
              "_its_objective",)
 DECREMENT_SAVES = (TEST_OPTIMIZER + "test_the_decrement_saves_the_line_searches_that_cannot_win",)
+INNER_BUDGET = TEST_OPTIMIZER + "test_an_inner_solve_takes_steps_until_its_budget_runs_out"
+SHORT_STEP = TEST_OPTIMIZER + "test_a_step_shorter_than_1e_12_does_not_end_an_inner_solve"
+ANALYTICS = "src/wbansim/analytics.py"
+TEST_ANALYTICS = "tests/test_analytics.py::"
+INVERT_FIXED_POINT = (TEST_ANALYTICS + "test_invert_fer_analytic_stops_where_more_bisection"
+                      "_changes_nothing")
 
 CATALOGUE = [
     # mac.join_clean, the arithmetic twin of establish_connection
@@ -272,10 +278,19 @@ CATALOGUE = [
     Mutant("line-search-accepted-objective-not-carried", OPTIMIZER,
            "x, fx = candidate, fc", "x = candidate",
            ("tests/test_golden.py::test_cli_outputs_are_byte_identical[optimize]",)),
-    Mutant("line-search-no-early-stop", OPTIMIZER,
-           "            if candidate == x:\n"
-           "                return x, fx, steps   # every later halving rounds to x too\n", "",
-           (TEST_OPTIMIZER + "test_a_line_search_stops_once_its_candidate_equals_x",)),
+    Mutant("descent-budget-one-step-over", OPTIMIZER,
+           "while steps < max_iterations:\n        g = kernel.gradient(x, eps)",
+           "while steps <= max_iterations:\n        g = kernel.gradient(x, eps)",
+           (TEST_OPTIMIZER + "test_iteration_cap_returns_best_iterate_with_diagnostic",)),
+    Mutant("descent-inner-solve-capped-at-200-steps", OPTIMIZER,
+           "    while steps < max_iterations:\n        g = kernel.gradient(x, eps)",
+           "    for _ in range(200):\n        if steps >= max_iterations:\n            break\n"
+           "        g = kernel.gradient(x, eps)", (INNER_BUDGET,)),
+    Mutant("descent-stops-at-a-step-below-1e-12", OPTIMIZER,
+           "        x, fx = candidate, fc\n",
+           "        stalled = abs(candidate - x) < 1e-12 * max(1.0, x)\n"
+           "        x, fx = candidate, fc\n"
+           "        if stalled:\n            break\n", (SHORT_STEP,)),
     Mutant("newton-step-never-taken", OPTIMIZER,
            "alpha = 1.0 / h if h > 0 else 0.25 * x / abs(g)", "alpha = 0.25 * x / abs(g)",
            (TEST_OPTIMIZER + "test_newton_steps_take_at_most_six_tenths_of_the_oracles_steps",)),
@@ -304,10 +319,12 @@ CATALOGUE = [
            "    if x == payload_0 and fer_opt == 1.0:\n", "    if False:\n",
            (TEST_OPTIMIZER + "test_a_flat_start_is_not_reported_as_converged",)),
     # analytics.invert_fer_analytic, the presets' bisection
-    Mutant("invert-stops-at-a-width-not-at-its-fixed-point", "src/wbansim/analytics.py",
-           "if mid == lo or mid == hi:", "if hi - lo < 1e-15:",
-           ("tests/test_analytics.py::test_invert_fer_analytic_stops_where_more_bisection"
-            "_changes_nothing",)),
+    Mutant("invert-stops-at-a-width-not-at-its-fixed-point", ANALYTICS,
+           "while lo < mid < hi:", "while hi - lo >= 1e-15:", (INVERT_FIXED_POINT,)),
+    Mutant("invert-capped-at-200-bisections", ANALYTICS,
+           "    while lo < mid < hi:\n", "    for _ in range(200):\n        if not lo < mid < hi:\n"
+           "            break\n", (TEST_ANALYTICS + "test_invert_fer_analytic_round_trips"
+                                    "_a_tiny_target",)),
     # the codec's and the config's range checks
     Mutant("validate-fragment-index-unchecked", FRAMES,
            "if not 0 <= self.fragment_index <= MAX_FRAGMENT_INDEX:", "if False:",
